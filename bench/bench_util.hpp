@@ -11,6 +11,7 @@
 #include "common/types.hpp"
 #include "perf/harness.hpp"
 #include "telemetry/flight.hpp"
+#include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace_export.hpp"
@@ -84,21 +85,12 @@ inline std::string suffixed_path(const std::string& path,
   return path.substr(0, dot) + "." + suffix + path.substr(dot);
 }
 
-/// Write `body` to `path`; prints the outcome like dump_metrics.
+/// Write `body` to `path`; reports a failure on stderr like dump_metrics.
 inline bool write_text_file(const std::string& path, const std::string& body,
                             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (n != body.size()) {
-    std::fprintf(stderr, "short write of %s to %s\n", what, path.c_str());
-    return false;
-  }
-  return true;
+  if (telemetry::write_file(path, body).ok()) return true;
+  std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
+  return false;
 }
 
 /// Validate + write a timeseries document; exits 1 on schema violation —
@@ -140,28 +132,20 @@ inline void dump_capture(const telemetry::TraceCapture& cap,
                          const std::string& trace_path,
                          const std::string& profile_path) {
   if (!trace_path.empty()) {
-    if (Status v = telemetry::validate_trace_event_json(
-            cap.trace_event_json());
-        !v.ok()) {
+    const std::string trace = cap.trace_event_json();
+    if (Status v = telemetry::validate_trace_event_json(trace); !v.ok()) {
       std::fprintf(stderr, "trace export failed schema validation: %s\n",
                    v.to_string().c_str());
       std::exit(1);
     }
-    if (cap.write_trace(trace_path).ok())
+    if (write_text_file(trace_path, trace, "trace"))
       std::printf("\ntrace written to %s (%zu spans, %zu runs, "
                   "schema-valid)\n",
                   trace_path.c_str(), cap.spans().size(), cap.runs());
-    else
-      std::fprintf(stderr, "failed to write trace to %s\n",
-                   trace_path.c_str());
   }
-  if (!profile_path.empty()) {
-    if (cap.write_profile(profile_path).ok())
-      std::printf("profile written to %s\n", profile_path.c_str());
-    else
-      std::fprintf(stderr, "failed to write profile to %s\n",
-                   profile_path.c_str());
-  }
+  if (!profile_path.empty() &&
+      write_text_file(profile_path, cap.profile_json(), "profile"))
+    std::printf("profile written to %s\n", profile_path.c_str());
 }
 
 /// Write the aggregate registry to `path` if one was requested.

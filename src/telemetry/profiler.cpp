@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "telemetry/json_lite.hpp"
+
 namespace dgiwarp::telemetry {
 
 const char* cost_layer_name(CostLayer l) {
@@ -109,16 +111,19 @@ struct Row {
 };
 
 void append_row_json(std::string& out, const Row& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"layer\":\"%s\",\"activity\":\"%s\",\"size\":\"%s\","
-                "\"count\":%" PRIu64 ",\"total_ns\":%" PRIu64
-                ",\"total_bytes\":%" PRIu64 "}",
-                cost_layer_name(static_cast<CostLayer>(r.layer)),
-                cost_activity_name(static_cast<CostActivity>(r.activity)),
-                size_class_name(r.size_class), r.b.count, r.b.total_ns,
-                r.b.total_bytes);
-  out += buf;
+  out += "{\"layer\":\"";
+  out += cost_layer_name(static_cast<CostLayer>(r.layer));
+  out += "\",\"activity\":\"";
+  out += cost_activity_name(static_cast<CostActivity>(r.activity));
+  out += "\",\"size\":\"";
+  out += size_class_name(r.size_class);
+  out += "\",\"count\":";
+  append_u64(out, r.b.count);
+  out += ",\"total_ns\":";
+  append_u64(out, r.b.total_ns);
+  out += ",\"total_bytes\":";
+  append_u64(out, r.b.total_bytes);
+  out += '}';
 }
 
 }  // namespace

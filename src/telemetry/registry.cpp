@@ -1,48 +1,15 @@
 #include "telemetry/registry.hpp"
 
-#include <cstdio>
+#include "telemetry/json_lite.hpp"
 
 namespace dgiwarp::telemetry {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_key(std::string& out, const std::string& name) {
   out += '"';
   append_escaped(out, name);
   out += "\":";
-}
-
-// Deterministic double formatting: %.17g round-trips exactly, so the same
-// accumulated value always prints the same bytes.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
 }
 
 }  // namespace
@@ -188,14 +155,7 @@ std::string Registry::to_json() const {
 }
 
 Status Registry::write_json_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status(Errc::kNotFound, "cannot open " + path);
-  const std::string json = to_json();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size())
-    return Status(Errc::kResourceExhausted, "short write to " + path);
-  return Status::Ok();
+  return write_file(path, to_json());
 }
 
 }  // namespace dgiwarp::telemetry

@@ -1,46 +1,9 @@
 #include "telemetry/series.hpp"
 
-#include <cstdio>
-
 #include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dgiwarp::telemetry {
-
-namespace {
-
-void append_u64(std::string& out, u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Same deterministic formatting as registry.cpp: %.17g round-trips exactly.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void TimeSeries::push(TimeNs t, double v) {
   if (ring_.size() < cap_) {
@@ -217,166 +180,67 @@ std::string timeseries_document(
 }
 
 Status Sampler::write_json_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status(Errc::kNotFound, "cannot open " + path);
-  const std::string json = to_json();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size())
-    return Status(Errc::kResourceExhausted, "short write to " + path);
-  return Status::Ok();
+  return write_file(path, to_json());
 }
 
-// ---------------------------------------------------------------------------
-// Schema validation.
-
-namespace {
-
-Status invalid(const JsonParser& p, const std::string& what) {
-  return Status(Errc::kInvalidArgument,
-                "timeseries: " + what + (p.err.empty() ? "" : ": " + p.err));
-}
-
-bool parse_points(JsonParser& p, std::string* why) {
-  if (!p.expect('[')) return false;
-  double prev_t = -1.0;
-  if (!p.peek_is(']')) {
-    while (true) {
-      double t = 0.0, v = 0.0;
+// Schema validation: the shared reader walks every object and array, and
+// each check is made as its value goes by.
+Status validate_timeseries_json(std::string_view json) {
+  JsonParser p{json};
+  auto points = [&p] {
+    double prev_t = -1.0;
+    return p.array([&] {
+      double t = 0.0;
       if (!p.expect('[') || !p.parse_number(&t) || !p.expect(',') ||
-          !p.parse_number(&v) || !p.expect(']'))
+          !p.parse_number(nullptr) || !p.expect(']'))
         return false;
-      if (t <= prev_t) {
-        *why = "point timestamps not strictly increasing";
-        return false;
-      }
+      if (t <= prev_t)
+        return p.fail("point timestamps not strictly increasing");
       prev_t = t;
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  return p.expect(']');
-}
-
-bool parse_series_entry(JsonParser& p, std::string* why) {
-  if (!p.expect('{')) return false;
-  bool saw_kind = false, saw_points = false;
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return false;
+      return true;
+    });
+  };
+  auto series_entry = [&](const std::string&) {
+    bool saw_kind = false, saw_points = false;
+    const bool ok = p.object([&](const std::string& key) {
       if (key == "kind") {
+        saw_kind = true;
         std::string kind;
         if (!p.parse_string(&kind)) return false;
-        if (kind != "probe" && kind != "counter" && kind != "gauge" &&
-            kind != "rate") {
-          *why = "unknown series kind '" + kind + "'";
-          return false;
-        }
-        saw_kind = true;
-      } else if (key == "points") {
-        if (!parse_points(p, why)) return false;
-        saw_points = true;
-      } else if (key == "recorded" || key == "dropped") {
-        double v = 0.0;
-        if (!p.parse_number(&v)) return false;
-      } else {
-        if (!p.skip_value()) return false;
+        return kind == "probe" || kind == "counter" || kind == "gauge" ||
+               kind == "rate" || p.fail("unknown series kind '" + kind + "'");
       }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return false;
-  if (!saw_kind) { *why = "series missing kind"; return false; }
-  if (!saw_points) { *why = "series missing points"; return false; }
-  return true;
-}
-
-bool parse_run(JsonParser& p, std::string* why) {
-  if (!p.expect('{')) return false;
-  bool saw_interval = false, saw_series = false;
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return false;
+      if (key == "points") return saw_points = points();
+      if (key == "recorded" || key == "dropped") return p.parse_number(nullptr);
+      return p.skip_value();
+    });
+    return ok && (saw_kind || p.fail("series missing kind")) &&
+           (saw_points || p.fail("series missing points"));
+  };
+  auto run = [&](const std::string&) {
+    bool saw_interval = false, saw_series = false;
+    const bool ok = p.object([&](const std::string& key) {
       if (key == "interval_ns") {
-        double v = 0.0;
-        if (!p.parse_number(&v)) return false;
-        if (v <= 0.0) { *why = "interval_ns must be positive"; return false; }
         saw_interval = true;
-      } else if (key == "series") {
-        if (!p.expect('{')) return false;
-        if (!p.peek_is('}')) {
-          while (true) {
-            if (!p.parse_string(nullptr) || !p.expect(':') ||
-                !parse_series_entry(p, why))
-              return false;
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return false;
-        saw_series = true;
-      } else {
-        if (!p.skip_value()) return false;
+        double v = 0.0;
+        return p.parse_number(&v) &&
+               (v > 0.0 || p.fail("interval_ns must be positive"));
       }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return false;
-  if (!saw_interval) { *why = "run missing interval_ns"; return false; }
-  if (!saw_series) { *why = "run missing series"; return false; }
-  return true;
-}
-
-}  // namespace
-
-Status validate_timeseries_json(std::string_view json) {
-  JsonParser p{json, 0, {}};
-  std::string why;
+      if (key == "series") return saw_series = p.object(series_entry);
+      return p.skip_value();
+    });
+    return ok && (saw_interval || p.fail("run missing interval_ns")) &&
+           (saw_series || p.fail("run missing series"));
+  };
   bool saw_schema = false, saw_runs = false;
-
-  if (!p.expect('{')) return invalid(p, "not an object");
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':'))
-        return invalid(p, "bad key");
-      if (key == "schema") {
-        std::string schema;
-        if (!p.parse_string(&schema)) return invalid(p, "bad schema");
-        if (schema != kTimeseriesSchema)
-          return invalid(p, "wrong schema '" + schema + "'");
-        saw_schema = true;
-      } else if (key == "runs") {
-        if (!p.expect('{')) return invalid(p, "runs not an object");
-        if (!p.peek_is('}')) {
-          while (true) {
-            if (!p.parse_string(nullptr) || !p.expect(':'))
-              return invalid(p, "bad run name");
-            if (!parse_run(p, &why))
-              return invalid(p, why.empty() ? "malformed run" : why);
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return invalid(p, "unterminated runs");
-        saw_runs = true;
-      } else {
-        if (!p.skip_value()) return invalid(p, "bad value");
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return invalid(p, "unterminated document");
-  p.ws();
-  if (p.i != json.size()) return invalid(p, "trailing garbage");
-  if (!saw_schema) return invalid(p, "missing schema");
-  if (!saw_runs) return invalid(p, "missing runs");
-  return Status::Ok();
+  const bool ok = p.document([&](const std::string& key) {
+    if (key == "schema") return saw_schema = p.parse_schema(kTimeseriesSchema);
+    if (key == "runs") return saw_runs = p.object(run);
+    return p.skip_value();
+  });
+  return p.status(ok && (saw_schema || p.fail("missing schema")) &&
+                      (saw_runs || p.fail("missing runs")),
+                  "timeseries");
 }
 
 }  // namespace dgiwarp::telemetry

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "telemetry/json_lite.hpp"
 
@@ -19,30 +18,6 @@ void append_ts_us(std::string& out, TimeNs t) {
   std::snprintf(buf, sizeof buf, "%" PRIu64 ".%03" PRIu64, ns / 1000,
                 ns % 1000);
   out += buf;
-}
-
-void append_u64(std::string& out, u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 /// One rendered trace event, kept with its virtual-time key so the final
@@ -151,11 +126,7 @@ std::string TraceCapture::trace_event_json() const {
   // global trace-ring events.
   std::map<u32, std::string> names = nodes_;
   for (const Span& s : spans_)
-    if (!names.contains(s.origin)) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "node-%u", s.origin);
-      names[s.origin] = buf;
-    }
+    names.try_emplace(s.origin, "node-" + std::to_string(s.origin));
   if (!events_.empty()) names.try_emplace(0, "events");
   for (const auto& [addr, name] : names) {
     std::string extra = "\"args\":{\"name\":\"";
@@ -278,20 +249,6 @@ std::string TraceCapture::profile_json() const {
   return out;
 }
 
-namespace {
-
-Status write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status(Errc::kNotFound, "cannot open " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (n != body.size())
-    return Status(Errc::kResourceExhausted, "short write to " + path);
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status TraceCapture::write_trace(const std::string& path) const {
   return write_file(path, trace_event_json());
 }
@@ -300,127 +257,54 @@ Status TraceCapture::write_profile(const std::string& path) const {
   return write_file(path, profile_json());
 }
 
-// ---------------------------------------------------------------------------
-// trace_event schema validation: the shared json_lite reader plus the
-// semantic checks the satellite defines.
-
-namespace {
-
-struct ParsedEvent {
-  std::string ph, name;
-  double ts = 0;
-  double pid = 0, tid = 0;
-  bool has_ph = false, has_ts = false, has_pid = false, has_tid = false;
-};
-
-bool parse_event(JsonParser& p, ParsedEvent* ev) {
-  if (!p.expect('{')) return false;
-  if (p.peek_is('}')) return p.expect('}');
-  while (true) {
-    std::string key;
-    if (!p.parse_string(&key) || !p.expect(':')) return false;
-    if (key == "ph") {
-      if (!p.parse_string(&ev->ph)) return false;
-      ev->has_ph = true;
-    } else if (key == "name") {
-      if (!p.parse_string(&ev->name)) return false;
-    } else if (key == "ts") {
-      if (!p.parse_number(&ev->ts)) return false;
-      ev->has_ts = true;
-    } else if (key == "pid") {
-      if (!p.parse_number(&ev->pid)) return false;
-      ev->has_pid = true;
-    } else if (key == "tid") {
-      if (!p.parse_number(&ev->tid)) return false;
-      ev->has_tid = true;
-    } else {
-      if (!p.skip_value()) return false;
-    }
-    if (p.peek_is(',')) { ++p.i; continue; }
-    return p.expect('}');
-  }
-}
-
-}  // namespace
-
+// trace_event schema validation: the shared reader walks the document, and
+// each event is checked as it goes by (required fields, global ts order,
+// matched B/E pairs per (pid, tid) track).
 Status validate_trace_event_json(std::string_view json) {
-  JsonParser p{json, 0, {}};
-  std::vector<ParsedEvent> events;
-  bool saw_trace_events = false;
-
-  if (!p.expect('{'))
-    return Status(Errc::kInvalidArgument, "trace: " + p.err);
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':'))
-        return Status(Errc::kInvalidArgument, "trace: " + p.err);
-      if (key == "traceEvents") {
-        saw_trace_events = true;
-        if (!p.expect('['))
-          return Status(Errc::kInvalidArgument, "trace: " + p.err);
-        if (!p.peek_is(']')) {
-          while (true) {
-            ParsedEvent ev;
-            if (!parse_event(p, &ev))
-              return Status(Errc::kInvalidArgument, "trace: " + p.err);
-            events.push_back(std::move(ev));
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect(']'))
-          return Status(Errc::kInvalidArgument, "trace: " + p.err);
-      } else {
-        if (!p.skip_value())
-          return Status(Errc::kInvalidArgument, "trace: " + p.err);
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}'))
-    return Status(Errc::kInvalidArgument, "trace: " + p.err);
-  p.ws();
-  if (p.i != json.size())
-    return Status(Errc::kInvalidArgument, "trace: trailing garbage");
-  if (!saw_trace_events)
-    return Status(Errc::kInvalidArgument, "trace: no traceEvents array");
-
-  // Semantic checks: required fields, global ts monotonicity, matched B/E
-  // pairs per (pid, tid).
+  JsonParser p{json};
   double prev_ts = -1.0;
   std::map<std::pair<long long, long long>, std::vector<std::string>> open;
-  for (std::size_t idx = 0; idx < events.size(); ++idx) {
-    const ParsedEvent& e = events[idx];
-    char where[48];
-    std::snprintf(where, sizeof where, " (event %zu)", idx);
-    if (!e.has_ph || !e.has_ts || !e.has_pid || !e.has_tid)
-      return Status(Errc::kInvalidArgument,
-                    std::string("trace: missing ph/ts/pid/tid") + where);
-    if (e.ts < prev_ts)
-      return Status(Errc::kInvalidArgument,
-                    std::string("trace: ts not monotonic") + where);
-    prev_ts = e.ts;
-    const auto track = std::make_pair(static_cast<long long>(e.pid),
-                                      static_cast<long long>(e.tid));
-    if (e.ph == "B") {
-      open[track].push_back(e.name);
-    } else if (e.ph == "E") {
+  auto event = [&] {
+    std::string ph, name;
+    double ts = 0, pid = 0, tid = 0;
+    bool has_ph = false, has_ts = false, has_pid = false, has_tid = false;
+    const bool ok = p.object([&](const std::string& key) {
+      if (key == "ph") return has_ph = p.parse_string(&ph);
+      if (key == "name") return p.parse_string(&name);
+      if (key == "ts") return has_ts = p.parse_number(&ts);
+      if (key == "pid") return has_pid = p.parse_number(&pid);
+      if (key == "tid") return has_tid = p.parse_number(&tid);
+      return p.skip_value();
+    });
+    if (!ok) return false;
+    if (!has_ph || !has_ts || !has_pid || !has_tid)
+      return p.fail("missing ph/ts/pid/tid");
+    if (ts < prev_ts) return p.fail("ts not monotonic");
+    prev_ts = ts;
+    const auto track = std::make_pair(static_cast<long long>(pid),
+                                      static_cast<long long>(tid));
+    if (ph == "B") {
+      open[track].push_back(std::move(name));
+    } else if (ph == "E") {
       auto it = open.find(track);
       if (it == open.end() || it->second.empty())
-        return Status(Errc::kInvalidArgument,
-                      std::string("trace: E without open B") + where);
-      if (!e.name.empty() && e.name != it->second.back())
-        return Status(Errc::kInvalidArgument,
-                      std::string("trace: mismatched B/E name") + where);
+        return p.fail("E without open B");
+      if (!name.empty() && name != it->second.back())
+        return p.fail("mismatched B/E name");
       it->second.pop_back();
     }
-  }
+    return true;
+  };
+  bool saw_trace_events = false;
+  bool ok = p.document([&](const std::string& key) {
+    if (key != "traceEvents") return p.skip_value();
+    saw_trace_events = true;
+    return p.array(event);
+  });
+  ok = ok && (saw_trace_events || p.fail("no traceEvents array"));
   for (const auto& [track, stack] : open)
-    if (!stack.empty())
-      return Status(Errc::kInvalidArgument, "trace: unclosed B event");
-  return Status::Ok();
+    if (ok && !stack.empty()) ok = p.fail("unclosed B event");
+  return p.status(ok, "trace");
 }
 
 }  // namespace dgiwarp::telemetry

@@ -68,11 +68,11 @@ class TraceCapture {
   std::size_t runs_ = 0;
 };
 
-/// Minimal trace_event schema check (no external JSON dependency — the
-/// parser lives in trace_export.cpp): the document must be an object with
-/// a "traceEvents" array of objects; every event needs ph/ts/pid/tid;
-/// ts must be non-decreasing in document order; every "B" must be closed
-/// by a matching-name "E" on the same (pid, tid) with no track left open.
+/// Minimal trace_event schema check, streamed through the json_lite.hpp
+/// reader: the document must be an object with a "traceEvents" array of
+/// objects; every event needs ph/ts/pid/tid; ts must be non-decreasing in
+/// document order; every "B" must be closed by a matching-name "E" on the
+/// same (pid, tid) with no track left open.
 Status validate_trace_event_json(std::string_view json);
 
 }  // namespace dgiwarp::telemetry

@@ -361,6 +361,22 @@ TEST(FlightRecorder, DocumentValidatesAndCarriesTheStory) {
   EXPECT_FALSE(telemetry::validate_flight_recorder_json(bad).ok());
 }
 
+// A trip target is caller-supplied text: control characters in it must
+// come out escaped, so the flight document stays valid JSON.
+TEST(FlightRecorder, TripTargetsEscapeControlCharacters) {
+  sim::Simulation sim;
+  auto& reg = sim.telemetry();
+  reg.watchdog().enable();
+  reg.watchdog().watch_queue("trunk\tA\nB", [] { return 5.0; });
+  sim.run_until(40 * kMillisecond);
+  ASSERT_TRUE(reg.watchdog().tripped());
+
+  const std::string doc = telemetry::flight_recorder_json(reg, "unit test");
+  EXPECT_NE(doc.find(R"("target": "trunk\tA\nB")"), std::string::npos) << doc;
+  EXPECT_TRUE(telemetry::validate_flight_recorder_json(doc).ok())
+      << telemetry::validate_flight_recorder_json(doc).to_string();
+}
+
 TEST(FlightRecorder, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
     sim::Simulation sim;

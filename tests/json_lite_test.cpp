@@ -1,13 +1,15 @@
-// The three telemetry schema validators (trace_event, timeseries, flight
-// recorder) sit on the shared json_lite reader. This pins every rejection
-// they make: one malformed document per distinct check, each built from a
-// valid base document by a single textual edit.
+// The shared telemetry JSON writer and reader (json_lite.hpp), and the
+// three schema validators built on the reader (trace_event, timeseries,
+// flight recorder). The table test pins every rejection the validators
+// make: one malformed document per distinct check, each built from a valid
+// base document by a single textual edit.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
 
 #include "telemetry/flight.hpp"
+#include "telemetry/json_lite.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -200,6 +202,31 @@ TEST(JsonValidators, RejectEveryMalformedDocument) {
     EXPECT_FALSE(s.ok()) << doc;
     EXPECT_NE(s.message().find(c.why), std::string::npos)
         << "want '" << c.why << "', got '" << s.message() << "' for " << doc;
+  }
+}
+
+TEST(JsonLite, WriterFormatsExactly) {
+  std::string out;
+  telemetry::append_u64(out, 18446744073709551615ull);
+  out += ' ';
+  telemetry::append_double(out, 0.1);
+  out += ' ';
+  telemetry::append_escaped(out, "q\"b\\n\nt\tc\x01");
+  EXPECT_EQ(out,
+            R"(18446744073709551615 0.10000000000000001 q\"b\\n\nt\tc\u0001)");
+  EXPECT_FALSE(telemetry::write_file("/nonexistent-dir/x.json", out).ok());
+}
+
+// RFC 8259: control characters inside a string must be escaped. A raw tab
+// or newline in a document is a writer bug the reader has to catch.
+TEST(JsonLite, ReaderRejectsRawControlCharacters) {
+  for (const char* raw : {"a\tb", "a\nb", "a\x01b"}) {
+    std::string doc = kFlight;
+    doc.replace(doc.find(R"("r")"), 3, std::string("\"") + raw + "\"");
+    const Status s = telemetry::validate_flight_recorder_json(doc);
+    EXPECT_FALSE(s.ok()) << raw;
+    EXPECT_NE(s.message().find("raw control character"), std::string::npos)
+        << s.message();
   }
 }
 
