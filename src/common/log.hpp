@@ -30,7 +30,6 @@ void vlog(LogLevel lvl, const char* tag, const char* fmt, ...)
     }                                                         \
   } while (0)
 
-#define DGI_TRACE(tag, ...) DGI_LOG(::dgiwarp::LogLevel::kTrace, tag, __VA_ARGS__)
 #define DGI_DEBUG(tag, ...) DGI_LOG(::dgiwarp::LogLevel::kDebug, tag, __VA_ARGS__)
 #define DGI_INFO(tag, ...) DGI_LOG(::dgiwarp::LogLevel::kInfo, tag, __VA_ARGS__)
 #define DGI_WARN(tag, ...) DGI_LOG(::dgiwarp::LogLevel::kWarn, tag, __VA_ARGS__)

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/log.hpp"
-
 namespace dgiwarp::sim {
 
 Link::Link(Simulation& sim, Rng& rng, LinkParams params, std::string name)
@@ -76,9 +74,6 @@ void Link::transmit(Frame f) {
     if (f.span)
       telem.spans().stage_at(f.span, telemetry::Stage::kDropped, sim_.now(),
                              f.id);
-    DGI_TRACE("link", "%s queue overflow dropped frame id=%llu (%zu queued)",
-              name_.c_str(), static_cast<unsigned long long>(f.id),
-              departures_.size());
     return;
   }
 
@@ -126,8 +121,6 @@ void Link::transmit(Frame f) {
     reg.trace().record(telemetry::TraceKind::kLinkDrop, f.id, f.wire_bytes());
     if (f.span)
       spans.stage_at(f.span, telemetry::Stage::kDropped, tx_done, f.id);
-    DGI_TRACE("link", "%s dropped frame id=%llu (%zu B)", name_.c_str(),
-              static_cast<unsigned long long>(f.id), f.payload.size());
     return;  // the wire time is still consumed; the bits just die
   }
 
@@ -140,8 +133,6 @@ void Link::transmit(Frame f) {
     ++stats_.frames_corrupted;
     reg.trace().record(telemetry::TraceKind::kLinkCorrupt, f.id,
                        f.wire_bytes());
-    DGI_TRACE("link", "%s corrupted frame id=%llu (%zu B)", name_.c_str(),
-              static_cast<unsigned long long>(f.id), f.payload.size());
   }
 
   TimeNs arrive = tx_done + params_.propagation;

@@ -8,17 +8,13 @@
 //
 // Cost discipline matches the trace ring (trace.hpp): tracking is DISABLED
 // by default, begin() returns the null span id 0 when disabled, and every
-// stage()/end() call on span id 0 is a single predictable branch. For
-// builds that want the cost provably gone, NullSpanSink collapses the whole
-// surface to constexpr no-ops; SpanSinkLike checks the shared shape at
-// compile time.
+// stage()/end() call on span id 0 is a single predictable branch.
 //
 // Because one Simulation hosts both end hosts and the switch, the receive
 // side appends stages to the same span object the sender began — only the
 // span id rides frames (sim::Frame::span), never any wire format.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
@@ -124,18 +120,6 @@ struct SpanBreakdown {
 /// Exact by construction; stages stamped outside [start, end] are clamped.
 SpanBreakdown breakdown(const Span& s);
 
-/// Shape shared by the live tracker and the compile-time no-op sink.
-template <typename S>
-concept SpanSinkLike = requires(S s, SpanKind k, Stage st, u64 v, u32 o,
-                                const char* l, TimeNs t, bool b) {
-  { s.enabled() } -> std::convertible_to<bool>;
-  { s.begin(k, l, o, v, v) } -> std::convertible_to<u64>;
-  { s.child(v, k, l) } -> std::convertible_to<u64>;
-  s.stage(v, st, v, v);
-  s.stage_at(v, st, t, v, v);
-  s.end(v, b);
-};
-
 /// The live span store. Owned by the telemetry Registry (one per
 /// Simulation), which wires the virtual clock exactly as it does for the
 /// trace ring — spans obtained from Registry::spans() always stamp real
@@ -204,22 +188,5 @@ class SpanTracker {
   std::vector<Span> finished_;
   const TimeNs* clock_ = nullptr;
 };
-
-/// Compile-time no-op sink: substitute for SpanTracker where span tracking
-/// must be provably free. Mirrors NullSink in trace.hpp.
-struct NullSpanSink {
-  static constexpr bool kNoop = true;
-  constexpr bool enabled() const { return false; }
-  constexpr u64 begin(SpanKind, const char*, u32, u64, u64 = 0) const {
-    return 0;
-  }
-  constexpr u64 child(u64, SpanKind, const char*) const { return 0; }
-  constexpr void stage(u64, Stage, u64 = 0, u64 = 0) const {}
-  constexpr void stage_at(u64, Stage, TimeNs, u64 = 0, u64 = 0) const {}
-  constexpr void end(u64, bool) const {}
-};
-
-static_assert(SpanSinkLike<SpanTracker>);
-static_assert(SpanSinkLike<NullSpanSink>);
 
 }  // namespace dgiwarp::telemetry

@@ -6,7 +6,6 @@ const char* trace_kind_name(TraceKind k) {
   switch (k) {
     case TraceKind::kLinkDrop: return "link_drop";
     case TraceKind::kLinkCorrupt: return "link_corrupt";
-    case TraceKind::kLinkDeliver: return "link_deliver";
     case TraceKind::kIpReassemblyExpired: return "ip_reassembly_expired";
     case TraceKind::kTcpRetransmit: return "tcp_retransmit";
     case TraceKind::kRdRetransmit: return "rd_retransmit";

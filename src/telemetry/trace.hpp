@@ -4,13 +4,9 @@
 // CQ completions.
 //
 // Tracing is DISABLED by default and must cost near zero on the hot path:
-// record() is a single predictable branch when disabled. For builds that
-// want the cost provably gone, NullSink below is a drop-in whose record()
-// is a constexpr no-op; the TraceSinkLike concept lets call sites check at
-// compile time that either sink satisfies the same surface.
+// record() is a single predictable branch when disabled.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -23,7 +19,6 @@ namespace dgiwarp::telemetry {
 enum class TraceKind : u8 {
   kLinkDrop = 0,          // a = frame id, b = wire bytes
   kLinkCorrupt,           // a = frame id, b = wire bytes (post-damage)
-  kLinkDeliver,           // a = frame id, b = payload bytes
   kIpReassemblyExpired,   // a = ident, b = bytes received
   kTcpRetransmit,         // a = sequence, b = payload bytes
   kRdRetransmit,          // a = sequence, b = retry count
@@ -49,7 +44,7 @@ enum class TraceKind : u8 {
 /// -Wswitch-clean; the exhaustiveness test in telemetry_test.cpp asserts
 /// that casting kTraceKindCount itself yields the "?" fallback, which
 /// forces this constant to track the enum.
-inline constexpr u8 kTraceKindCount = 20;
+inline constexpr u8 kTraceKindCount = 19;
 
 const char* trace_kind_name(TraceKind k);
 
@@ -58,13 +53,6 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kLinkDrop;
   u64 a = 0;
   u64 b = 0;
-};
-
-/// Shape shared by the live ring and the compile-time no-op sink.
-template <typename S>
-concept TraceSinkLike = requires(S s, TraceKind k, u64 v) {
-  { s.enabled() } -> std::convertible_to<bool>;
-  s.record(k, v, v);
 };
 
 /// Fixed-capacity ring: once full, the oldest event is overwritten and
@@ -116,16 +104,5 @@ class TraceRing {
   u64 recorded_ = 0;
   const TimeNs* clock_ = nullptr;
 };
-
-/// Compile-time no-op sink: substitute for TraceRing where tracing must be
-/// provably free. Every call collapses to nothing at -O0 already.
-struct NullSink {
-  static constexpr bool kNoop = true;
-  constexpr bool enabled() const { return false; }
-  constexpr void record(TraceKind, u64 = 0, u64 = 0) const {}
-};
-
-static_assert(TraceSinkLike<TraceRing>);
-static_assert(TraceSinkLike<NullSink>);
 
 }  // namespace dgiwarp::telemetry

@@ -112,17 +112,6 @@ TEST(SpanTracker, FinishedListIsBounded) {
   EXPECT_EQ(t.finished_dropped(), 6u);
 }
 
-TEST(SpanTracker, NullSinkIsCompileTimeNoop) {
-  static_assert(telemetry::SpanSinkLike<telemetry::NullSpanSink>);
-  static_assert(telemetry::SpanSinkLike<SpanTracker>);
-  static_assert(telemetry::NullSpanSink::kNoop);
-  constexpr telemetry::NullSpanSink sink;
-  static_assert(!sink.enabled());
-  static_assert(sink.begin(SpanKind::kMessage, "x", 1, 2) == 0);
-  sink.stage(1, Stage::kSegmentTx);
-  sink.end(1, true);
-}
-
 /// Run one latency measurement with span capture on and return the spans.
 std::vector<Span> spans_of(perf::Mode mode, std::size_t msg, int iters,
                            double loss = 0.0, u64 seed = 0xC0FFEE) {
