@@ -33,14 +33,6 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Parse `<flag> <int>` from argv (`dflt` if absent or unparsable).
-inline int arg_int(int argc, char** argv, const char* flag, int dflt) {
-  const std::string v = arg_path(argc, argv, flag);
-  if (v.empty()) return dflt;
-  const long n = std::strtol(v.c_str(), nullptr, 10);
-  return n > 0 ? static_cast<int>(n) : dflt;
-}
-
 /// The flag surface shared by the figure benches, parsed once. Individual
 /// benches ignore fields they have no use for; what matters is that the
 /// *parsing* lives here instead of being copy-pasted per bench.
@@ -50,12 +42,10 @@ struct BenchArgs {
   std::string profile_json;     // --profile-json <path>
   std::string timeseries_json;  // --timeseries-json <path>
   std::string flight_json;      // --flight-json <path>
-  std::string out;              // --out <path> (bench-specific JSON)
   bool smoke = false;           // --smoke: reduced workload
   bool ablate = false;          // --ablate: parameter sweeps
   bool strict_health = false;   // --strict-health: watchdog trips fail run
   bool inject_stall = false;    // --inject-stall: black-hole one sender
-  int repeat = 1;               // --repeat N: wall-clock de-noising
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
@@ -64,12 +54,10 @@ struct BenchArgs {
     a.profile_json = arg_path(argc, argv, "--profile-json");
     a.timeseries_json = arg_path(argc, argv, "--timeseries-json");
     a.flight_json = arg_path(argc, argv, "--flight-json");
-    a.out = arg_path(argc, argv, "--out");
     a.smoke = has_flag(argc, argv, "--smoke");
     a.ablate = has_flag(argc, argv, "--ablate");
     a.strict_health = has_flag(argc, argv, "--strict-health");
     a.inject_stall = has_flag(argc, argv, "--inject-stall");
-    a.repeat = arg_int(argc, argv, "--repeat", 1);
     return a;
   }
 };
@@ -105,23 +93,6 @@ inline void dump_timeseries(const std::string& doc, const std::string& path) {
   }
   if (write_text_file(path, doc, "timeseries"))
     std::printf("\ntimeseries written to %s (schema-valid)\n", path.c_str());
-}
-
-/// Parse `--metrics-json <path>` from argv. Returns the path ("" if the
-/// flag is absent). Every figure bench accepts the flag; the aggregate
-/// registry collecting all measurement runs is dumped there on exit.
-inline std::string metrics_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--metrics-json");
-}
-
-/// `--trace-json <path>`: Chrome trace_event / Perfetto span export.
-inline std::string trace_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--trace-json");
-}
-
-/// `--profile-json <path>`: cost-profiler buckets + span phase totals.
-inline std::string profile_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--profile-json");
 }
 
 /// Write the capture's trace / profile documents to any requested paths.

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   bench::banner("Fault campaign — RD/RC reliability under adversarial faults",
                 "extends Figures 7-8 beyond fixed-rate loss: bursts, "
                 "reordering, duplication and link flaps; invariant-checked");
-  const std::string metrics_path = bench::metrics_json_path(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry aggregate;
 
   const std::size_t kMsg = 16 * KiB;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   }
   c.print();
 
-  bench::dump_metrics(aggregate, metrics_path);
+  bench::dump_metrics(aggregate, args.metrics_json);
   if (violations > 0) {
     std::printf("\n%d invariant violation(s) — campaign FAILED\n", violations);
     return 1;

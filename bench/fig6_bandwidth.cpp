@@ -13,10 +13,10 @@ int main(int argc, char** argv) {
                 "over RC S/R at 256KB; UD curves peak ~240-250 MB/s, RC S/R "
                 "~180 MB/s, RC Write ~70 MB/s");
 
-  const std::string metrics_path = bench::metrics_json_path(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
   perf::Options opts;
-  if (!metrics_path.empty()) opts.metrics = &metrics;
+  if (!args.metrics_json.empty()) opts.metrics = &metrics;
 
   TablePrinter t({"size", "UD S/R", "UD WriteRec", "RC S/R", "RC Write",
                   "(MB/s)"});
@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
               bench::pct_higher(bw(Mode::kUdWriteRecord, 1 * KiB),
                                 bw(Mode::kRcRdmaWrite, 1 * KiB)));
 
-  bench::dump_metrics(metrics, metrics_path);
+  bench::dump_metrics(metrics, args.metrics_json);
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
                 "partial placement keeps goodput high for multi-segment "
                 "messages at low loss; dip at 64KB (first multi-datagram "
                 "size); 5% loss still breaks large messages");
-  const std::string metrics_path = bench::metrics_json_path(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
 
   const double rates[] = {0.001, 0.005, 0.01, 0.05};
@@ -44,6 +44,6 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("\nvalid-bytes fraction (partial messages count):\n");
   d.print();
-  bench::dump_metrics(metrics, metrics_path);
+  bench::dump_metrics(metrics, args.metrics_json);
   return 0;
 }

@@ -4,9 +4,10 @@
 // CountingAllocator is a std::allocator shim that bumps two global tallies
 // (allocation count, bytes requested) on every allocate(). The `Bytes`
 // alias in common/buffer.hpp routes every Frame payload / wire buffer in
-// the stack through it, which is what gives `bench/throughput` its
-// allocs-per-event self-metric — the baseline the planned block-pool
-// allocator work must beat (ROADMAP).
+// the stack through it. perfbench reports the tally as
+// `alloc.bytes_path`, next to its count of every heap allocation, and
+// fig13_incast samples it as the `sim.alloc.*` series. It is the baseline
+// the planned block-pool allocator work must beat (ROADMAP).
 //
 // The counters are plain (non-atomic) globals: the simulator is
 // single-threaded by design, and keeping them plain makes the accounting
