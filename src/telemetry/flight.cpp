@@ -80,9 +80,9 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
   }
   out += first ? "}" : "\n  }";
 
-  // Registry state: counters and gauges in full (they are small), same
-  // formatting as Registry::to_json so values diff cleanly against a
-  // --metrics-json dump of the same run.
+  // Registry state: counters and gauges in full (they are small). Values
+  // go through the same json_lite writer as Registry::to_json, so they
+  // diff cleanly against a --metrics-json dump of the same run.
   out += ",\n  \"counters\": {";
   first = true;
   for (const auto& [name, c] : reg.counters()) {
