@@ -62,6 +62,8 @@ inline void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
+/// Writes `body` to `path`; fails unless the file opens, takes every byte
+/// and closes cleanly.
 inline Status write_file(const std::string& path, std::string_view body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return Status(Errc::kNotFound, "cannot open " + path);
@@ -145,8 +147,7 @@ struct JsonParser {
   /// A validator's verdict: ok, or "<what>: <first failure>".
   Status status(bool ok, const char* what) const {
     if (ok) return Status::Ok();
-    return Status(Errc::kInvalidArgument,
-                  std::string(what) + ": " + (err.empty() ? "malformed" : err));
+    return Status(Errc::kInvalidArgument, std::string(what) + ": " + err);
   }
 
   bool parse_string(std::string* out) {
