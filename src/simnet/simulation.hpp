@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -54,8 +53,10 @@ class Simulation {
   /// Execute the next pending event; returns false if the queue is empty.
   bool step();
 
-  /// Run until the event queue drains (or `max_events` fire, as a runaway
-  /// guard). Returns the number of events executed.
+  /// Run until the event queue drains. Returns the number of events
+  /// executed. `max_events` is a runaway guard: if that many events fire
+  /// and some are still pending, the pending count and now() go to stderr
+  /// and the process aborts.
   std::size_t run(std::size_t max_events = kDefaultMaxEvents);
 
   /// Run all events with timestamp <= t, then advance the clock to t.
@@ -65,8 +66,8 @@ class Simulation {
   /// passes `deadline`. Returns true iff `done()` became true.
   bool run_while_pending(const std::function<bool()>& done, TimeNs deadline);
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  bool idle() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
   u64 events_executed() const { return executed_; }
 
   /// This simulation's metrics/trace registry. Scoped to the Simulation so
@@ -83,13 +84,15 @@ class Simulation {
   static constexpr std::size_t kDefaultMaxEvents = 500'000'000;
 
  private:
-  struct Event {
+  /// Heap entry: the event's order key and the slot its task waits in.
+  /// Trivially copyable, so sifting the heap never touches a closure.
+  struct Key {
     TimeNs time;
     u64 seq;
-    Task task;
+    std::size_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -103,7 +106,12 @@ class Simulation {
   TimeNs now_ = 0;
   u64 next_seq_ = 0;
   u64 executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Pending events: a binary heap of keys under Later (front() is the
+  // next to run) over a slot store of tasks. step() moves a task out of
+  // its slot and recycles the slot through free_slots_.
+  std::vector<Key> heap_;
+  std::vector<Task> slots_;
+  std::vector<std::size_t> free_slots_;
   telemetry::Registry telemetry_;
   SimObserver* observer_ = nullptr;
 };

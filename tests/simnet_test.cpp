@@ -77,6 +77,86 @@ TEST(Simulation, RunWhilePendingRespectsDeadline) {
   EXPECT_TRUE(sim.run_while_pending([&] { return flag; }, 2000));
 }
 
+// Counts the copies made of it; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& o) noexcept : copies(o.copies) {}
+  int* copies;
+};
+
+TEST(Simulation, TasksRunWithoutCopyingTheirClosure) {
+  Simulation sim;
+  CpuModel cpu(sim);
+  int copies = 0;
+  int ran = 0;
+  sim.at(100, [c = CopyCounter(&copies), &ran] { ++ran; });
+  cpu.charge_then(50, [c = CopyCounter(&copies), &ran] { ++ran; });
+  cpu.charge_kernel_then(
+      20, {telemetry::CostLayer::kVerbs, telemetry::CostActivity::kPoll, 0},
+      [c = CopyCounter(&copies), &ran] { ++ran; });
+  sim.run();
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Simulation, ManyEventsRunInStableTimeSeqOrder) {
+  // ~20k events over 50 distinct times. Every fourth task schedules a
+  // follow-up at a random one of the 50 times, so about half land in the
+  // past and clamp to now(); the follow-ups take slots freed by earlier
+  // tasks while thousands of events are still pending.
+  constexpr std::size_t kInitial = 16'000;
+  constexpr std::size_t kTotal = 20'000;
+  Simulation sim;
+  Rng rng(7);
+  std::vector<TimeNs> due;  // effective time of each event, by schedule order
+  std::vector<std::size_t> ran;
+  std::function<void(TimeNs)> schedule = [&](TimeNs t) {
+    const std::size_t id = due.size();
+    due.push_back(std::max(t, sim.now()));
+    sim.at(t, [&, id] {
+      EXPECT_EQ(sim.now(), due[id]);
+      ran.push_back(id);
+      if (id % 4 == 0 && due.size() < kTotal) schedule(rng.range(0, 49) * 100);
+    });
+  };
+  for (std::size_t i = 0; i < kInitial; ++i) schedule(rng.range(0, 49) * 100);
+  EXPECT_EQ(sim.pending(), kInitial);
+  sim.run();
+
+  // (time, seq) order is the schedule order stably sorted by time.
+  std::vector<std::size_t> expected(due.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) { return due[a] < due[b]; });
+  EXPECT_EQ(due.size(), kTotal);
+  EXPECT_EQ(ran, expected);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulation, RunTaskReleasesItsCaptures) {
+  Simulation sim;
+  auto state = std::make_shared<int>(0);
+  sim.at(10, [state] { ++*state; });
+  sim.at(20, [] {});  // keeps the slot store populated
+  EXPECT_EQ(state.use_count(), 2);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(*state, 1);
+  EXPECT_EQ(state.use_count(), 1);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(SimulationDeathTest, RunawayGuardAbortsWithPendingEvents) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        std::function<void()> tick = [&] { sim.after(1, tick); };
+        sim.after(1, tick);
+        sim.run(1000);
+      },
+      "runaway guard hit after 1000 events, 1 pending at now=1000 ns");
+}
+
 TEST(Cpu, UserChargesQueueFifo) {
   Simulation sim;
   CpuModel cpu(sim);
