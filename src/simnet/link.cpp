@@ -45,11 +45,9 @@ std::size_t Link::queue_depth() const {
   // Refresh the registry gauge after pruning: it is otherwise only set at
   // enqueue time, so on an idle link it would keep reporting the depth as
   // of the last transmit — phantom standing queue to anything sampling the
-  // gauge between frames. Guarded on max_depth_ so a never-used link does
-  // not materialize the key (enqueue is what first creates it).
-  if (max_depth_ > 0)
-    sim_.telemetry().gauge("simnet.link.queue_depth")
-        .set(static_cast<double>(departures_.size()));
+  // gauge between frames. A never-used link has no handle yet and does not
+  // materialize the key (enqueue is what first creates it).
+  if (depth_gauge_) depth_gauge_->set(static_cast<double>(departures_.size()));
   return departures_.size();
 }
 
@@ -96,20 +94,22 @@ void Link::transmit(Frame f) {
 
   departures_.push_back(tx_done);
   if (departures_.size() > max_depth_) max_depth_ = departures_.size();
-  sim_.telemetry().gauge("simnet.link.queue_depth")
-      .set(static_cast<double>(departures_.size()));
+  if (!depth_gauge_) depth_gauge_ = &telem.gauge("simnet.link.queue_depth");
+  depth_gauge_->set(static_cast<double>(departures_.size()));
 
   auto& reg = sim_.telemetry();
   auto& spans = reg.spans();
   if (start > sim_.now()) {
     ++stats_.frames_queued;
-    reg.gauge("simnet.link.queue_wait_ns").set(
-        static_cast<double>(start - sim_.now()));
+    if (!wait_gauge_) wait_gauge_ = &reg.gauge("simnet.link.queue_wait_ns");
+    wait_gauge_->set(static_cast<double>(start - sim_.now()));
     // Queue-depth sampling rides the span switch: per-frame histogram
     // samples only accumulate while someone is watching lifecycles.
-    if (spans.enabled())
-      reg.histogram("simnet.link.queue_wait_hist_ns")
-          .add(static_cast<double>(start - sim_.now()));
+    if (spans.enabled()) {
+      if (!wait_hist_)
+        wait_hist_ = &reg.histogram("simnet.link.queue_wait_hist_ns");
+      wait_hist_->add(static_cast<double>(start - sim_.now()));
+    }
   }
   // Serialization onto the wire begins at `start` — stamped explicitly so
   // the span's queueing phase is exact even though transmit() runs now.

@@ -102,6 +102,11 @@ class Link {
   std::size_t ecn_threshold_ = 0;   // 0 = no marking
   std::size_t queue_capacity_ = 0;  // 0 = unbounded
   bool cc_counters_bound_ = false;
+  // Per-frame registry handles, fetched on first use so each key enters the
+  // registry when the first frame needs it, as a by-name lookup would.
+  telemetry::Gauge* depth_gauge_ = nullptr;
+  telemetry::Gauge* wait_gauge_ = nullptr;
+  telemetry::Histogram* wait_hist_ = nullptr;
 };
 
 /// First-class handle to one direction of one cable. This is the public

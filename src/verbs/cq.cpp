@@ -24,7 +24,8 @@ void CompletionQueue::push(Completion c) {
     return;
   }
   q_.push_back(std::move(c));
-  reg.histogram("verbs.cq.depth").add(static_cast<double>(q_.size()));
+  if (!depth_hist_) depth_hist_ = &reg.histogram("verbs.cq.depth");
+  depth_hist_->add(static_cast<double>(q_.size()));
   ++completions_;
   reg.trace().record(telemetry::TraceKind::kCqCompletion, q_.back().wr_id,
                      static_cast<u64>(q_.back().byte_len));

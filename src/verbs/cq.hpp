@@ -51,6 +51,8 @@ class CompletionQueue {
   std::function<void()> on_event_;
   telemetry::Metric completions_;
   telemetry::Metric overruns_;
+  // verbs.cq.depth, fetched on the first completion (the key's first use).
+  telemetry::Histogram* depth_hist_ = nullptr;
 };
 
 }  // namespace dgiwarp::verbs
