@@ -41,6 +41,12 @@ class StagTable {
   /// span on success.
   Result<ByteSpan> check(u32 stag, u64 to, std::size_t len, u32 need) const;
 
+  /// The registration behind `stag`, or nullptr if there is none.
+  const MemoryRegionInfo* find(u32 stag) const {
+    auto it = regions_.find(stag);
+    return it == regions_.end() ? nullptr : &it->second;
+  }
+
   bool contains(u32 stag) const { return regions_.contains(stag); }
   std::size_t size() const { return regions_.size(); }
 

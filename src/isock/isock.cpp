@@ -77,6 +77,11 @@ u16 ISockStack::local_port(int fd) const {
   return s->listen_port;
 }
 
+u32 ISockStack::pool_stag(int fd) const {
+  const Sock* s = find(fd);
+  return s && s->ud ? s->pool_mr.stag : 0;
+}
+
 Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
   if (!cfg_.use_iwarp) {
     auto sock = dev_.host().udp().open(port);
@@ -551,6 +556,8 @@ Status ISockStack::close(int fd) {
   Sock* s = find(fd);
   if (!s) return Status(Errc::kInvalidArgument, "bad fd");
   if (s->native) dev_.host().udp().close(s->native);
+  // The pool is freed with the socket below; its STag must not outlive it.
+  if (s->ud) (void)pd_.deregister(s->pool_mr.stag);
   if (s->rc) {
     qpn_fd_.erase(s->rc->qpn());
     s->rc->disconnect();

@@ -103,6 +103,11 @@ class ISockStack {
   Result<const ISockStats*> stats(int fd) const;
   std::size_t open_sockets() const { return socks_.size(); }
   verbs::Device& device() { return dev_; }
+  /// The protection domain the sockets' receive pools are registered in.
+  const verbs::ProtectionDomain& pd() const { return pd_; }
+  /// STag of a bound iWARP datagram socket's receive pool (what Write-Record
+  /// peers are advertised); 0 for other sockets and unknown fds.
+  u32 pool_stag(int fd) const;
   const ISockConfig& config() const { return cfg_; }
 
  private:

@@ -2,18 +2,30 @@
 
 namespace dgiwarp::verbs {
 
+namespace {
+
+// Registration pins pages and allocates a translation entry; account a
+// small per-region cost plus a per-page descriptor estimate.
+i64 mr_ledger_bytes(std::size_t region_bytes) {
+  return 64 + static_cast<i64>(region_bytes / 4096 + 1) * 8;
+}
+
+}  // namespace
+
 ProtectionDomain::ProtectionDomain(host::Host& host, u32 id)
     : host_(host), id_(id), mem_(host.ledger_ptr(), "iwarp.pd", 512) {}
 
 MemoryRegion ProtectionDomain::register_memory(ByteSpan region, u32 access) {
   const ddp::MemoryRegionInfo info = stags_.register_region(region, access);
-  // Registration pins pages and allocates a translation entry; account a
-  // small per-region cost plus a per-page descriptor estimate.
-  host_.ledger().add("iwarp.mr",
-                     64 + static_cast<i64>(region.size() / 4096 + 1) * 8);
+  host_.ledger().add("iwarp.mr", mr_ledger_bytes(region.size()));
   return MemoryRegion{info.stag, region, access};
 }
 
-Status ProtectionDomain::deregister(u32 stag) { return stags_.invalidate(stag); }
+Status ProtectionDomain::deregister(u32 stag) {
+  const ddp::MemoryRegionInfo* info = stags_.find(stag);
+  if (!info) return Status(Errc::kNotFound, "unknown STag");
+  host_.ledger().sub("iwarp.mr", mr_ledger_bytes(info->region.size()));
+  return stags_.invalidate(stag);
+}
 
 }  // namespace dgiwarp::verbs

@@ -28,6 +28,7 @@ class ProtectionDomain {
   /// returned STag can be advertised to peers for tagged access.
   MemoryRegion register_memory(ByteSpan region, u32 access);
 
+  /// Invalidate `stag` and refund the ledger charge register_memory made.
   Status deregister(u32 stag);
 
   u32 id() const { return id_; }

@@ -213,5 +213,27 @@ TEST(ISock, CloseReleasesPort) {
   EXPECT_TRUE(r.io_b.bind(fd2, 9000).ok());
 }
 
+TEST(ISock, CloseDeregistersTheReceivePool) {
+  Rig r;
+  const verbs::ProtectionDomain& pd = r.io_b.pd();
+  const std::size_t regions = pd.registered_regions();
+  const i64 mr_bytes = r.b.ledger().category("iwarp.mr");
+
+  auto fd = *r.io_b.socket(SockType::kDatagram);
+  ASSERT_TRUE(r.io_b.bind(fd, 9000).ok());
+  const u32 stag = r.io_b.pool_stag(fd);
+  ASSERT_NE(stag, 0u);
+  EXPECT_EQ(pd.registered_regions(), regions + 1);
+  EXPECT_GT(r.b.ledger().category("iwarp.mr"), mr_bytes);
+  EXPECT_TRUE(pd.stags().check(stag, 0, 1, verbs::kLocalWrite).ok());
+
+  ASSERT_TRUE(r.io_b.close(fd).ok());
+  EXPECT_EQ(pd.registered_regions(), regions);
+  EXPECT_EQ(r.b.ledger().category("iwarp.mr"), mr_bytes);
+  auto stale = pd.stags().check(stag, 0, 1, verbs::kLocalWrite);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), Errc::kAccessDenied);
+}
+
 }  // namespace
 }  // namespace dgiwarp
