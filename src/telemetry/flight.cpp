@@ -114,12 +114,6 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
   return out;
 }
 
-Status write_flight_recorder(const Registry& reg, std::string_view reason,
-                             const std::string& path,
-                             const FlightOptions& opts) {
-  return write_file(path, flight_recorder_json(reg, reason, opts));
-}
-
 // Schema validation: the shared reader walks every object and array, and
 // each check is made as its value goes by.
 Status validate_flight_recorder_json(std::string_view json) {

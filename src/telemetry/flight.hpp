@@ -32,10 +32,6 @@ struct FlightOptions {
 std::string flight_recorder_json(const Registry& reg, std::string_view reason,
                                  const FlightOptions& opts = {});
 
-Status write_flight_recorder(const Registry& reg, std::string_view reason,
-                             const std::string& path,
-                             const FlightOptions& opts = {});
-
 /// Structural validation: schema tag, reason, watchdog block with a trips
 /// array, trace tail with non-decreasing timestamps, counters object.
 Status validate_flight_recorder_json(std::string_view json);

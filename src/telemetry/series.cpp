@@ -179,10 +179,6 @@ std::string timeseries_document(
   return out;
 }
 
-Status Sampler::write_json_file(const std::string& path) const {
-  return write_file(path, to_json());
-}
-
 // Schema validation: the shared reader walks every object and array, and
 // each check is made as its value goes by.
 Status validate_timeseries_json(std::string_view json) {

@@ -123,7 +123,6 @@ class Sampler {
   std::string run_json() const;
   /// Complete schema document with this sampler as the single run "run".
   std::string to_json() const;
-  Status write_json_file(const std::string& path) const;
 
  private:
   friend class Registry;

@@ -253,10 +253,6 @@ Status TraceCapture::write_trace(const std::string& path) const {
   return write_file(path, trace_event_json());
 }
 
-Status TraceCapture::write_profile(const std::string& path) const {
-  return write_file(path, profile_json());
-}
-
 // trace_event schema validation: the shared reader walks the document, and
 // each event is checked as it goes by (required fields, global ts order,
 // matched B/E pairs per (pid, tid) track).

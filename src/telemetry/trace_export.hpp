@@ -2,7 +2,7 @@
 //
 // TraceCapture accumulates spans, trace-ring events and profiler buckets
 // across one or more measurement Simulations (the perf harness builds a
-// fresh Fabric per run, so each run's virtual clock restarts at 0 — the
+// fresh Topology per run, so each run's virtual clock restarts at 0 — the
 // capture shifts every absorbed timestamp and span id past the previous
 // run's, keeping the merged timeline monotonic and ids unique).
 //
@@ -56,7 +56,6 @@ class TraceCapture {
   std::string profile_json() const;
 
   Status write_trace(const std::string& path) const;
-  Status write_profile(const std::string& path) const;
 
  private:
   std::vector<Span> spans_;
