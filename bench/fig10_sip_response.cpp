@@ -1,16 +1,16 @@
 // Figure 10: SIP request/response time under light load, UD vs RC.
 #include "apps/sip/agents.hpp"
 #include "bench_util.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
 namespace {
 
 double measure(sip::Transport t) {
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
-  host::Host client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
+  host::Host client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockConfig cfg;
   cfg.pool_slots = 8;
@@ -18,7 +18,7 @@ double measure(sip::Transport t) {
   isock::ISockStack io_s(dev_s, cfg), io_c(dev_c, cfg);
   sip::SipServer server(io_s, t);
   if (!server.start().ok()) return -1;
-  fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);  // settle
+  topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);  // settle
 
   sip::SipClient client(io_c, t, server_host.endpoint(5060));
   Samples samples;
@@ -28,7 +28,7 @@ double measure(sip::Transport t) {
     // Light load (paper §V): each sample starts quiescent — don't let the
     // previous call's teardown tail (BYE 200 + socket close) queue the
     // next INVITE behind residual CPU work.
-    fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+    topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
   }
   return samples.mean();
 }

@@ -8,7 +8,7 @@
 // datagram-iWARP to RC-iWARP difference".
 #include "apps/media/media.hpp"
 #include "bench_util.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
@@ -16,10 +16,10 @@ namespace {
 
 struct Rig {
   explicit Rig(isock::ISockConfig cfg = {})
-      : server_host(fabric, "server"), client_host(fabric, "client"),
+      : server_host(topo, "server"), client_host(topo, "client"),
         dev_s(server_host), dev_c(client_host),
         io_s(dev_s, cfg), io_c(dev_c, cfg) {}
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host server_host, client_host;
   verbs::Device dev_s, dev_c;
   isock::ISockStack io_s, io_c;
@@ -45,7 +45,7 @@ double run_udp(isock::XferMode mode, telemetry::Registry* agg) {
   media::MediaClient client(r.io_c);
   auto res = client.run_udp(r.server_host.endpoint(7000), kUdpCacheBytes,
                             20 * kSecond);
-  if (agg) agg->merge_from(r.fabric.sim().telemetry());
+  if (agg) agg->merge_from(r.topo.sim().telemetry());
   return res.completed ? to_ms(res.buffering_time) : -1;
 }
 
@@ -59,7 +59,7 @@ double run_http(telemetry::Registry* agg) {
   media::MediaClient client(r.io_c);
   auto res = client.run_http(r.server_host.endpoint(8080), kHttpCacheBytes,
                              30 * kSecond);
-  if (agg) agg->merge_from(r.fabric.sim().telemetry());
+  if (agg) agg->merge_from(r.topo.sim().telemetry());
   return res.completed ? to_ms(res.buffering_time) : -1;
 }
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                 "send/recv and Write-Record bars are nearly identical "
                 "(buffered-copy socket interface)");
 
-  // --metrics-json: each run owns a private Fabric (its own registry), so
+  // --metrics-json: each run owns a private Topology (its own registry), so
   // the dump aggregates all three runs into one document, the way the
   // harness-driven figures do through perf::Options::metrics.
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);

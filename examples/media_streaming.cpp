@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "apps/media/media.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
@@ -23,14 +23,14 @@ int main(int argc, char** argv) {
   if (std::strcmp(mode, "udp-wr") == 0)
     cfg.ud_mode = isock::XferMode::kWriteRecord;
 
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
-  host::Host client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
+  host::Host client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockStack io_s(dev_s, cfg), io_c(dev_c, cfg);
 
   if (loss > 0.0)
-    fabric.uplink(0).set_faults(sim::Faults::bernoulli(loss));
+    topo.host_uplink(0).set_faults(sim::Faults::bernoulli(loss));
 
   media::StreamParams params;
   params.burst_start = false;  // live stream at the encoding bitrate

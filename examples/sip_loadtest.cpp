@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "apps/sip/agents.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
   const sip::Transport transport =
       rc ? sip::Transport::kRc : sip::Transport::kUd;
 
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
-  host::Host client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
+  host::Host client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockConfig cfg;
   cfg.pool_slots = 2;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server failed to start\n");
     return 1;
   }
-  fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+  topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
 
   sip::SipClient client(io_c, transport, server_host.endpoint(5060));
 
@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
   if (rt.ok()) std::printf("  INVITE -> 200 OK: %.3f ms\n", to_ms(*rt));
 
   // Bring up the load and report server-side state.
-  const TimeNs t0 = fabric.sim().now();
+  const TimeNs t0 = topo.sim().now();
   const std::size_t up = client.establish_calls(calls, 120 * kSecond);
   std::printf("  %zu/%zu calls established in %.1f ms (virtual)\n", up, calls,
-              to_ms(fabric.sim().now() - t0));
+              to_ms(topo.sim().now() - t0));
   std::printf("  server handled %llu requests, %zu active calls\n",
               static_cast<unsigned long long>(server.requests_handled()),
               server.active_calls());

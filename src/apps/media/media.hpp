@@ -90,9 +90,8 @@ class MediaClient {
   ClientResult run_http(Endpoint server, std::size_t prebuffer,
                         TimeNs deadline);
 
-  /// In-flight stream state for the non-blocking API. The receive handler
-  /// holds a strong reference, so the state outlives the MediaClient's
-  /// caller frame (unlike run_udp's stack captures).
+ private:
+  /// One UDP stream's state, shared with its receive handler.
   struct Stream {
     ClientResult result;
     TimeNs started = 0;
@@ -102,16 +101,14 @@ class MediaClient {
     bool done() const { return result.bytes_received >= prebuffer; }
   };
 
-  /// Non-blocking half of run_udp: join the stream and install the receive
-  /// handler, but do not run the simulation. Cluster harnesses start many
-  /// of these and drive one shared wait loop, then call finish() on each.
-  /// Null on socket exhaustion.
+  /// run_udp's first half: join the stream and install the receive
+  /// handler, without running the simulation. Null on socket exhaustion.
   std::shared_ptr<Stream> start_udp(Endpoint server, std::size_t prebuffer);
 
-  /// Stamp buffering_time/completed and release the stream's socket.
+  /// run_udp's last half: stamp buffering_time/completed and release the
+  /// stream's socket.
   void finish(const std::shared_ptr<Stream>& s);
 
- private:
   isock::ISockStack& io_;
 };
 

@@ -6,7 +6,7 @@
 #include "common/memledger.hpp"
 #include "hoststack/tcp.hpp"
 #include "hoststack/udp.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp::host {
 
@@ -15,8 +15,6 @@ class Host {
   /// Attach a new host to `topo` (creates the NIC and its leaf-switch
   /// port; placement is the topology's round-robin policy).
   Host(sim::Topology& topo, const std::string& name, CostModel costs = {});
-  /// Two-endpoint convenience: attach through the Fabric adapter.
-  Host(sim::Fabric& fabric, const std::string& name, CostModel costs = {});
 
   u32 addr() const { return ctx_.ip; }
   Endpoint endpoint(u16 port) const { return Endpoint{addr(), port}; }

@@ -12,9 +12,6 @@ struct ClusterHarness::Tenant {
   std::unique_ptr<isock::ISockStack> client_io;
   std::unique_ptr<sip::SipServer> sip_server;
   std::unique_ptr<sip::SipClient> sip_client;
-  std::unique_ptr<media::MediaServer> media_server;
-  std::unique_ptr<media::MediaClient> media_client;
-  std::shared_ptr<media::MediaClient::Stream> stream;
 };
 
 ClusterHarness::ClusterHarness(ClusterConfig cfg)
@@ -63,14 +60,14 @@ void ClusterHarness::absorb_trace() {
 }
 
 void ClusterHarness::build_tenants() {
+  // fig11's small-ring pool geometry suits SIP.
   isock::ISockConfig scfg;
-  scfg.pool_slots = cfg_.pool_slots;
-  scfg.slot_bytes = cfg_.slot_bytes;
+  scfg.pool_slots = 2;
+  scfg.slot_bytes = 2048;
 
   for (std::size_t i = 0; i < cfg_.pairs; ++i) {
     auto t = std::make_unique<Tenant>();
     verbs::NodeSpec spec;
-    spec.dev = cfg_.dev;
     spec.name = "srv" + std::to_string(i);
     t->server_node = std::make_unique<verbs::Node>(topo_, spec);
     spec.name = "cli" + std::to_string(i);
@@ -124,8 +121,8 @@ ClusterReport ClusterHarness::run_sip() {
   auto& sim = topo_.sim();
 
   for (auto& t : tenants_) {
-    t->sip_server = std::make_unique<sip::SipServer>(*t->server_io,
-                                                     cfg_.transport, cfg_.sip);
+    t->sip_server =
+        std::make_unique<sip::SipServer>(*t->server_io, cfg_.transport);
     (void)t->sip_server->start();
   }
   // Same settle gap the two-endpoint SIP benches use before dialling.
@@ -135,7 +132,7 @@ ClusterReport ClusterHarness::run_sip() {
   for (auto& t : tenants_) {
     t->sip_client = std::make_unique<sip::SipClient>(
         *t->client_io, cfg_.transport,
-        t->server_node->host().endpoint(cfg_.sip.server_port), cfg_.sip);
+        t->server_node->host().endpoint(sip::SipConfig{}.server_port));
     t->sip_client->start_calls(cfg_.calls_per_pair);
   }
 
@@ -175,54 +172,6 @@ ClusterReport ClusterHarness::run_sip() {
     tenants_[i]->sip_client->finish_teardown();
   }
 
-  rep.events = sim.events_executed();
-  rep.virtual_time = sim.now();
-  fill_health(rep);
-  absorb_trace();
-  return rep;
-}
-
-ClusterReport ClusterHarness::run_media() {
-  build_tenants();
-  auto& sim = topo_.sim();
-  constexpr u16 kMediaPort = 9000;
-
-  for (auto& t : tenants_) {
-    t->media_server =
-        std::make_unique<media::MediaServer>(*t->server_io, cfg_.media);
-    // Serve 2x the prebuffer: datagram drops at the receive pool must not
-    // leave a client short of its watermark.
-    (void)t->media_server->serve_udp(kMediaPort, cfg_.media_prebuffer * 2);
-  }
-  sim.run_until(sim.now() + 2 * kMillisecond);
-
-  for (auto& t : tenants_) {
-    t->media_client = std::make_unique<media::MediaClient>(*t->client_io);
-    t->stream = t->media_client->start_udp(
-        t->server_node->host().endpoint(kMediaPort), cfg_.media_prebuffer);
-  }
-
-  auto all_buffered = [this] {
-    for (const auto& t : tenants_)
-      if (t->stream && !t->stream->done()) return false;
-    return true;
-  };
-  chunked_wait(all_buffered, sim.now() + cfg_.deadline);
-
-  ClusterReport rep;
-  rep.nodes = topo_.hosts();
-  for (auto& t : tenants_) {
-    if (!t->stream) continue;
-    t->media_client->finish(t->stream);
-    if (t->stream->result.completed) ++rep.streams_completed;
-    rep.media_bytes += t->stream->result.bytes_received;
-    TenantStats ts;
-    ts.name = t->server_node->name();
-    ts.server_total = t->server_node->host().ledger().total();
-    ts.client_total = t->client_node->host().ledger().total();
-    rep.server_mem_total += ts.server_total;
-    rep.tenants.push_back(std::move(ts));
-  }
   rep.events = sim.events_executed();
   rep.virtual_time = sim.now();
   fill_health(rep);

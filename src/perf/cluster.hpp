@@ -3,11 +3,10 @@
 //
 // The two-endpoint Rig (perf/harness.hpp) answers "how fast is one
 // transfer"; this harness answers the scale questions (bench/fig12_scale):
-// K SIP server/client pairs — or K media streams — spread round-robin
-// across the topology's leaf switches, all running at once, with per-tenant
-// memory accounted through each host's MemLedger. Every pair is one
-// "tenant": its own pair of hosts, devices and socket stacks, so ledger
-// totals isolate cleanly.
+// K SIP server/client pairs spread round-robin across the topology's leaf
+// switches, all running at once, with per-tenant memory accounted through
+// each host's MemLedger. Every pair is one "tenant": its own pair of hosts,
+// devices and socket stacks, so ledger totals isolate cleanly.
 //
 // Determinism: one seeded Topology, one event queue, no wall-clock input —
 // two runs with the same ClusterConfig produce identical metrics JSON.
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/media/media.hpp"
 #include "apps/sip/agents.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/trace_export.hpp"
@@ -34,18 +32,10 @@ struct ClusterConfig {
   std::size_t pairs = 4;           // tenants (server+client each)
   std::size_t calls_per_pair = 8;  // concurrent SIP calls per tenant
   sip::Transport transport = sip::Transport::kUd;
-  sip::SipConfig sip;
-  verbs::DeviceConfig dev;
-  /// Socket-stack pool geometry; fig11's small-ring defaults suit SIP.
-  std::size_t pool_slots = 2;
-  std::size_t slot_bytes = 2048;
   TimeNs deadline = 120 * kSecond;
-  /// Media mode (run_media): stream size each client prebuffers.
-  std::size_t media_prebuffer = 256 * 1024;
-  media::StreamParams media;
   /// --trace-json support (parity with perf::Options::trace): when set, the
   /// harness enables spans + profiler + trace ring before any traffic and
-  /// folds the run into this capture at the end of run_sip()/run_media().
+  /// folds the run into this capture at the end of run_sip().
   /// Enabling changes which histograms accumulate, so keep it identical
   /// across runs being compared for determinism.
   telemetry::TraceCapture* trace = nullptr;
@@ -89,9 +79,6 @@ struct ClusterReport {
   TimeNs virtual_time = 0;       // sim.now() at the end of the run
   i64 server_mem_total = 0;      // sum of tenant server ledgers at peak
   std::vector<TenantStats> tenants;
-  /// Media mode: aggregate client results.
-  std::size_t streams_completed = 0;
-  std::size_t media_bytes = 0;
   /// Health (populated when ClusterConfig::health.watch is set).
   u64 watchdog_checks = 0;
   std::size_t watchdog_trips = 0;
@@ -108,9 +95,6 @@ class ClusterHarness {
   /// Establish pairs*calls_per_pair SIP calls concurrently, snapshot
   /// per-tenant memory at peak, then tear everything down.
   ClusterReport run_sip();
-
-  /// Stream one UDP media session per pair until every client prebuffers.
-  ClusterReport run_media();
 
   sim::Topology& topology() { return topo_; }
   /// Deterministic metrics snapshot (the double-run identity gate).

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "hoststack/host.hpp"
-#include "simnet/fabric.hpp"
 #include "telemetry/trace_export.hpp"
-#include "verbs/device.hpp"
+#include "verbs/node.hpp"
 #include "verbs/qp_rc.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -37,77 +35,77 @@ bool is_rd(Mode m) {
   return m == Mode::kRdSendRecv || m == Mode::kRdWriteRecord;
 }
 
-/// Two hosts + devices + QPs wired for one mode, plus registered regions
-/// for the tagged modes.
+/// How long a partly received UD message waits for its missing segments.
+constexpr TimeNs kUdMessageTimeout = 20 * kMillisecond;
+
+sim::Topology::Params topology_params(const Options& opts) {
+  sim::Topology::Params p;
+  p.seed = opts.seed;
+  return p;
+}
+
+/// One side of the rig. The datagram modes get their UD (or UD-over-RD)
+/// endpoint from the node itself; RC connects once both nodes exist.
+verbs::NodeSpec node_spec(const char* name, Mode mode, const Options& opts) {
+  verbs::NodeSpec spec;
+  spec.name = name;
+  spec.dev.mpa.use_markers = opts.mpa_markers;
+  spec.dev.mpa.use_crc = opts.mpa_crc;
+  spec.dev.ud_crc = opts.ud_crc;
+  spec.dev.ud_message_timeout = kUdMessageTimeout;
+  spec.dev.max_ud_payload = opts.max_ud_payload;
+  spec.dev.rd = opts.rd;
+  spec.tcp_checksum = opts.tcp_checksum;
+  using Endpoint = verbs::NodeSpec::Endpoint;
+  spec.endpoint = is_rc(mode)   ? Endpoint::kNone
+                  : is_rd(mode) ? Endpoint::kRd
+                                : Endpoint::kUd;
+  spec.cq_capacity = 1 << 16;
+  return spec;
+}
+
+/// Two nodes on the paper's one-switch testbed, wired for one mode, plus
+/// registered regions for the tagged modes.
 struct Rig {
   Rig(Mode mode, std::size_t msg_size, const Options& opts)
-      : mode_(mode), opts_(opts), fabric_(make_params(opts)) {
-    a_ = std::make_unique<host::Host>(fabric_, "sender");
-    b_ = std::make_unique<host::Host>(fabric_, "receiver");
-    a_->tcp().set_validate_checksum(opts.tcp_checksum);
-    b_->tcp().set_validate_checksum(opts.tcp_checksum);
-    verbs::DeviceConfig dc;
-    dc.mpa.use_markers = opts.mpa_markers;
-    dc.mpa.use_crc = opts.mpa_crc;
-    dc.ud_crc = opts.ud_crc;
-    dc.ud_message_timeout = opts.ud_message_timeout;
-    dc.max_ud_payload = opts.max_ud_payload;
-    dc.rd = opts.rd;
-    da_ = std::make_unique<verbs::Device>(*a_, dc);
-    db_ = std::make_unique<verbs::Device>(*b_, dc);
-
-    pda_ = &da_->create_pd();
-    pdb_ = &db_->create_pd();
-    scq_a_ = &da_->create_cq(1 << 16);
-    rcq_a_ = &da_->create_cq(1 << 16);
-    scq_b_ = &db_->create_cq(1 << 16);
-    rcq_b_ = &db_->create_cq(1 << 16);
-
+      : mode_(mode), opts_(opts), topo_(topology_params(opts)),
+        a_(topo_, node_spec("sender", mode, opts)),
+        b_(topo_, node_spec("receiver", mode, opts)) {
     src_a_ = make_pattern(msg_size, 0xA);
     src_b_ = make_pattern(msg_size, 0xB);
     region_a_.assign(std::max<std::size_t>(msg_size, 64), 0);
     region_b_.assign(std::max<std::size_t>(msg_size, 64), 0);
 
     if (is_rc(mode_)) {
-      (void)db_->rc_listen(4791, {pdb_, scq_b_, rcq_b_},
-                           [this](std::shared_ptr<verbs::RcQueuePair> qp) {
-                             rb_ = std::move(qp);
-                           });
-      ra_ = *da_->rc_connect({pda_, scq_a_, rcq_a_}, b_->endpoint(4791));
+      (void)b_.device().rc_listen(
+          4791, {&b_.pd(), &b_.send_cq(), &b_.recv_cq()},
+          [this](std::shared_ptr<verbs::RcQueuePair> qp) {
+            rb_ = std::move(qp);
+          });
+      ra_ = *a_.device().rc_connect({&a_.pd(), &a_.send_cq(), &a_.recv_cq()},
+                                    b_.host().endpoint(4791));
       bool up = false;
       ra_->on_established([&](Status st) { up = st.ok(); });
-      fabric_.sim().run_while_pending([&] { return up && rb_ != nullptr; },
-                                      kSecond);
-      mra_ = pda_->register_memory(ByteSpan{region_a_},
-                                   verbs::kLocalWrite | verbs::kRemoteWrite);
-      mrb_ = pdb_->register_memory(ByteSpan{region_b_},
-                                   verbs::kLocalWrite | verbs::kRemoteWrite);
-    } else {
-      ua_ = *da_->create_ud_qp({pda_, scq_a_, rcq_a_, 0, is_rd(mode_)});
-      ub_ = *db_->create_ud_qp({pdb_, scq_b_, rcq_b_, 0, is_rd(mode_)});
-      mra_ = pda_->register_memory(ByteSpan{region_a_},
-                                   verbs::kLocalWrite | verbs::kRemoteWrite);
-      mrb_ = pdb_->register_memory(ByteSpan{region_b_},
-                                   verbs::kLocalWrite | verbs::kRemoteWrite);
+      sim().run_while_pending([&] { return up && rb_ != nullptr; }, kSecond);
     }
-  }
-
-  static sim::Fabric::Params make_params(const Options& opts) {
-    sim::Fabric::Params p;
-    p.seed = opts.seed;
-    return p;
+    mra_ = a_.pd().register_memory(ByteSpan{region_a_},
+                                   verbs::kLocalWrite | verbs::kRemoteWrite);
+    mrb_ = b_.pd().register_memory(ByteSpan{region_b_},
+                                   verbs::kLocalWrite | verbs::kRemoteWrite);
   }
 
   void enable_loss() {
     if (opts_.data_faults) {
-      fabric_.uplink(0).set_faults(opts_.data_faults());
+      topo_.host_uplink(a_.index()).set_faults(opts_.data_faults());
     } else if (opts_.loss_rate > 0.0) {
-      fabric_.uplink(0).set_faults(sim::Faults::bernoulli(opts_.loss_rate));
+      topo_.host_uplink(a_.index())
+          .set_faults(sim::Faults::bernoulli(opts_.loss_rate));
     }
-    if (opts_.ack_faults) fabric_.uplink(1).set_faults(opts_.ack_faults());
+    if (opts_.ack_faults)
+      topo_.host_uplink(b_.index()).set_faults(opts_.ack_faults());
   }
 
-  sim::Simulation& sim() { return fabric_.sim(); }
+  sim::Simulation& sim() { return topo_.sim(); }
 
   /// Post a message from one side. `forward` = sender -> receiver.
   Status send(bool forward, std::size_t size, u64 wr_id) {
@@ -115,23 +113,21 @@ struct Rig {
     wr.wr_id = wr_id;
     const Bytes& src = forward ? src_a_ : src_b_;
     wr.local = ConstByteSpan{src.data(), size};
+    const auto& ud = (forward ? a_ : b_).qp();
+    const auto& peer = (forward ? b_ : a_).qp();
     switch (mode_) {
       case Mode::kUdSendRecv:
       case Mode::kRdSendRecv:
         wr.opcode = verbs::WrOpcode::kSend;
-        wr.remote = forward
-                        ? verbs::RemoteAddress{ub_->local_ep(), ub_->qpn()}
-                        : verbs::RemoteAddress{ua_->local_ep(), ua_->qpn()};
-        return (forward ? ua_ : ub_)->post_send(wr);
+        wr.remote = {peer->local_ep(), peer->qpn()};
+        return ud->post_send(wr);
       case Mode::kUdWriteRecord:
       case Mode::kRdWriteRecord:
         wr.opcode = verbs::WrOpcode::kWriteRecord;
-        wr.remote = forward
-                        ? verbs::RemoteAddress{ub_->local_ep(), ub_->qpn()}
-                        : verbs::RemoteAddress{ua_->local_ep(), ua_->qpn()};
+        wr.remote = {peer->local_ep(), peer->qpn()};
         wr.remote_stag = forward ? mrb_.stag : mra_.stag;
         wr.remote_offset = 0;
-        return (forward ? ua_ : ub_)->post_send(wr);
+        return ud->post_send(wr);
       case Mode::kRcSendRecv:
         wr.opcode = verbs::WrOpcode::kSend;
         return (forward ? ra_ : rb_)->post_send(wr);
@@ -165,29 +161,21 @@ struct Rig {
     if (is_rc(mode_)) {
       (void)(on_receiver ? rb_ : ra_)->post_recv(rw);
     } else {
-      (void)(on_receiver ? ub_ : ua_)->post_recv(rw);
+      (void)(on_receiver ? b_ : a_).qp()->post_recv(rw);
     }
   }
 
   verbs::CompletionQueue& recv_cq(bool receiver) {
-    return receiver ? *rcq_b_ : *rcq_a_;
+    return receiver ? b_.recv_cq() : a_.recv_cq();
   }
   verbs::CompletionQueue& send_cq(bool sender_side_a) {
-    return sender_side_a ? *scq_a_ : *scq_b_;
+    return sender_side_a ? a_.send_cq() : b_.send_cq();
   }
 
   Mode mode_;
   Options opts_;
-  sim::Fabric fabric_;
-  std::unique_ptr<host::Host> a_, b_;
-  std::unique_ptr<verbs::Device> da_, db_;
-  verbs::ProtectionDomain* pda_ = nullptr;
-  verbs::ProtectionDomain* pdb_ = nullptr;
-  verbs::CompletionQueue* scq_a_ = nullptr;
-  verbs::CompletionQueue* rcq_a_ = nullptr;
-  verbs::CompletionQueue* scq_b_ = nullptr;
-  verbs::CompletionQueue* rcq_b_ = nullptr;
-  std::shared_ptr<verbs::UdQueuePair> ua_, ub_;
+  sim::Topology topo_;
+  verbs::Node a_, b_;  // sender, receiver
   std::shared_ptr<verbs::RcQueuePair> ra_, rb_;
   Bytes src_a_, src_b_, region_a_, region_b_;
   Bytes notify_payload_ = Bytes(1, 0x55);
@@ -208,8 +196,8 @@ void enable_capture(Rig& rig, const Options& opts) {
 
 void absorb_capture(Rig& rig, const Options& opts) {
   if (!opts.trace) return;
-  opts.trace->absorb(rig.sim().telemetry(), {{rig.a_->addr(), "sender"},
-                                             {rig.b_->addr(), "receiver"}});
+  opts.trace->absorb(rig.sim().telemetry(), {{rig.a_.addr(), "sender"},
+                                             {rig.b_.addr(), "receiver"}});
 }
 
 }  // namespace
@@ -313,7 +301,7 @@ BandwidthResult measure_bandwidth(Mode mode, std::size_t msg_size,
   // later than the receiver CPU's horizon at quiescence; loss-related GC
   // idling does not advance the CPU, so it is not counted. Snapshot before
   // the harvest loop below charges poll costs.
-  const TimeNs t_end = std::max(rig.b_->cpu().free_at(), t0 + 1);
+  const TimeNs t_end = std::max(rig.b_.host().cpu().free_at(), t0 + 1);
 
   // Harvest receiver-side completions.
   std::size_t delivered_bytes = 0;

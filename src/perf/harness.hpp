@@ -43,7 +43,6 @@ struct Options {
   /// Off => corrupted bytes reach the MPA CRC — the paper's CRC ablation.
   bool tcp_checksum = true;
   std::size_t max_ud_payload = 65'507;  // per-datagram budget (MTU ablation)
-  TimeNs ud_message_timeout = 20 * kMillisecond;
   /// RD-layer tuning for the kRd* modes (adaptive vs fixed RTO ablations).
   rd::RdConfig rd;
   /// Rich fault injection for the fault-campaign harness: factories for the

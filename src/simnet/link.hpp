@@ -36,6 +36,10 @@ struct LinkStats {
   telemetry::Metric queue_drops;    // tail drops at the bounded queue
 };
 
+/// One direction of one cable. Topology hands these out by reference
+/// (host_uplink/host_downlink/trunk_up/trunk_down) as its fault-injection
+/// and inspection surface; a reference stays valid for the topology's
+/// lifetime.
 class Link {
  public:
   using Receiver = std::function<void(Frame)>;
@@ -43,6 +47,8 @@ class Link {
   Link(Simulation& sim, Rng& rng, LinkParams params, std::string name);
 
   void set_receiver(Receiver rx) { rx_ = std::move(rx); }
+  /// Install a fault configuration on this direction (replacing any
+  /// previous one). See Faults::isolated for per-link draw streams.
   void set_faults(Faults f) { faults_ = std::move(f); }
 
   /// ECN marking: frames enqueued while queue_depth() >= `frames` get their
@@ -107,48 +113,6 @@ class Link {
   telemetry::Gauge* depth_gauge_ = nullptr;
   telemetry::Gauge* wait_gauge_ = nullptr;
   telemetry::Histogram* wait_hist_ = nullptr;
-};
-
-/// First-class handle to one direction of one cable. This is the public
-/// fault-injection and inspection surface of the topology API: builders
-/// (Topology, Fabric) hand out LinkRefs instead of (index, direction) pairs,
-/// and the handle stays valid for the lifetime of the owning topology.
-class LinkRef {
- public:
-  LinkRef() = default;
-  explicit LinkRef(Link* link) : link_(link) {}
-
-  explicit operator bool() const { return link_ != nullptr; }
-  bool valid() const { return link_ != nullptr; }
-
-  /// Install a fault configuration on this link direction (replacing any
-  /// previous one). See Faults::isolated for per-link draw streams.
-  void set_faults(Faults f) const { link_->set_faults(std::move(f)); }
-
-  /// Congestion knobs (see Link::set_ecn_threshold/set_queue_capacity).
-  void set_ecn_threshold(std::size_t frames) const {
-    link_->set_ecn_threshold(frames);
-  }
-  void set_queue_capacity(std::size_t frames) const {
-    link_->set_queue_capacity(frames);
-  }
-  std::size_t ecn_threshold() const { return link_->ecn_threshold(); }
-  std::size_t queue_capacity() const { return link_->queue_capacity(); }
-
-  const LinkStats& stats() const { return link_->stats(); }
-  const std::string& name() const { return link_->name(); }
-  std::size_t queue_depth() const { return link_->queue_depth(); }
-  std::size_t max_queue_depth() const { return link_->max_queue_depth(); }
-  TimeNs serialization_delay(std::size_t wire_bytes) const {
-    return link_->serialization_delay(wire_bytes);
-  }
-
-  /// Escape hatch for code that needs the underlying object (the harness
-  /// wiring receivers, tests asserting identity).
-  Link* get() const { return link_; }
-
- private:
-  Link* link_ = nullptr;
 };
 
 }  // namespace dgiwarp::sim

@@ -11,8 +11,8 @@ Topology::Topology(Params params) : params_(params), rng_(params.seed) {
   assert(params_.trunk_cables >= 1);
 
   if (params_.leaves == 1) {
-    // The paper's testbed: one switch, no spine. The name matches the old
-    // two-endpoint Fabric so seeded runs stay byte-identical through it.
+    // The paper's testbed: one switch, no spine. Golden traces carry the
+    // name "switch0", so it stays.
     leaves_.push_back(std::make_unique<Switch>(
         sim_, rng_, params_.switch_latency, "switch0",
         params_.fdb_capacity));

@@ -1,18 +1,16 @@
-// Topology: the node-array fabric builder.
+// Topology: the testbed builder.
 //
 // Owns everything below the hoststack for one experiment: the Simulation,
 // the seeded Rng, a two-tier switching fabric (M leaf switches optionally
 // joined through one spine), and the per-host NICs. Hosts are placed
 // round-robin across leaves; cross-leaf traffic rides leaf<->spine trunk
 // LAGs whose cable count (and therefore oversubscription ratio) is
-// configurable. With `leaves == 1` the fabric degenerates to the paper's
-// testbed — one switch named "switch0", one cable per host — and produces
-// byte-identical seeded output to the original two-endpoint Fabric, which
-// is now a thin adapter over this class.
+// configurable. The default, `leaves == 1`, is the paper's testbed: one
+// switch named "switch0", one cable per host.
 //
-// Fault attachment is through first-class LinkRef handles
+// Fault attachment is through Link references
 // (host_uplink/host_downlink/trunk_up/trunk_down) rather than index pairs;
-// a handle stays valid for the topology's lifetime.
+// a reference stays valid for the topology's lifetime.
 #pragma once
 
 #include <cstddef>
@@ -65,22 +63,22 @@ class Topology {
 
   /// host -> leaf direction of the host's cable (the paper's "tc egress
   /// drop at the sender" attachment point).
-  LinkRef host_uplink(std::size_t host) {
-    return LinkRef(&leaf_of_host(host).uplink(locs_[host].port));
+  Link& host_uplink(std::size_t host) {
+    return leaf_of_host(host).uplink(locs_[host].port);
   }
   /// leaf -> host direction (receiver-side faults).
-  LinkRef host_downlink(std::size_t host) {
-    return LinkRef(&leaf_of_host(host).downlink(locs_[host].port));
+  Link& host_downlink(std::size_t host) {
+    return leaf_of_host(host).downlink(locs_[host].port);
   }
 
   std::size_t trunk_cables() const { return params_.trunk_cables; }
   /// leaf -> spine member `cable` of leaf `i`'s trunk LAG.
-  LinkRef trunk_up(std::size_t i, std::size_t cable = 0) {
-    return LinkRef(trunks_[i].up[cable].get());
+  Link& trunk_up(std::size_t i, std::size_t cable = 0) {
+    return *trunks_[i].up[cable];
   }
   /// spine -> leaf member `cable`.
-  LinkRef trunk_down(std::size_t i, std::size_t cable = 0) {
-    return LinkRef(trunks_[i].down[cable].get());
+  Link& trunk_down(std::size_t i, std::size_t cable = 0) {
+    return *trunks_[i].down[cable];
   }
 
   /// Host-facing bandwidth divided by trunk bandwidth for leaf `i`: > 1

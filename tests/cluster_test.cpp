@@ -1,6 +1,6 @@
-// Tests for the Node bundle and the ClusterHarness: multi-tenant SIP and
-// media runs in one Simulation, per-tenant memory attribution, and
-// metrics-level determinism.
+// Tests for the Node bundle and the ClusterHarness: multi-tenant SIP runs
+// in one Simulation, per-tenant memory attribution, and metrics-level
+// determinism.
 #include <gtest/gtest.h>
 
 #include "perf/cluster.hpp"
@@ -94,19 +94,6 @@ TEST(Cluster, SameConfigProducesIdenticalMetrics) {
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
   EXPECT_FALSE(a.second.empty());
-}
-
-TEST(Cluster, MediaStreamsPrebufferConcurrently) {
-  perf::ClusterConfig cfg;
-  cfg.pairs = 3;
-  cfg.topo.leaves = 2;
-  cfg.media_prebuffer = 64 * 1024;
-  cfg.pool_slots = 8;
-  cfg.slot_bytes = 4096;
-  perf::ClusterHarness cluster(cfg);
-  const perf::ClusterReport rep = cluster.run_media();
-  EXPECT_EQ(rep.streams_completed, 3u);
-  EXPECT_GE(rep.media_bytes, 3u * 64u * 1024u);
 }
 
 }  // namespace

@@ -4,15 +4,15 @@
 #include <gtest/gtest.h>
 
 #include "hoststack/host.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
 
 struct Net {
-  sim::Fabric fabric;
-  host::Host a{fabric, "a"};
-  host::Host b{fabric, "b"};
+  sim::Topology topo;
+  host::Host a{topo, "a"};
+  host::Host b{topo, "b"};
 };
 
 TEST(Udp, SmallDatagramRoundtrip) {
@@ -21,7 +21,7 @@ TEST(Udp, SmallDatagramRoundtrip) {
   auto* sb = *n.b.udp().open(700);
   Bytes msg = make_pattern(100, 1);
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   auto got = sb->recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, msg);
@@ -35,7 +35,7 @@ TEST(Udp, MaxSizeDatagramFragmentsAndReassembles) {
   auto* sb = *n.b.udp().open(700);
   Bytes msg = make_pattern(host::kMaxUdpPayload, 2);
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   auto got = sb->recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second.size(), host::kMaxUdpPayload);
@@ -53,7 +53,7 @@ TEST(Udp, OversizeDatagramRejected) {
 TEST(Udp, FragmentLossDropsWholeDatagram) {
   Net n;
   // Drop exactly one mid-datagram fragment.
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{3});
     return f;
@@ -64,7 +64,7 @@ TEST(Udp, FragmentLossDropsWholeDatagram) {
   Bytes small = make_pattern(200, 4);
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{big}).ok());
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{small}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   // The big datagram is gone (all-or-nothing); the small one arrived.
   auto got = sb->recv();
   ASSERT_TRUE(got.has_value());
@@ -79,12 +79,12 @@ TEST(Udp, FragmentLossDropsWholeDatagram) {
 // get the exact payload or nothing.
 TEST(Udp, DuplicatedFragmentsDoNotCorruptReassembly) {
   Net n;
-  n.fabric.uplink(0).set_faults(sim::Faults::duplicating(1.0));
+  n.topo.host_uplink(0).set_faults(sim::Faults::duplicating(1.0));
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
   Bytes big = make_pattern(20'000, 5);  // 14 fragments, every one duplicated
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{big}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   auto got = sb->recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, big);                // byte-exact, no holes
@@ -99,7 +99,7 @@ TEST(Udp, PortDemultiplexing) {
   Bytes m1 = bytes_of("one"), m2 = bytes_of("two");
   (void)sa->send_to({n.b.addr(), 700}, ConstByteSpan{m1});
   (void)sa->send_to({n.b.addr(), 701}, ConstByteSpan{m2});
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(s1->recv()->second, m1);
   EXPECT_EQ(s2->recv()->second, m2);
 }
@@ -121,7 +121,7 @@ TEST(Udp, RxQueueOverflowDrops) {
   Bytes m(10, 0);
   for (int i = 0; i < 300; ++i)
     (void)sa->send_to({n.b.addr(), 700}, ConstByteSpan{m});
-  n.fabric.sim().run();
+  n.topo.sim().run();
   std::size_t received = 0;
   while (sb->recv().has_value()) ++received;
   EXPECT_EQ(received, 256u);  // default pull-mode queue limit
@@ -147,7 +147,7 @@ struct TcpPair {
     client->on_connect([&](Status st) { up = st.ok(); });
     // The accept callback fires on SYN; wait until the final ACK lands and
     // both ends are Established.
-    n.fabric.sim().run_while_pending(
+    n.topo.sim().run_while_pending(
         [&] { return up && server && server->established(); }, kSecond);
     ASSERT_TRUE(up);
     ASSERT_NE(server, nullptr);
@@ -167,7 +167,7 @@ TEST(Tcp, ConnectToClosedPortFails) {
   auto sock = *n.a.tcp().connect({n.b.addr(), 999});
   bool closed = false;
   sock->on_close([&] { closed = true; });
-  n.fabric.sim().run_while_pending([&] { return closed; }, kSecond);
+  n.topo.sim().run_while_pending([&] { return closed; }, kSecond);
   EXPECT_TRUE(closed);  // RST from the closed port
 }
 
@@ -176,7 +176,7 @@ TEST(Tcp, UnansweredConnectGivesUpWithTimeout) {
   // Black-hole everything a sends: SYNs vanish, so no RST ever comes back.
   // The consecutive-RTO cap must abort the connect instead of retrying
   // forever (which would also make sim().run() spin for eternity).
-  n.fabric.uplink(0).set_faults(sim::Faults::bernoulli(1.0));
+  n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0));
   auto sock = *n.a.tcp().connect({n.b.addr(), 800});
   Status result = Status::Ok();
   bool connect_cb = false;
@@ -186,7 +186,7 @@ TEST(Tcp, UnansweredConnectGivesUpWithTimeout) {
   });
   bool closed = false;
   sock->on_close([&] { closed = true; });
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_TRUE(connect_cb);
   EXPECT_EQ(result.code(), Errc::kTimedOut);
   EXPECT_TRUE(closed);
@@ -208,7 +208,7 @@ TEST(Tcp, BulkTransferIntegrity) {
   };
   p.client->on_writable(pump);
   pump();
-  p.n.fabric.sim().run_while_pending(
+  p.n.topo.sim().run_while_pending(
       [&] { return p.server_rx.size() >= data.size(); }, 10 * kSecond);
   EXPECT_EQ(p.server_rx, data);
   EXPECT_EQ(p.client->retransmissions(), 0u);
@@ -221,7 +221,7 @@ TEST(Tcp, BidirectionalTransfer) {
   const Bytes down = make_pattern(70'000, 2);
   (void)p.client->send(ConstByteSpan{up});
   (void)p.server->send(ConstByteSpan{down});
-  p.n.fabric.sim().run_while_pending(
+  p.n.topo.sim().run_while_pending(
       [&] {
         return p.server_rx.size() >= up.size() &&
                p.client_rx.size() >= down.size();
@@ -236,7 +236,7 @@ TEST(Tcp, RecoversFromPacketLoss) {
   p.n.a.tcp().set_min_rto(5 * kMillisecond);
   p.n.b.tcp().set_min_rto(5 * kMillisecond);
   p.connect();
-  p.n.fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.02));
+  p.n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.02));
   const Bytes data = make_pattern(512 * KiB, 9);
   std::size_t sent = 0;
   std::function<void()> pump = [&] {
@@ -249,7 +249,7 @@ TEST(Tcp, RecoversFromPacketLoss) {
   };
   p.client->on_writable(pump);
   pump();
-  const bool done = p.n.fabric.sim().run_while_pending(
+  const bool done = p.n.topo.sim().run_while_pending(
       [&] { return p.server_rx.size() >= data.size(); }, 60 * kSecond);
   ASSERT_TRUE(done) << "got " << p.server_rx.size();
   EXPECT_EQ(p.server_rx, data);
@@ -264,7 +264,7 @@ TEST(Tcp, GracefulCloseReachesPeer) {
   const Bytes tail = bytes_of("bye");
   (void)p.client->send(ConstByteSpan{tail});
   p.client->close();
-  p.n.fabric.sim().run_while_pending([&] { return server_saw_close; },
+  p.n.topo.sim().run_while_pending([&] { return server_saw_close; },
                                      kSecond);
   EXPECT_TRUE(server_saw_close);
   EXPECT_EQ(p.server_rx, tail);  // data before FIN all delivered
@@ -276,7 +276,7 @@ TEST(Tcp, AbortSendsRst) {
   bool server_saw_close = false;
   p.server->on_close([&] { server_saw_close = true; });
   p.client->abort();
-  p.n.fabric.sim().run_while_pending([&] { return server_saw_close; },
+  p.n.topo.sim().run_while_pending([&] { return server_saw_close; },
                                      kSecond);
   EXPECT_TRUE(server_saw_close);
 }
@@ -290,7 +290,7 @@ TEST(Tcp, NagleCoalescesWithoutNodelay) {
     Bytes tiny(10, static_cast<u8>(i));
     (void)p.client->send(ConstByteSpan{tiny});
   }
-  p.n.fabric.sim().run_while_pending(
+  p.n.topo.sim().run_while_pending(
       [&] { return p.server_rx.size() >= 100; }, kSecond);
   EXPECT_EQ(p.server_rx.size(), 100u);
   EXPECT_LT(p.client->segments_sent(), 12u);  // far fewer than 10 data segs
@@ -315,14 +315,14 @@ TEST(Tcp, ConnectionCountTracksLifecycle) {
   EXPECT_EQ(p.n.b.tcp().connection_count(), 1u);
   p.client->close();
   p.server->close();
-  p.n.fabric.sim().run();
+  p.n.topo.sim().run();
   EXPECT_EQ(p.n.a.tcp().connection_count(), 0u);
   EXPECT_EQ(p.n.b.tcp().connection_count(), 0u);
 }
 
 TEST(Ip, ReassemblyTimeoutExpiresPartials) {
   Net n;
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
     return f;
@@ -332,7 +332,7 @@ TEST(Ip, ReassemblyTimeoutExpiresPartials) {
   (void)sb;
   Bytes big = make_pattern(5000, 1);
   (void)sa->send_to({n.b.addr(), 700}, ConstByteSpan{big});
-  n.fabric.sim().run();  // includes the reassembly-timeout event
+  n.topo.sim().run();  // includes the reassembly-timeout event
   EXPECT_EQ(n.b.ip().reassembly_expired(), 1u);
 }
 

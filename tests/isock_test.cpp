@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "isock/isock.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
@@ -16,9 +16,9 @@ using isock::XferMode;
 
 struct Rig {
   explicit Rig(ISockConfig cfg = {})
-      : a(fabric, "a"), b(fabric, "b"), dev_a(a), dev_b(b),
+      : a(topo, "a"), b(topo, "b"), dev_a(a), dev_b(b),
         io_a(dev_a, cfg), io_b(dev_b, cfg) {}
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host a, b;
   verbs::Device dev_a, dev_b;
   ISockStack io_a, io_b;
@@ -34,7 +34,7 @@ TEST(ISock, DatagramSendRecvRoundtrip) {
 
   Bytes msg = make_pattern(900, 5);
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
-  r.fabric.sim().run_until(r.fabric.sim().now() + 10 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
 
   auto got = r.io_b.recvfrom(sfd);
   ASSERT_TRUE(got.has_value());
@@ -44,7 +44,7 @@ TEST(ISock, DatagramSendRecvRoundtrip) {
   // Reply to the sender's source address.
   Bytes reply = bytes_of("pong");
   ASSERT_TRUE(r.io_b.sendto(sfd, got->first, ConstByteSpan{reply}).ok());
-  r.fabric.sim().run_until(r.fabric.sim().now() + 10 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   auto back = r.io_a.recvfrom(cfd);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->second, reply);
@@ -64,7 +64,7 @@ TEST(ISock, DatagramWriteRecordPathDeliversData) {
   Bytes m2 = make_pattern(2200, 2);
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{m1}).ok());
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{m2}).ok());
-  r.fabric.sim().run_until(r.fabric.sim().now() + 20 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 20 * kMillisecond);
 
   auto g1 = r.io_b.recvfrom(sfd);
   auto g2 = r.io_b.recvfrom(sfd);
@@ -94,7 +94,7 @@ TEST(ISock, WriteRecordManyMessagesRotateSlots) {
     Bytes m = make_pattern(512, static_cast<u32>(i));
     ASSERT_TRUE(
         r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{m}).ok());
-    r.fabric.sim().run_until(r.fabric.sim().now() + 2 * kMillisecond);
+    r.topo.sim().run_until(r.topo.sim().now() + 2 * kMillisecond);
   }
   EXPECT_EQ(received, 12);
 }
@@ -110,7 +110,7 @@ TEST(ISock, NativePassthroughMatchesInterface) {
 
   Bytes msg = make_pattern(1400, 9);
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
-  r.fabric.sim().run_until(r.fabric.sim().now() + 5 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 5 * kMillisecond);
   auto got = r.io_b.recvfrom(sfd);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, msg);
@@ -140,12 +140,12 @@ TEST(ISock, StreamConnectSendReceive) {
                   .connect(cfd, r.b.endpoint(8080),
                            [&](Status st) { connected = st.ok(); })
                   .ok());
-  r.fabric.sim().run_while_pending([&] { return connected; }, kSecond);
+  r.topo.sim().run_while_pending([&] { return connected; }, kSecond);
   ASSERT_TRUE(connected);
 
   Bytes msg = make_pattern(20'000, 7);
   EXPECT_EQ(r.io_a.send(cfd, ConstByteSpan{msg}), msg.size());
-  r.fabric.sim().run_while_pending([&] { return server_got.size() >= msg.size(); },
+  r.topo.sim().run_while_pending([&] { return server_got.size() >= msg.size(); },
                                    kSecond);
   EXPECT_EQ(server_got, msg);
   ASSERT_GE(server_conn, 0);
@@ -157,7 +157,7 @@ TEST(ISock, StreamConnectSendReceive) {
     client_got.insert(client_got.end(), d.begin(), d.end());
   });
   EXPECT_EQ(r.io_b.send(server_conn, ConstByteSpan{reply}), reply.size());
-  r.fabric.sim().run_while_pending(
+  r.topo.sim().run_while_pending(
       [&] { return client_got.size() >= reply.size(); }, kSecond);
   EXPECT_EQ(client_got, reply);
 }
@@ -178,7 +178,7 @@ TEST(ISock, DatagramHandlerPushDelivery) {
     Bytes m = make_pattern(100 + static_cast<std::size_t>(i), 3);
     ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{m}).ok());
   }
-  r.fabric.sim().run_until(r.fabric.sim().now() + 10 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   EXPECT_EQ(count, 5);
   EXPECT_EQ(bytes, 100u + 101 + 102 + 103 + 104);
 }
@@ -191,7 +191,7 @@ TEST(ISock, StatsTrackTraffic) {
   ASSERT_TRUE(r.io_a.bind(cfd, 0).ok());
   Bytes msg(256, 1);
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
-  r.fabric.sim().run_until(r.fabric.sim().now() + 5 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 5 * kMillisecond);
   (void)r.io_b.recvfrom(sfd);
   auto tx_stats = r.io_a.stats(cfd);
   ASSERT_TRUE(tx_stats.ok());

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "hoststack/host.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_rc.hpp"
 #include "verbs/qp_ud.hpp"
@@ -19,9 +19,9 @@ using verbs::WcOpcode;
 using verbs::WrOpcode;
 
 struct TwoHosts {
-  sim::Fabric fabric;
-  host::Host a{fabric, "hostA"};
-  host::Host b{fabric, "hostB"};
+  sim::Topology topo;
+  host::Host a{topo, "hostA"};
+  host::Host b{topo, "hostB"};
   verbs::Device dev_a{a};
   verbs::Device dev_b{b};
 };
@@ -116,7 +116,7 @@ TEST(Smoke, RcConnectSendRecv) {
                                     t.b.endpoint(8000));
   bool up = false;
   client->on_established([&](Status st) { up = st.ok(); });
-  t.fabric.sim().run_while_pending([&] { return up && server_qp != nullptr; },
+  t.topo.sim().run_while_pending([&] { return up && server_qp != nullptr; },
                                    100 * kMillisecond);
   ASSERT_TRUE(up);
   ASSERT_NE(server_qp, nullptr);
@@ -155,7 +155,7 @@ TEST(Smoke, RcRdmaWriteThenNotify) {
                              [&](auto qp) { server_qp = std::move(qp); })
                   .ok());
   auto client = *t.dev_a.rc_connect({&pd_a, &cq_a, &cq_a}, t.b.endpoint(8000));
-  t.fabric.sim().run_while_pending([&] { return server_qp != nullptr; },
+  t.topo.sim().run_while_pending([&] { return server_qp != nullptr; },
                                    100 * kMillisecond);
   ASSERT_NE(server_qp, nullptr);
 
@@ -203,7 +203,7 @@ TEST(Smoke, RcRdmaRead) {
                              [&](auto qp) { server_qp = std::move(qp); })
                   .ok());
   auto client = *t.dev_a.rc_connect({&pd_a, &cq_a, &cq_a}, t.b.endpoint(8000));
-  t.fabric.sim().run_while_pending([&] { return server_qp != nullptr; },
+  t.topo.sim().run_while_pending([&] { return server_qp != nullptr; },
                                    100 * kMillisecond);
   ASSERT_NE(server_qp, nullptr);
 

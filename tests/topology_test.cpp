@@ -13,7 +13,7 @@ namespace {
 
 Bytes small_msg() { return bytes_of("ping"); }
 
-TEST(Topology, SingleLeafMatchesFabricShape) {
+TEST(Topology, DefaultIsThePapersOneSwitchTestbed) {
   sim::Topology topo;
   EXPECT_EQ(topo.leaves(), 1u);
   EXPECT_FALSE(topo.has_spine());
@@ -23,6 +23,20 @@ TEST(Topology, SingleLeafMatchesFabricShape) {
   EXPECT_EQ(topo.leaf_of(0), 0u);
   EXPECT_EQ(topo.host_uplink(0).name(), "a->switch0");
   EXPECT_EQ(topo.host_downlink(1).name(), "switch0->b");
+}
+
+TEST(Topology, EgressFaultsOnlyAffectThatDirection) {
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // drop all a->*
+  auto* ua = *a.udp().open(100);
+  auto* ub = *b.udp().open(100);
+  Bytes msg = bytes_of("y");
+  (void)ua->send_to({b.addr(), 100}, ConstByteSpan{msg});
+  (void)ub->send_to({a.addr(), 100}, ConstByteSpan{msg});
+  topo.sim().run();
+  EXPECT_EQ(ub->datagrams_received(), 0u);  // a's egress is dead
+  EXPECT_EQ(ua->datagrams_received(), 1u);  // b's egress is fine
 }
 
 TEST(Topology, CrossTrunkLearningAndUnicast) {
