@@ -11,7 +11,7 @@ namespace {
 constexpr u8 kTypeData = 1;
 constexpr u8 kTypeAck = 2;
 // GAP-SKIP: "every sequence below `seq` is acknowledged or abandoned; stop
-// waiting for it". Sent after a sender give-up so ordered receivers resume.
+// waiting for it". Sent after a sender give-up so the receiver resumes.
 constexpr u8 kTypeGapSkip = 3;
 
 // The cumulative-ack header field is 32-bit (the formerly reserved u32).
@@ -295,8 +295,7 @@ void ReliableDatagram::update_rtt(PeerTx& tx, TimeNs sample) {
     tx.rttvar = (3 * tx.rttvar + err) / 4;
     tx.srtt = (7 * tx.srtt + sample) / 8;
   }
-  tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, config_.min_rto,
-                      config_.max_rto);
+  tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, kMinRto, config_.max_rto);
   ctx_.sim.telemetry().gauge("rd.rto_ns").set(static_cast<double>(tx.rto));
 }
 
@@ -333,16 +332,10 @@ void ReliableDatagram::on_ack(Endpoint src, u64 seq, u64 cum,
   PeerTx& tx = peer->second;
 
   ack_one(src, tx, seq, /*rtt_eligible=*/true);
-  while (!tx.unacked.empty() && tx.unacked.begin()->first <= cum)
-    ack_one(src, tx, tx.unacked.begin()->first, /*rtt_eligible=*/false);
-
   // Dup-ACK fast retransmit: a stalled cumulative point while later
   // sequences are being acknowledged means the first hole was lost.
-  if (cum > tx.last_cum_ack) {
-    tx.last_cum_ack = cum;
-    tx.dup_acks = 0;
-  } else if (cum == tx.last_cum_ack && seq != cum + 1 &&
-             tx.unacked.contains(cum + 1)) {
+  if (!retire_through(src, tx, cum) && cum == tx.last_cum_ack &&
+      seq != cum + 1 && tx.unacked.contains(cum + 1)) {
     if (++tx.dup_acks >= config_.dup_ack_threshold) {
       tx.dup_acks = 0;
       fast_retransmit(src, tx, cum + 1);
@@ -362,10 +355,18 @@ void ReliableDatagram::fast_retransmit(Endpoint src, PeerTx& tx, u64 seq) {
   transmit(src, seq, tx);
 }
 
+bool ReliableDatagram::retire_through(Endpoint src, PeerTx& tx, u64 cum) {
+  while (!tx.unacked.empty() && tx.unacked.begin()->first <= cum)
+    ack_one(src, tx, tx.unacked.begin()->first, /*rtt_eligible=*/false);
+  if (cum <= tx.last_cum_ack) return false;
+  tx.last_cum_ack = cum;
+  tx.dup_acks = 0;
+  return true;
+}
+
 u64 ReliableDatagram::cum_for(Endpoint peer) const {
   auto it = rx_.find(peer);
-  if (it == rx_.end()) return 0;
-  return config_.ordered ? it->second.next_expected - 1 : it->second.cum_seen;
+  return it == rx_.end() ? 0 : it->second.next_expected - 1;
 }
 
 void ReliableDatagram::send_ack(Endpoint dst, u64 seq) {
@@ -485,14 +486,8 @@ void ReliableDatagram::on_raw(Endpoint src, Bytes data, bool tainted) {
       // everything it covers before processing the payload.
       auto peer = tx_.find(src);
       if (peer != tx_.end() && cum > 0) {
-        PeerTx& tx = peer->second;
-        while (!tx.unacked.empty() && tx.unacked.begin()->first <= cum)
-          ack_one(src, tx, tx.unacked.begin()->first, /*rtt_eligible=*/false);
-        if (cum > tx.last_cum_ack) {
-          tx.last_cum_ack = cum;
-          tx.dup_acks = 0;
-        }
-        pump_queue(src, tx);
+        retire_through(src, peer->second, cum);
+        pump_queue(src, peer->second);
       }
       on_data(src, seq, parsed->body, tainted);
       return;
@@ -524,32 +519,7 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
     rx.ce_pending = true;
   }
 
-  // Horizon check: a sequence astronomically ahead of the receive frontier
-  // cannot come from a well-behaved sender — the send window is far smaller
-  // than the dedup window. With the RD CRC off a corrupted header yields
-  // exactly such a seq, and honouring it would poison highest_seen/cum_seen
-  // and wedge the window shut. Refuse it outright and send no ACK.
-  const u64 frontier = config_.ordered ? rx.next_expected : rx.cum_seen + 1;
-  if (seq > frontier && seq - frontier > config_.dedup_window) {
-    ++stats_.wild_rejects;
-    return;
-  }
-
-  if (!config_.ordered) {
-    const bool dup = seen_test_set(rx, seq);
-    if (dup) {
-      ++stats_.duplicates;
-      send_ack(src, seq);  // the original ACK may have been lost
-      return;
-    }
-    advance_cum_seen(rx);
-    if (rx.highest_seen > rx.cum_seen) arm_gap_timer(src);
-    send_ack(src, seq);  // cum reflects this datagram
-    if (handler_) handler_(src, Bytes(body.begin(), body.end()), tainted);
-    return;
-  }
-
-  rx.highest_seen = std::max(rx.highest_seen, seq);
+  if (refuse_wild(rx, seq)) return;
   if (seq < rx.next_expected || rx.ooo.contains(seq)) {
     ++stats_.duplicates;
     send_ack(src, seq);
@@ -574,29 +544,42 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
 
   ++rx.next_expected;
   if (handler_) handler_(src, Bytes(body.begin(), body.end()), tainted);
-  deliver_in_order(src, rx);
+  while (deliver_parked(src, rx, /*step_before_handler=*/true)) {}
   send_ack(src, seq);  // cum covers everything the drain just delivered
 }
 
-void ReliableDatagram::deliver_in_order(Endpoint src, PeerRx& rx) {
-  while (true) {
-    auto it = rx.ooo.find(rx.next_expected);
-    if (it == rx.ooo.end()) break;
-    Bytes payload = std::move(it->second.data);
-    const bool tainted = it->second.tainted;
-    const bool ecn = it->second.ecn;
-    const u64 span = it->second.span;
-    account_ooo(rx, -static_cast<i64>(payload.size()));
-    rx.ooo.erase(it);
-    ++rx.next_expected;
-    if (handler_) {
-      // Re-establish the span/ECN the datagram arrived under: the reorder
-      // buffer drain runs inside the unblocking datagram's scope.
-      host::SpanScope scope(ctx_, span);
-      host::EcnScope ecn_scope(ctx_, ecn);
-      handler_(src, std::move(payload), tainted);
-    }
+bool ReliableDatagram::refuse_wild(const PeerRx& rx, u64 seq) {
+  // A sequence astronomically ahead of the receive frontier cannot come
+  // from a well-behaved sender. With the RD CRC off a corrupted header
+  // yields exactly such a seq: parked in the reorder buffer it would later
+  // be walked as a gap (a corrupted GAP-SKIP base the same, at once) — one
+  // sequence at a time, skipping past every legitimate datagram still in
+  // flight. Refuse it outright and send no ACK.
+  if (seq <= rx.next_expected || seq - rx.next_expected <= kMaxSeqAhead)
+    return false;
+  ++stats_.wild_rejects;
+  return true;
+}
+
+bool ReliableDatagram::deliver_parked(Endpoint src, PeerRx& rx,
+                                      bool step_before_handler) {
+  auto it = rx.ooo.find(rx.next_expected);
+  if (it == rx.ooo.end()) return false;
+  OooDgram d = std::move(it->second);
+  account_ooo(rx, -static_cast<i64>(d.data.size()));
+  rx.ooo.erase(it);
+  // The order matters to a handler that replies to the peer: the reply's
+  // cum (cum_for) does or does not yet cover the datagram being delivered.
+  if (step_before_handler) ++rx.next_expected;
+  if (handler_) {
+    // Re-establish the span/ECN the datagram arrived under: the reorder
+    // buffer drain runs inside the unblocking datagram's scope.
+    host::SpanScope scope(ctx_, d.span);
+    host::EcnScope ecn_scope(ctx_, d.ecn);
+    handler_(src, std::move(d.data), d.tainted);
   }
+  if (!step_before_handler) ++rx.next_expected;
+  return true;
 }
 
 void ReliableDatagram::on_gap_skip(Endpoint src, u64 base) {
@@ -606,59 +589,16 @@ void ReliableDatagram::on_gap_skip(Endpoint src, u64 base) {
 }
 
 void ReliableDatagram::skip_to(Endpoint src, PeerRx& rx, u64 base) {
-  // Same horizon discipline as on_data: a skip base wildly beyond the
-  // frontier is a corrupted (or hostile) GAP-SKIP. Honouring it would walk
-  // an astronomically long gap one sequence at a time and advance cum_seen
-  // past every legitimate retransmission still in flight.
-  const u64 frontier = config_.ordered ? rx.next_expected : rx.cum_seen + 1;
-  if (base > frontier && base - frontier > config_.dedup_window) {
-    ++stats_.wild_rejects;
-    return;
-  }
-
+  if (refuse_wild(rx, base) || base <= rx.next_expected) return;
   u64 missing = 0;
   u64 first_missing = 0;
-
-  if (config_.ordered) {
-    if (base <= rx.next_expected) return;
-    while (rx.next_expected < base) {
-      auto it = rx.ooo.find(rx.next_expected);
-      if (it != rx.ooo.end()) {
-        Bytes payload = std::move(it->second.data);
-        const bool tainted = it->second.tainted;
-        const bool ecn = it->second.ecn;
-        const u64 span = it->second.span;
-        account_ooo(rx, -static_cast<i64>(payload.size()));
-        rx.ooo.erase(it);
-        if (handler_) {
-          host::SpanScope scope(ctx_, span);
-          host::EcnScope ecn_scope(ctx_, ecn);
-          handler_(src, std::move(payload), tainted);
-        }
-      } else {
-        if (missing == 0) first_missing = rx.next_expected;
-        ++missing;
-      }
-      ++rx.next_expected;
-    }
-    deliver_in_order(src, rx);
-  } else {
-    if (base <= rx.cum_seen + 1) return;
-    const u64 w = config_.dedup_window;
-    for (u64 s = rx.cum_seen + 1; s < base; ++s) {
-      const bool old = rx.highest_seen >= w && s <= rx.highest_seen - w;
-      const std::size_t word = (s % w) / 64, bit = (s % w) % 64;
-      const bool seen =
-          old || (!rx.seen_bits.empty() && (rx.seen_bits[word] >> bit) & 1);
-      if (!seen) {
-        if (missing == 0) first_missing = s;
-        ++missing;
-      }
-    }
-    rx.cum_seen = base - 1;
-    rx.highest_seen = std::max(rx.highest_seen, rx.cum_seen);
-    advance_cum_seen(rx);
+  while (rx.next_expected < base) {
+    if (deliver_parked(src, rx, /*step_before_handler=*/false)) continue;
+    if (missing == 0) first_missing = rx.next_expected;
+    ++missing;
+    ++rx.next_expected;
   }
+  while (deliver_parked(src, rx, /*step_before_handler=*/true)) {}
 
   if (missing > 0) {
     stats_.rx_gaps += missing;
@@ -676,74 +616,28 @@ void ReliableDatagram::arm_gap_timer(Endpoint src) {
   PeerRx& rx = rx_[src];
   if (rx.gap_armed) return;
   rx.gap_armed = true;
-  const u64 cursor = config_.ordered ? rx.next_expected : rx.cum_seen;
+  const u64 cursor = rx.next_expected;
   ctx_.sim.at(ctx_.sim.now() + config_.gap_timeout, [this, src, cursor] {
     auto it = rx_.find(src);
     if (it == rx_.end()) return;
     PeerRx& rx = it->second;
     rx.gap_armed = false;
-    if (config_.ordered) {
-      // Still stuck on the same hole with data parked behind it: the
-      // sender's GAP-SKIP never arrived. Skip to the first buffered seq.
-      if (rx.next_expected == cursor && !rx.ooo.empty())
-        skip_to(src, rx, rx.ooo.begin()->first);
-      if (!rx.ooo.empty()) arm_gap_timer(src);
-    } else {
-      if (rx.cum_seen == cursor && rx.highest_seen > cursor)
-        skip_to(src, rx, rx.highest_seen + 1);
-      if (rx.highest_seen > rx.cum_seen) arm_gap_timer(src);
-    }
+    // Still stuck on the same hole with data parked behind it: the
+    // sender's GAP-SKIP never arrived. Skip to the first buffered seq.
+    if (rx.next_expected == cursor && !rx.ooo.empty())
+      skip_to(src, rx, rx.ooo.begin()->first);
+    if (!rx.ooo.empty()) arm_gap_timer(src);
   });
-}
-
-bool ReliableDatagram::seen_test_set(PeerRx& rx, u64 seq) {
-  // Anti-replay sliding window (IPsec style): cumulative watermark + a
-  // fixed-size ring bitmap over the most recent `dedup_window` sequences.
-  // Anything older than the window is classified as a duplicate — bounded
-  // memory in exchange for refusing pathologically late retransmissions.
-  const u64 w = config_.dedup_window;
-  if (seq <= rx.cum_seen) return true;
-  if (rx.seen_bits.empty()) rx.seen_bits.assign((w + 63) / 64, 0);
-
-  if (seq > rx.highest_seen) {
-    // Slide forward: clear the bits the window is vacating.
-    const u64 advance = std::min(seq - rx.highest_seen, w);
-    for (u64 i = 1; i <= advance; ++i) {
-      const u64 s = rx.highest_seen + i;
-      rx.seen_bits[(s % w) / 64] &= ~(u64{1} << ((s % w) % 64));
-    }
-    rx.highest_seen = seq;
-  } else if (rx.highest_seen >= w && seq <= rx.highest_seen - w) {
-    return true;  // older than the window: assume seen
-  }
-
-  const std::size_t word = (seq % w) / 64, bit = (seq % w) % 64;
-  const bool seen = (rx.seen_bits[word] >> bit) & 1;
-  rx.seen_bits[word] |= u64{1} << bit;
-  return seen;
-}
-
-void ReliableDatagram::advance_cum_seen(PeerRx& rx) {
-  const u64 w = config_.dedup_window;
-  // Everything the window has slid past is implicitly "seen".
-  if (rx.highest_seen >= w)
-    rx.cum_seen = std::max(rx.cum_seen, rx.highest_seen - w);
-  if (rx.seen_bits.empty()) return;
-  while (rx.cum_seen < rx.highest_seen) {
-    const u64 s = rx.cum_seen + 1;
-    if (!((rx.seen_bits[(s % w) / 64] >> ((s % w) % 64)) & 1)) break;
-    rx.cum_seen = s;
-  }
 }
 
 void ReliableDatagram::account_ooo(PeerRx& rx, i64 delta) {
   rx.ooo_bytes = static_cast<std::size_t>(
       static_cast<i64>(rx.ooo_bytes) + delta);
   if (ctx_.ledger) ctx_.ledger->add("rd.rx_ooo", delta);
-  std::size_t total = 0;
-  for (const auto& [_, peer] : rx_) total += peer.ooo_bytes;
-  ctx_.sim.telemetry().gauge("rd.rx_ooo_bytes").set(
-      static_cast<double>(total));
+  // One gauge per Simulation: every endpoint adds its own delta, as it does
+  // to its host's ledger, so the gauge sums all of them.
+  ctx_.sim.telemetry().gauge("rd.rx_ooo_bytes").add(
+      static_cast<double>(delta));
 }
 
 std::size_t ReliableDatagram::unacked() const {
@@ -756,12 +650,6 @@ std::size_t ReliableDatagram::rx_buffered() const {
   std::size_t n = 0;
   for (const auto& [_, rx] : rx_) n += rx.ooo.size();
   return n;
-}
-
-TimeNs ReliableDatagram::rto(Endpoint dst) const {
-  auto it = tx_.find(dst);
-  if (it == tx_.end() || it->second.rto == 0) return config_.rto;
-  return it->second.rto;
 }
 
 }  // namespace dgiwarp::rd

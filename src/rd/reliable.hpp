@@ -4,14 +4,14 @@
 // by a reliability mechanism (like reliable UDP)") run their UD QPs over
 // this layer. It preserves datagram boundaries while adding, per peer:
 // sequencing, positive ACKs with retransmission, duplicate suppression and
-// (optionally) in-order delivery. Unlike TCP there is no connection state
-// handshake and no byte-stream coupling — a single RD endpoint serves any
-// number of peers, keeping the connectionless scalability story intact.
+// in-order delivery. Unlike TCP there is no connection state handshake and
+// no byte-stream coupling — a single RD endpoint serves any number of
+// peers, keeping the connectionless scalability story intact.
 //
 // Loss recovery (per peer, mirroring the RFC 6298-style machinery the TCP
 // baseline already has in hoststack/tcp.cpp):
 //  * adaptive RTO from SRTT/RTTVAR with exponential backoff and a cap
-//    (RdConfig::adaptive_rto=false pins the fixed-RTO legacy behaviour);
+//    (RdConfig::adaptive_rto=false pins the fixed kInitialRto);
 //  * cumulative ACKs piggybacked in the previously reserved header u32 —
 //    one ACK can retire a whole window, and dup-ACKs of a stalled
 //    cumulative point trigger fast retransmit of the first hole;
@@ -20,10 +20,9 @@
 //    a receiver-side gap timeout covers the case where even the GAP-SKIP
 //    is lost. Holes are surfaced via on_failure()/on_gap() + telemetry,
 //    never silently.
-// Receiver memory is bounded in both modes: the ordered reorder buffer is
-// capped (rx_ooo_limit) and accounted against the host MemLedger
-// ("rd.rx_ooo"), and unordered dedupe state is a fixed-size anti-replay
-// bitmap (dedup_window) instead of an ever-growing seen-set.
+// Receiver memory is bounded: the reorder buffer is capped (rx_ooo_limit)
+// and accounted against the host MemLedger ("rd.rx_ooo"), and a sequence
+// more than kMaxSeqAhead past the receive frontier is refused outright.
 #pragma once
 
 #include <deque>
@@ -39,17 +38,23 @@ namespace dgiwarp::rd {
 
 using host::Endpoint;
 
+/// Initial RTO towards a peer with no RTT sample yet; the fixed RTO when
+/// RdConfig::adaptive_rto is off.
+inline constexpr TimeNs kInitialRto = 400 * kMicrosecond;
+/// Floor of the adaptive RTO.
+inline constexpr TimeNs kMinRto = 100 * kMicrosecond;
+/// Receive horizon: a DATA seq or GAP-SKIP base more than this many
+/// sequences past the receiver's next_expected is refused as wild
+/// (rd.wild_rejects). The send window is far smaller.
+inline constexpr u64 kMaxSeqAhead = 4096;
+
 struct RdConfig {
-  TimeNs rto = 400 * kMicrosecond;  // initial RTO (the RTO when !adaptive)
   bool adaptive_rto = true;    // SRTT/RTTVAR estimation + exponential backoff
-  TimeNs min_rto = 100 * kMicrosecond;  // adaptive-RTO floor
   TimeNs max_rto = 50 * kMillisecond;   // adaptive-RTO / backoff ceiling
   int max_retries = 12;             // then the datagram is reported lost
   std::size_t window = 64;          // max unacked datagrams per peer
-  bool ordered = true;              // deliver in send order per peer
   int dup_ack_threshold = 3;        // dup cumulative ACKs -> fast retransmit
-  std::size_t rx_ooo_limit = 256;   // ordered-mode reorder buffer cap (dgrams)
-  std::size_t dedup_window = 4096;  // unordered-mode dedupe bitmap (seqs)
+  std::size_t rx_ooo_limit = 256;   // reorder buffer cap (datagrams)
   TimeNs gap_timeout = kSecond;     // receiver-side stall fallback (0 = off)
   // Per-packet CRC32 over header+payload. A corrupted packet is silently
   // dropped (no ACK), so the normal RTO/fast-retransmit machinery recovers
@@ -124,9 +129,6 @@ class ReliableDatagram {
   std::size_t unacked() const;
   /// Datagrams buffered out-of-order at the receiver (all peers).
   std::size_t rx_buffered() const;
-  /// Current retransmission timeout towards `dst` (config initial if the
-  /// peer has no state yet).
-  TimeNs rto(Endpoint dst) const;
 
   const RdStats& stats() const { return stats_; }
   /// The rate controller, or nullptr when cc_mode == kOff.
@@ -181,7 +183,7 @@ class ReliableDatagram {
     // RFC 6298-style estimator state (all 0 until the first sample).
     TimeNs srtt = 0;
     TimeNs rttvar = 0;
-    TimeNs rto = 0;  // current timeout; initialised from config
+    TimeNs rto = 0;  // current timeout; kInitialRto until the first sample
     // Dup-ACK accounting for fast retransmit.
     u64 last_cum_ack = 0;
     int dup_acks = 0;
@@ -193,16 +195,9 @@ class ReliableDatagram {
     u64 span = 0;  // lifecycle span from the carrying packet
   };
   struct PeerRx {
-    u64 next_expected = 1;   // ordered mode cursor
-    std::map<u64, OooDgram> ooo;  // ordered mode reorder buffer (bounded)
-    u64 highest_seen = 0;
-    // Unordered mode: cumulative watermark + anti-replay bitmap. A sequence
-    // is a duplicate if <= cum_seen - implicitly, or its window bit is set;
-    // anything older than the window is treated as a duplicate (bounded
-    // memory beats re-delivering ancient retransmissions).
-    u64 cum_seen = 0;     // every seq <= cum_seen was seen or skipped
-    std::vector<u64> seen_bits;  // dedup_window bits, ring-indexed by seq
-    std::size_t ooo_bytes = 0;   // ledger-accounted reorder buffer bytes
+    u64 next_expected = 1;  // every seq below is delivered or skipped
+    std::map<u64, OooDgram> ooo;  // reorder buffer (bounded)
+    std::size_t ooo_bytes = 0;    // ledger-accounted reorder buffer bytes
     // Receiver-side gap fallback timer.
     bool gap_armed = false;
     // CNP echo state (DCQCN mode): a CE-marked data packet sets ce_pending
@@ -232,15 +227,20 @@ class ReliableDatagram {
   void ack_one(Endpoint src, PeerTx& tx, u64 seq, bool rtt_eligible);
   void update_rtt(PeerTx& tx, TimeNs sample);
   void fast_retransmit(Endpoint src, PeerTx& tx, u64 seq);
+  /// Retires every unacked datagram at or below `cum`. Returns true when
+  /// `cum` advanced the peer's cumulative point (resetting its dup-ACKs).
+  bool retire_through(Endpoint src, PeerTx& tx, u64 cum);
   u64 cum_for(Endpoint peer) const;  // cumulative ack to advertise
-  void deliver_in_order(Endpoint src, PeerRx& rx);
+  /// Counts and refuses a DATA seq or GAP-SKIP base beyond the horizon.
+  bool refuse_wild(const PeerRx& rx, u64 seq);
+  /// Pops the datagram parked at next_expected, steps the cursor past it and
+  /// delivers it; false (cursor untouched) if nothing is parked there.
+  bool deliver_parked(Endpoint src, PeerRx& rx, bool step_before_handler);
   void skip_to(Endpoint src, PeerRx& rx, u64 base);
   void arm_gap_timer(Endpoint src);
-  bool seen_test_set(PeerRx& rx, u64 seq);  // unordered dedupe
-  void advance_cum_seen(PeerRx& rx);
   void account_ooo(PeerRx& rx, i64 delta);
   TimeNs peer_rto(const PeerTx& tx) const {
-    return tx.rto > 0 ? tx.rto : config_.rto;
+    return tx.rto > 0 ? tx.rto : kInitialRto;
   }
   host::HostCtx& ctx_;
   host::UdpSocket& socket_;

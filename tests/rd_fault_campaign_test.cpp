@@ -4,11 +4,10 @@
 //
 // Layer 1 sweeps the RD endpoint pair directly across every fault model the
 // simnet supports — Bernoulli loss, Gilbert-Elliott bursts, reordering with
-// jitter, duplication, link flaps and a combined mix — in both ordered and
-// unordered modes, asserting the campaign invariants:
+// jitter, duplication, link flaps and a combined mix — asserting the
+// campaign invariants:
 //   * eventual completion: every datagram delivered, zero give-ups;
-//   * exactly-once: no duplicate deliveries;
-//   * per-peer ordering (ordered mode);
+//   * exactly-once, in per-peer order;
 //   * bounded receiver memory: reorder-buffer peak respects rx_ooo_limit
 //     and the MemLedger "rd.rx_ooo" category drains to zero.
 //
@@ -17,7 +16,6 @@
 // baseline, asserting full delivery and zero RD give-ups end to end.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -86,8 +84,8 @@ std::vector<FaultCase> campaign_cases() {
 constexpr int kMessages = 200;
 constexpr std::size_t kPayload = 32;  // bytes; index tag in the first two
 
-void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
-  SCOPED_TRACE(fc.name + (ordered ? " / ordered" : " / unordered"));
+void run_rd_campaign_case(const FaultCase& fc) {
+  SCOPED_TRACE(fc.name);
   sim::Topology topo;
   host::Host a(topo, "a"), b(topo, "b");
   host::UdpSocket* sa = *a.udp().open(100);
@@ -96,7 +94,6 @@ void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
   if (fc.ack) topo.host_uplink(1).set_faults(fc.ack());
 
   rd::RdConfig cfg;
-  cfg.ordered = ordered;
   cfg.max_retries = 30;
   rd::ReliableDatagram rda(a.ctx(), *sa, cfg);
   rd::ReliableDatagram rdb(b.ctx(), *sb, cfg);
@@ -116,15 +113,8 @@ void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
 
   // Eventual completion, exactly once.
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
-  if (ordered) {
-    for (int i = 0; i < kMessages; ++i)
-      ASSERT_EQ(got[static_cast<std::size_t>(i)], static_cast<u32>(i));
-  } else {
-    std::set<u32> unique(got.begin(), got.end());
-    ASSERT_EQ(unique.size(), static_cast<std::size_t>(kMessages));
-    ASSERT_EQ(*unique.begin(), 0u);
-    ASSERT_EQ(*unique.rbegin(), static_cast<u32>(kMessages - 1));
-  }
+  for (int i = 0; i < kMessages; ++i)
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], static_cast<u32>(i));
   EXPECT_EQ(rda.stats().give_ups, 0u);
   EXPECT_EQ(rdb.stats().rx_gaps, 0u);
   EXPECT_EQ(rda.unacked(), 0u);
@@ -137,11 +127,7 @@ void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
 }
 
 TEST(RdFaultCampaign, OrderedSurvivesEveryFaultModel) {
-  for (const auto& fc : campaign_cases()) run_rd_campaign_case(fc, true);
-}
-
-TEST(RdFaultCampaign, UnorderedSurvivesEveryFaultModel) {
-  for (const auto& fc : campaign_cases()) run_rd_campaign_case(fc, false);
+  for (const auto& fc : campaign_cases()) run_rd_campaign_case(fc);
 }
 
 // The campaign is bit-deterministic: re-running a case yields the identical

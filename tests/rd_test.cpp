@@ -27,6 +27,20 @@ struct RdNet {
   }
 };
 
+// A raw RD packet (1 = DATA, 3 = GAP-SKIP) with a zero CRC, accepted only
+// by an endpoint with the RD CRC off.
+Bytes forge(u8 type, u64 seq, std::size_t payload_len) {
+  Bytes out;
+  WireWriter w(out);
+  w.u8be(type);
+  w.u64be(seq);
+  w.u32be(0);  // cum
+  w.u32be(0);  // crc
+  const Bytes body(payload_len, 0xAB);
+  w.bytes(ConstByteSpan{body});
+  return out;
+}
+
 TEST(Rd, BasicDelivery) {
   RdNet n;
   n.init();
@@ -97,10 +111,12 @@ TEST(Rd, GiveUpNotifiesFailureHandler) {
 TEST(Rd, WildSequencesRejectedWithoutWedgingTheWindow) {
   // With the RD CRC off, nothing vetoes a forged (or corrupted) header, so
   // the sequencing layer itself must refuse sequence numbers implausibly
-  // far beyond the receive frontier. Before the horizon guard, one wild
-  // data seq or GAP-SKIP base would wedge cum_seen billions ahead — every
-  // legitimate datagram thereafter classified as an old duplicate — and
-  // the skip path would walk the entire bogus gap one sequence at a time.
+  // far beyond the receive frontier (next_expected). Without the horizon
+  // guard, a wild data seq would park in the reorder buffer and a wild
+  // GAP-SKIP base (or the gap timer, skipping to that parked seq) would
+  // walk the whole bogus gap one sequence at a time, moving the frontier
+  // billions ahead: every legitimate datagram thereafter is an old
+  // duplicate, acked and never delivered.
   RdNet n;
   n.cfg.crc = false;
   n.init();
@@ -108,17 +124,6 @@ TEST(Rd, WildSequencesRejectedWithoutWedgingTheWindow) {
   n.rdb->on_datagram(
       [&](rd::Endpoint, Bytes d, bool) { got.push_back(std::move(d)); });
 
-  auto forge = [](u8 type, u64 seq, std::size_t payload_len) {
-    Bytes out;
-    WireWriter w(out);
-    w.u8be(type);
-    w.u64be(seq);
-    w.u32be(0);  // cum
-    w.u32be(0);  // crc (unchecked: cfg.crc = false)
-    const Bytes body(payload_len, 0xAB);
-    w.bytes(ConstByteSpan{body});
-    return out;
-  };
   // Inject from a's RD port so b attributes the forgeries to the same peer
   // the legitimate traffic will come from.
   ASSERT_TRUE(n.sa->send_to({n.b.addr(), 100},
@@ -140,6 +145,49 @@ TEST(Rd, WildSequencesRejectedWithoutWedgingTheWindow) {
   EXPECT_EQ(n.rda->stats().give_ups, 0u);
 }
 
+// The horizon is exactly kMaxSeqAhead past next_expected, for a DATA seq
+// and a GAP-SKIP base alike: one sequence further is wild.
+TEST(Rd, HorizonIsMaxSeqAheadPastNextExpected) {
+  RdNet n;
+  n.cfg.crc = false;
+  n.cfg.gap_timeout = 0;  // only the forged GAP-SKIP moves the frontier
+  n.init();
+  std::vector<Bytes> got;
+  n.rdb->on_datagram(
+      [&](rd::Endpoint, Bytes d, bool) { got.push_back(std::move(d)); });
+  const auto& st = n.rdb->stats();
+  const u64 edge = 1 + rd::kMaxSeqAhead;  // next_expected is 1
+  auto inject = [&](u8 type, u64 seq, std::size_t payload_len) {
+    ASSERT_TRUE(n.sa->send_to({n.b.addr(), 100},
+                              ConstByteSpan{forge(type, seq, payload_len)})
+                    .ok());
+    n.topo.sim().run();
+  };
+
+  inject(1, edge + 1, 32);  // DATA past the horizon: refused, not acked
+  EXPECT_EQ(st.wild_rejects, 1u);
+  EXPECT_EQ(st.acks_tx, 0u);
+  EXPECT_EQ(n.rdb->rx_buffered(), 0u);
+
+  inject(1, edge, 32);  // DATA on the horizon: parked behind the hole
+  EXPECT_EQ(st.wild_rejects, 1u);
+  EXPECT_EQ(st.acks_tx, 1u);
+  EXPECT_EQ(n.rdb->rx_buffered(), 1u);
+
+  inject(3, edge + 1, 0);  // GAP-SKIP base past the horizon: refused
+  EXPECT_EQ(st.wild_rejects, 2u);
+  EXPECT_EQ(st.rx_gaps, 0u);
+  EXPECT_EQ(n.rdb->rx_buffered(), 1u);
+
+  // GAP-SKIP base on the horizon: seqs 1..kMaxSeqAhead are skipped and the
+  // parked datagram is delivered.
+  inject(3, edge, 0);
+  EXPECT_EQ(st.wild_rejects, 2u);
+  EXPECT_EQ(st.rx_gaps, rd::kMaxSeqAhead);
+  EXPECT_EQ(n.rdb->rx_buffered(), 0u);
+  EXPECT_EQ(got.size(), 1u);
+}
+
 TEST(Rd, WindowQueuesExcessAndDrains) {
   RdNet n;
   n.cfg.window = 4;
@@ -154,31 +202,6 @@ TEST(Rd, WindowQueuesExcessAndDrains) {
   EXPECT_EQ(deliveries, 20);
 }
 
-TEST(Rd, UnorderedModeDeliversImmediately) {
-  RdNet n;
-  n.cfg.ordered = false;
-  // Drop the first data frame: seq 1 is retransmitted later, but seq 2+
-  // must not wait for it in unordered mode.
-  n.topo.host_uplink(0).set_faults([] {
-    sim::Faults f;
-    f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
-    return f;
-  }());
-  n.init();
-  std::vector<u8> first_bytes;
-  n.rdb->on_datagram(
-      [&](rd::Endpoint, Bytes d, bool) { first_bytes.push_back(d[0]); });
-  for (u8 i = 1; i <= 3; ++i) {
-    Bytes msg(10, i);
-    (void)n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg});
-  }
-  n.topo.sim().run();
-  ASSERT_EQ(first_bytes.size(), 3u);
-  EXPECT_EQ(first_bytes[0], 2);  // 2 and 3 did not wait for 1
-  EXPECT_EQ(first_bytes[1], 3);
-  EXPECT_EQ(first_bytes[2], 1);  // the retransmitted one lands last
-}
-
 TEST(Rd, OversizePayloadRejected) {
   RdNet n;
   n.init();
@@ -187,12 +210,10 @@ TEST(Rd, OversizePayloadRejected) {
             Errc::kInvalidArgument);
 }
 
-// Regression: the unordered dedupe set used to grow one entry per datagram
-// forever. Now it is a cumulative watermark + fixed bitmap: nothing stays
-// buffered and duplicates are still suppressed.
-TEST(Rd, UnorderedDedupeIsBoundedUnderDuplication) {
+// Every datagram arrives twice: each is still delivered exactly once, and
+// no duplicate is left parked in the reorder buffer or the ledger.
+TEST(Rd, DedupeIsBoundedUnderDuplication) {
   RdNet n;
-  n.cfg.ordered = false;
   n.topo.host_uplink(0).set_faults(sim::Faults::duplicating(1.0));
   n.init();
   std::multiset<u32> got;
@@ -339,6 +360,52 @@ TEST(Rd, OrderedReorderBufferIsBounded) {
   // The reorder buffer peak respected the cap (10-byte payloads).
   EXPECT_LE(n.topo.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
             8.0 * 10.0);
+}
+
+// rd.rx_ooo_bytes is one gauge per Simulation: with two receivers each
+// holding a hole it reads both reorder buffers, as the two hosts' rd.rx_ooo
+// ledger categories do, not whichever endpoint buffered last.
+TEST(Rd, RxOooGaugeSumsEveryReceiver) {
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b"), c(topo, "c");
+  // a's frames 1..3 carry seq 1..3 to b, frames 4..6 seq 1..3 to c: drop
+  // each receiver's seq 1 so both park seq 2 and 3 behind a hole.
+  topo.host_uplink(0).set_faults([] {
+    sim::Faults f;
+    f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1, 4});
+    return f;
+  }());
+  auto* sa = *a.udp().open(100);
+  auto* sb = *b.udp().open(100);
+  auto* sc = *c.udp().open(100);
+  rd::ReliableDatagram rda(a.ctx(), *sa);
+  rd::ReliableDatagram rdb(b.ctx(), *sb);
+  rd::ReliableDatagram rdc(c.ctx(), *sc);
+  int b_got = 0, c_got = 0;
+  rdb.on_datagram([&](rd::Endpoint, Bytes, bool) { ++b_got; });
+  rdc.on_datagram([&](rd::Endpoint, Bytes, bool) { ++c_got; });
+  for (u8 i = 1; i <= 3; ++i) {
+    const Bytes m(10, i);
+    ASSERT_TRUE(rda.send_to({b.addr(), 100}, ConstByteSpan{m}).ok());
+  }
+  for (u8 i = 1; i <= 3; ++i) {
+    const Bytes m(20, i);
+    ASSERT_TRUE(rda.send_to({c.addr(), 100}, ConstByteSpan{m}).ok());
+  }
+  // Both holes stay open until seq 1's first RTO.
+  topo.sim().run_until(rd::kInitialRto / 2);
+  ASSERT_EQ(rdb.rx_buffered(), 2u);
+  ASSERT_EQ(rdc.rx_buffered(), 2u);
+  const i64 ledger =
+      b.ledger().category("rd.rx_ooo") + c.ledger().category("rd.rx_ooo");
+  EXPECT_EQ(ledger, 2 * 10 + 2 * 20);
+  const auto& gauge = topo.sim().telemetry().gauge("rd.rx_ooo_bytes");
+  EXPECT_EQ(gauge.value(), static_cast<double>(ledger));
+
+  topo.sim().run();
+  EXPECT_EQ(b_got, 3);
+  EXPECT_EQ(c_got, 3);
+  EXPECT_EQ(gauge.value(), 0.0);
 }
 
 // Acceptance: at identical seed and load, adaptive RTO produces fewer
