@@ -22,7 +22,6 @@ class Host {
   sim::Simulation& sim() { return ctx_.sim; }
   sim::CpuModel& cpu() { return cpu_; }
   const CostModel& costs() const { return costs_; }
-  CostModel& mutable_costs() { return costs_; }
   MemLedger& ledger() { return *ledger_; }
   const std::shared_ptr<MemLedger>& ledger_ptr() const { return ledger_; }
   HostCtx& ctx() { return ctx_; }

@@ -120,9 +120,6 @@ class IpLayer {
   /// Entry point for frames delivered by the NIC.
   void on_frame(sim::Frame f);
 
-  /// Reassembly timeout (incomplete datagrams are discarded after this).
-  void set_reassembly_timeout(TimeNs t) { reassembly_timeout_ = t; }
-
   u64 datagrams_sent() const { return dgrams_tx_; }
   u64 datagrams_delivered() const { return dgrams_rx_; }
   u64 reassembly_expired() const { return reassembly_expired_; }

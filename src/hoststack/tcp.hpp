@@ -201,7 +201,6 @@ class TcpLayer {
   /// Passive open: accepted sockets are handed to `on_accept` once their
   /// handshake completes.
   Status listen(u16 port, AcceptHandler on_accept);
-  void stop_listening(u16 port);
 
   HostCtx& ctx() { return ctx_; }
   IpLayer& ip() { return ip_; }
@@ -219,7 +218,6 @@ class TcpLayer {
   /// always generated). Tests that want corrupted bytes to reach the MPA
   /// CRC — the paper's ablation — turn this off.
   void set_validate_checksum(bool v) { validate_checksum_ = v; }
-  bool validate_checksum() const { return validate_checksum_; }
 
   u64 checksum_drops() const { return checksum_drops_; }
   u64 parse_rejects() const { return parse_rejects_; }

@@ -31,7 +31,6 @@ class UdpSocket {
 
   /// Pull-mode delivery (native-socket style used by the isock passthrough).
   std::optional<std::pair<Endpoint, Bytes>> recv();
-  bool has_data() const { return !rx_queue_.empty(); }
 
   /// Send one datagram (payload <= 65507 B). Charges the kernel sendto path.
   Status send_to(Endpoint dst, const GatherList& data);
@@ -67,7 +66,6 @@ class UdpLayer {
   Result<UdpSocket*> open(u16 port = 0);
   void close(UdpSocket* sock);
 
-  std::size_t open_sockets() const { return sockets_.size(); }
   HostCtx& ctx() { return ctx_; }
   IpLayer& ip() { return ip_; }
 

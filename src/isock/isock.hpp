@@ -101,7 +101,6 @@ class ISockStack {
   /// Per-socket counters. Fails with kInvalidArgument for an unknown fd
   /// (previously an all-zero sentinel was returned, silently masking typos).
   Result<const ISockStats*> stats(int fd) const;
-  std::size_t open_sockets() const { return socks_.size(); }
   verbs::Device& device() { return dev_; }
   /// The protection domain the sockets' receive pools are registered in.
   const verbs::ProtectionDomain& pd() const { return pd_; }

@@ -59,7 +59,6 @@ class CpuModel {
   }
 
   TimeNs free_at() const { return user_free_at_; }
-  TimeNs kernel_free_at() const { return kernel_free_at_; }
   TimeNs busy_total() const { return busy_total_; }
 
   /// CPU utilisation over [0, now].

@@ -54,7 +54,6 @@ class Switch {
   Link& downlink(std::size_t port) { return *ports_[port].down; }
 
   std::size_t ports() const { return ports_.size(); }
-  bool is_trunk(std::size_t port) const { return ports_[port].trunk; }
   const std::string& name() const { return name_; }
 
   u64 frames_forwarded() const { return forwarded_; }

@@ -58,8 +58,6 @@ class Topology {
 
   /// Leaf switch index the host is attached to (round-robin placement).
   std::size_t leaf_of(std::size_t host) const { return locs_[host].leaf; }
-  /// The host's port on its leaf switch.
-  std::size_t port_of(std::size_t host) const { return locs_[host].port; }
 
   /// host -> leaf direction of the host's cable (the paper's "tc egress
   /// drop at the sender" attachment point).

@@ -68,14 +68,6 @@ void Sampler::add_counter(const std::string& counter_name) {
   series_.try_emplace(counter_name + ".rate", "rate", cfg_.capacity);
 }
 
-void Sampler::add_gauge(const std::string& gauge_name) {
-  Source s;
-  s.kind = Source::Kind::kGauge;
-  s.name = gauge_name;
-  sources_.push_back(std::move(s));
-  series_.try_emplace(gauge_name, "gauge", cfg_.capacity);
-}
-
 void Sampler::sample_at(TimeNs boundary) {
   const double dt_sec =
       samples_ > 0 ? static_cast<double>(boundary - last_boundary_) * 1e-9
@@ -89,11 +81,6 @@ void Sampler::sample_at(TimeNs boundary) {
       case Source::Kind::kCounter:
         v = reg_ ? static_cast<double>(reg_->counter_value(src.name)) : 0.0;
         break;
-      case Source::Kind::kGauge: {
-        const Gauge* g = reg_ ? reg_->find_gauge(src.name) : nullptr;
-        v = g ? g->value() : 0.0;
-        break;
-      }
     }
     series_[src.name].push(boundary, v);
     if (src.rate) {
@@ -111,13 +98,6 @@ void Sampler::sample_at(TimeNs boundary) {
 const TimeSeries* Sampler::find(const std::string& name) const {
   auto it = series_.find(name);
   return it == series_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> Sampler::series_names() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, ts] : series_) out.push_back(name);
-  return out;
 }
 
 std::string Sampler::run_json() const {

@@ -8,7 +8,6 @@
 // bounded ring-buffered series:
 //
 //   - registry counters by name (plus a derived `<name>.rate` in events/s),
-//   - registry gauges by name,
 //   - arbitrary probes (std::function<double()>): per-link queue depth via
 //     a sim::Topology handle, per-flow cc rate, per-tenant MemLedger
 //     totals — the rollups the registry's flat aggregate cannot express.
@@ -100,8 +99,6 @@ class Sampler {
   /// `<name>.rate` in events/s: for monotonic counters the rate IS the
   /// interesting series.
   void add_counter(const std::string& counter_name);
-  /// Registry gauge by name (0 while absent). No derived rate.
-  void add_gauge(const std::string& gauge_name);
 
   /// Clock hook (Registry::advance_clock). Samples every interval boundary
   /// in (last, t] — one point per boundary regardless of how the clock got
@@ -115,7 +112,6 @@ class Sampler {
 
   std::size_t samples() const { return samples_; }
   const TimeSeries* find(const std::string& name) const;
-  std::vector<std::string> series_names() const;
   const std::map<std::string, TimeSeries>& series() const { return series_; }
 
   /// One run's fragment: {"interval_ns":..,"samples":..,"series":{..}}.
@@ -130,7 +126,7 @@ class Sampler {
   void sample_at(TimeNs boundary);
 
   struct Source {
-    enum class Kind : u8 { kProbe, kCounter, kGauge };
+    enum class Kind : u8 { kProbe, kCounter };
     Kind kind = Kind::kProbe;
     std::string name;
     std::function<double()> fn;  // kProbe only

@@ -50,6 +50,4 @@ Status Device::rc_listen(
       });
 }
 
-void Device::rc_stop_listening(u16 port) { host_.tcp().stop_listening(port); }
-
 }  // namespace dgiwarp::verbs

@@ -77,7 +77,6 @@ class Device {
   /// and are delivered to `on_accept` once their MPA handshake completes.
   Status rc_listen(u16 port, RcQpAttr attr,
                    std::function<void(std::shared_ptr<RcQueuePair>)> on_accept);
-  void rc_stop_listening(u16 port);
 
   u32 alloc_qpn() { return next_qpn_++; }
 

@@ -31,8 +31,6 @@ class QueuePair {
   /// Post a send-side work request (dispatch differs per QP type).
   virtual Status post_send(const SendWr& wr) = 0;
 
-  std::size_t recv_queue_depth() const { return rq_.size(); }
-
   /// Error-state transition. Per the paper's relaxed rules, UD QPs only
   /// enter Error on local faults, never because of datagram loss.
   void set_error(const Status& why);
