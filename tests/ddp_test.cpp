@@ -203,7 +203,9 @@ TEST_P(SegmentPlan, ExactCoverage) {
     EXPECT_EQ(plan[i].offset, cursor);
     EXPECT_LE(plan[i].length, max);
     EXPECT_EQ(plan[i].last, i + 1 == plan.size());
-    if (!plan[i].last) EXPECT_EQ(plan[i].length, max);  // greedy fill
+    if (!plan[i].last) {
+      EXPECT_EQ(plan[i].length, max);  // greedy fill
+    }
     cursor += plan[i].length;
   }
   EXPECT_EQ(cursor, msg);
