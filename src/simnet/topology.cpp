@@ -35,7 +35,7 @@ Topology::Topology(Params params) : params_(params), rng_(params.seed) {
     const std::string leaf_name = leaves_[i]->name();
     std::vector<Link*> up_raw, down_raw;
     for (std::size_t c = 0; c < params_.trunk_cables; ++c) {
-      const std::string suffix = "#" + std::to_string(c);
+      const std::string suffix = '#' + std::to_string(c);
       t.up.push_back(std::make_unique<Link>(
           sim_, rng_, params_.trunk_link,
           leaf_name + "->spine0" + suffix));

@@ -114,7 +114,7 @@ TEST(Topology, TrunkOversubscriptionQueuesUnderIncast) {
   std::vector<std::unique_ptr<host::Host>> senders;
   for (int i = 0; i < 8; ++i)
     senders.push_back(std::make_unique<host::Host>(
-        topo, "s" + std::to_string(i)));  // alternating leaves
+        topo, 's' + std::to_string(i)));  // alternating leaves
 
   EXPECT_GT(topo.oversubscription(0), 1.0);
 
@@ -205,7 +205,7 @@ TEST(Topology, SixtyFourNodeSameSeedDeterminism) {
     std::vector<host::UdpSocket*> socks;
     for (int i = 0; i < 64; ++i) {
       hosts.push_back(std::make_unique<host::Host>(
-          topo, "h" + std::to_string(i)));
+          topo, 'h' + std::to_string(i)));
       socks.push_back(*hosts.back()->udp().open(100));
     }
     Bytes msg = bytes_of("deterministic");
@@ -235,7 +235,7 @@ TEST(Topology, TrunkLagSpreadsFlowsAcrossCables) {
   std::vector<host::UdpSocket*> socks;
   for (int i = 0; i < 16; ++i) {
     hosts.push_back(
-        std::make_unique<host::Host>(topo, "h" + std::to_string(i)));
+        std::make_unique<host::Host>(topo, 'h' + std::to_string(i)));
     socks.push_back(*hosts.back()->udp().open(100));
   }
   Bytes msg = small_msg();
@@ -273,7 +273,7 @@ FlapRun run_flap_scenario(bool flap_cable0) {
   std::vector<host::UdpSocket*> socks;
   for (int i = 0; i < 16; ++i) {
     hosts.push_back(
-        std::make_unique<host::Host>(topo, "h" + std::to_string(i)));
+        std::make_unique<host::Host>(topo, 'h' + std::to_string(i)));
     socks.push_back(*hosts.back()->udp().open(100));
   }
   if (flap_cable0)
