@@ -83,7 +83,8 @@ inline bool write_text_file(const std::string& path, const std::string& body,
 
 /// Validate + write a timeseries document; exits 1 on schema violation —
 /// an exported-but-broken document is a bug, exactly like dump_capture's
-/// trace handling, and verify-observability leans on this exit code.
+/// trace handling, and the fig13_incast_strict_health ctest leans on this
+/// exit code.
 inline void dump_timeseries(const std::string& doc, const std::string& path) {
   if (path.empty()) return;
   if (Status v = telemetry::validate_timeseries_json(doc); !v.ok()) {
@@ -98,7 +99,7 @@ inline void dump_timeseries(const std::string& doc, const std::string& path) {
 /// Write the capture's trace / profile documents to any requested paths.
 /// The trace is validated against the trace_event schema first and the
 /// process aborts on a violation — an exported-but-broken trace is a bug,
-/// and verify-telemetry leans on this exit code.
+/// and golden.fig5_latency leans on this exit code.
 inline void dump_capture(const telemetry::TraceCapture& cap,
                          const std::string& trace_path,
                          const std::string& profile_path) {

@@ -11,7 +11,7 @@
 // The run executes TWICE with the same seed and the metrics registries are
 // compared byte-for-byte: the process exits non-zero on any divergence,
 // making this bench the determinism gate for the Topology/ClusterHarness
-// layers (ctest tier-2; also wired into verify-fabric).
+// layers.
 //
 // --strict-health arms the cluster watchdog (trunk stuck-queue rules on all
 // 32 spine LAG members plus a per-tenant server mem-leak rule) over both

@@ -108,12 +108,10 @@ IncastResult run_incast(cc::CcMode mode, const Setup& su, const Obs& obs) {
 
   auto& reg = topo.sim().telemetry();
   if (obs.sample) {
-    telemetry::SamplerConfig sc;
-    sc.interval = 250 * kMicrosecond;  // 8 points per 2 ms burst round
-    reg.sampler().enable(sc);
+    reg.sampler().enable(250 * kMicrosecond);  // 8 points per 2 ms round
   }
   if (obs.watch) {
-    reg.watchdog().enable();  // default cadence/thresholds (health.hpp)
+    reg.watchdog().enable();  // cadence/thresholds: health.hpp constants
     // A flight-recorder dump without trace events is a black box.
     if (!reg.trace().enabled()) reg.trace().enable();
   }
@@ -206,7 +204,7 @@ IncastResult run_incast(cc::CcMode mode, const Setup& su, const Obs& obs) {
                             [c = p->congestion(), flow] {
                               return c->rate_bps(flow);
                             },
-                            su.cc.min_rate_bps * 0.5);
+                            cc::kMinRateBps * 0.5);
     }
     host::Host* rx = receiver;
     wd.watch_ledger("rx",

@@ -11,12 +11,12 @@ constexpr const char* kHttpRequest = "GET /stream HTTP/1.0\r\n\r\n";
 constexpr const char* kHttpResponse =
     "HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\n\r\n";
 
-void build_frame(Bytes& buf, u32 seq, std::size_t frame_bytes) {
+void build_frame(Bytes& buf, u32 seq) {
   buf.clear();
   WireWriter w(buf);
   w.u32be(seq);
-  w.u32be(static_cast<u32>(frame_bytes - kFrameHeaderBytes));
-  buf.resize(frame_bytes);
+  w.u32be(static_cast<u32>(kFrameBytes - kFrameHeaderBytes));
+  buf.resize(kFrameBytes);
   fill_pattern(ByteSpan{buf}.subspan(kFrameHeaderBytes), seq);
 }
 
@@ -43,7 +43,7 @@ void MediaServer::stream_udp_frames(int fd, Endpoint client,
   const double rate =
       params_.burst_start ? params_.burst_rate_bps : params_.bitrate_bps;
   const TimeNs frame_interval = static_cast<TimeNs>(
-      static_cast<double>(params_.frame_bytes) * 8.0 / rate * 1e9);
+      static_cast<double>(kFrameBytes) * 8.0 / rate * 1e9);
 
   // The stored lambda captures itself weakly (the pending timer event holds
   // the only strong reference) so the chain frees itself when it ends.
@@ -51,11 +51,10 @@ void MediaServer::stream_udp_frames(int fd, Endpoint client,
   *tick = [this, fd, client, frame_interval,
            weak = std::weak_ptr(tick)](std::size_t remaining) {
     if (remaining == 0) return;
-    build_frame(frame_buf_, next_seq_++, params_.frame_bytes);
+    build_frame(frame_buf_, next_seq_++);
     (void)io_.sendto(fd, client, ConstByteSpan{frame_buf_});
-    ++frames_sent_;
     const std::size_t next =
-        remaining > params_.frame_bytes ? remaining - params_.frame_bytes : 0;
+        remaining > kFrameBytes ? remaining - kFrameBytes : 0;
     io_.device().host().sim().after(
         frame_interval, [t = weak.lock(), next] { if (t) (*t)(next); });
   };
@@ -85,15 +84,14 @@ Status MediaServer::serve_http(u16 port, std::size_t total_bytes) {
 void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
   auto& sim = io_.device().host().sim();
   const TimeNs frame_interval = static_cast<TimeNs>(
-      static_cast<double>(params_.frame_bytes) * 8.0 / params_.bitrate_bps *
-      1e9);
+      static_cast<double>(kFrameBytes) * 8.0 / params_.bitrate_bps * 1e9);
 
   if (params_.burst_start) {
     // Send as fast as the socket accepts; retry on backpressure.
     auto pump = std::make_shared<std::function<void(std::size_t)>>();
     *pump = [this, fd, weak = std::weak_ptr(pump)](std::size_t remaining) {
       while (remaining > 0) {
-        build_frame(frame_buf_, next_seq_++, params_.frame_bytes);
+        build_frame(frame_buf_, next_seq_++);
         const std::size_t n = io_.send(fd, ConstByteSpan{frame_buf_});
         if (n == 0) {
           --next_seq_;  // frame not accepted; resend the same one later
@@ -102,8 +100,7 @@ void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
               [p = weak.lock(), remaining] { if (p) (*p)(remaining); });
           return;
         }
-        ++frames_sent_;
-        remaining -= std::min(remaining, params_.frame_bytes);
+        remaining -= std::min(remaining, kFrameBytes);
       }
     };
     sim.after(0, [pump, total_bytes] { (*pump)(total_bytes); });
@@ -111,7 +108,7 @@ void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
   }
 
   // Live pacing through the HTTP mux buffer: frames accumulate and flush
-  // in http_mux_chunk units (the server-side chunking VLC's HTTP output
+  // in kHttpMuxChunk units (the server-side chunking VLC's HTTP output
   // exhibits), at the media bitrate.
   auto mux = std::make_shared<Bytes>();
   auto tick = std::make_shared<std::function<void(std::size_t)>>();
@@ -121,15 +118,14 @@ void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
       if (!mux->empty()) (void)io_.send(fd, ConstByteSpan{*mux});
       return;
     }
-    build_frame(frame_buf_, next_seq_++, params_.frame_bytes);
+    build_frame(frame_buf_, next_seq_++);
     mux->insert(mux->end(), frame_buf_.begin(), frame_buf_.end());
-    ++frames_sent_;
-    if (mux->size() >= params_.http_mux_chunk) {
+    if (mux->size() >= kHttpMuxChunk) {
       (void)io_.send(fd, ConstByteSpan{*mux});
       mux->clear();
     }
     const std::size_t next =
-        remaining > params_.frame_bytes ? remaining - params_.frame_bytes : 0;
+        remaining > kFrameBytes ? remaining - kFrameBytes : 0;
     io_.device().host().sim().after(
         frame_interval, [t = weak.lock(), next] { if (t) (*t)(next); });
   };

@@ -30,17 +30,19 @@ using host::Endpoint;
 
 struct StreamParams {
   double bitrate_bps = 8e6;        // encoded media rate
-  std::size_t frame_bytes = 1316;  // 7 TS packets / datagram (VLC default)
   bool burst_start = true;         // send at burst_rate (else at bitrate)
   /// "As fast as possible" for a source-paced UDP stream still has a finite
   /// rate; an infinite burst would simply overrun the receiver's datagram
   /// queues. 600 Mb/s is close to the software stack's small-frame capacity.
   double burst_rate_bps = 600e6;
-  std::size_t http_mux_chunk = 16 * 1024;  // server-side HTTP mux buffer
 };
 
+/// 7 TS packets per datagram (VLC's default).
+inline constexpr std::size_t kFrameBytes = 1316;
 /// Frame header: sequence number + payload length (gap detection).
 inline constexpr std::size_t kFrameHeaderBytes = 8;
+/// Server-side HTTP mux buffer.
+inline constexpr std::size_t kHttpMuxChunk = 16 * 1024;
 
 struct ClientResult {
   TimeNs buffering_time = 0;  // request -> prebuffer filled
@@ -63,15 +65,12 @@ class MediaServer {
   /// response body of `total_bytes`.
   Status serve_http(u16 port, std::size_t total_bytes);
 
-  u64 frames_sent() const { return frames_sent_; }
-
  private:
   void stream_udp_frames(int fd, Endpoint client, std::size_t total_bytes);
   void stream_http_body(int fd, std::size_t total_bytes);
 
   isock::ISockStack& io_;
   StreamParams params_;
-  u64 frames_sent_ = 0;
   u32 next_seq_ = 1;
   Bytes frame_buf_;
   std::string http_pending_request_;

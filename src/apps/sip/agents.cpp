@@ -57,7 +57,7 @@ Status SipServer::start() {
 }
 
 void SipServer::on_main_datagram(host::Endpoint src, ConstByteSpan data) {
-  io_.device().host().cpu().charge(cfg_.app_process);
+  io_.device().host().cpu().charge(kAppProcess);
   auto parsed = SipMessage::parse(data);
   if (!parsed.ok()) {
     ++parse_errors_;
@@ -100,7 +100,7 @@ void SipServer::on_main_datagram(host::Endpoint src, ConstByteSpan data) {
 
 void SipServer::on_call_datagram(const std::string& call_id,
                                  host::Endpoint src, ConstByteSpan data) {
-  io_.device().host().cpu().charge(cfg_.app_process);
+  io_.device().host().cpu().charge(kAppProcess);
   auto parsed = SipMessage::parse(data);
   if (!parsed.ok()) {
     ++parse_errors_;
@@ -136,8 +136,8 @@ void SipServer::handle_request(const SipMessage& req, int fd,
     Bytes wire = rsp.serialize();
     const Transport transport = transport_;
     io_.device().host().cpu().charge_then(
-        cfg_.app_process, [this, fd, reply_to, transport, closing_fd,
-                           wire = std::move(wire)] {
+        kAppProcess, [this, fd, reply_to, transport, closing_fd,
+                      wire = std::move(wire)] {
           if (transport == Transport::kUd) {
             (void)io_.sendto(fd, reply_to, ConstByteSpan{wire});
           } else {
@@ -158,13 +158,13 @@ void SipServer::handle_request(const SipMessage& req, int fd,
 void SipServer::on_stream_accept(int fd) {
   // Per-connection application handling (fd bookkeeping, logging) — the
   // TCP-mode overhead SIPp pays for every call's connection.
-  io_.device().host().cpu().charge(cfg_.rc_conn_overhead);
+  io_.device().host().cpu().charge(kRcConnOverhead);
   stream_buffers_[fd] = {};
   io_.set_stream_handler(fd, [this, fd](ConstByteSpan data) {
     std::string& buf = stream_buffers_[fd];
     buf.append(reinterpret_cast<const char*>(data.data()), data.size());
     while (auto msg = extract_sip_message(buf)) {
-      io_.device().host().cpu().charge(cfg_.app_process);
+      io_.device().host().cpu().charge(kAppProcess);
       if (!msg->is_request()) continue;
       ++requests_;
       const std::string call_id = msg->call_id();
@@ -202,7 +202,7 @@ Result<int> SipClient::open_call_socket() {
 }
 
 Status SipClient::send_request(ClientCall& call, Method m) {
-  io_.device().host().cpu().charge(cfg_.app_process);
+  io_.device().host().cpu().charge(kAppProcess);
   SipMessage req = make_request(m, "uac" + call.record.call_id,
                                 "service", call.record.call_id,
                                 call.record.cseq++);
@@ -229,7 +229,7 @@ Status SipClient::send_request(ClientCall& call, Method m) {
 }
 
 void SipClient::on_response(ClientCall& call, ConstByteSpan data) {
-  io_.device().host().cpu().charge(cfg_.app_process);
+  io_.device().host().cpu().charge(kAppProcess);
   auto parsed = SipMessage::parse(data);
   if (!parsed.ok() || parsed->is_request()) return;
   const CallState before = call.record.state;
@@ -260,9 +260,9 @@ void SipClient::arm_retransmit(const std::string& call_id, Method m,
         (m == Method::kInvite && call.record.state == CallState::kInviteSent) ||
         (m == Method::kBye && call.record.state == CallState::kByeSent);
     if (!still_waiting) return;
-    if (++call.retries > cfg_.max_retransmits) return;  // abandoned
+    if (++call.retries > kMaxRetransmits) return;  // abandoned
     // Retransmit the request verbatim (same CSeq).
-    io_.device().host().cpu().charge(cfg_.app_process);
+    io_.device().host().cpu().charge(kAppProcess);
     --call.record.cseq;  // reuse the sequence number
     SipMessage req = make_request(m, "uac" + call.record.call_id, "service",
                                   call.record.call_id, call.record.cseq++);

@@ -20,20 +20,22 @@ namespace dgiwarp::sip {
 
 enum class Transport { kUd, kRc };
 
+/// INVITE retransmissions (doubling from T1) before a UD call is abandoned.
+inline constexpr int kMaxRetransmits = 6;
+/// App-level cost of building or parsing one SIP message (SIPp-scale text
+/// processing on the paper's 2 GHz Opterons).
+inline constexpr TimeNs kAppProcess = 90 * kMicrosecond;
+/// Extra per-connection application handling on the RC/TCP path (accept
+/// bookkeeping, per-connection fd state — SIPp's TCP mode overhead the
+/// paper attributes the Figure 10 gap to).
+inline constexpr TimeNs kRcConnOverhead = 300 * kMicrosecond;
+
 struct SipConfig {
   u16 server_port = 5060;
   /// SIP timer T1 (request retransmission over unreliable transports).
   TimeNs t1 = 100 * kMillisecond;
-  int max_retransmits = 6;
   /// Gap between successive new calls during mass setup (SIPp call rate).
   TimeNs setup_interval = 200 * kMicrosecond;
-  /// App-level cost of building or parsing one SIP message (SIPp-scale
-  /// text processing on the paper's 2 GHz Opterons).
-  TimeNs app_process = 90 * kMicrosecond;
-  /// Extra per-connection application handling on the RC/TCP path (accept
-  /// bookkeeping, per-connection fd state — SIPp's TCP mode overhead the
-  /// paper attributes the Figure 10 gap to).
-  TimeNs rc_conn_overhead = 300 * kMicrosecond;
 };
 
 class SipServer {

@@ -37,19 +37,19 @@ RateController::RateController(sim::Simulation& sim, CcMode mode,
 RateController::Flow& RateController::flow(u64 key) {
   auto [it, inserted] = flows_.try_emplace(key);
   if (inserted) {
-    it->second.rate = params_.line_rate_bps;
-    it->second.target = params_.line_rate_bps;
+    it->second.rate = kLineRateBps;
+    it->second.target = kLineRateBps;
   }
   return it->second;
 }
 
 double RateController::rate_bps(u64 key) const {
   auto it = flows_.find(key);
-  return it == flows_.end() ? params_.line_rate_bps : it->second.rate;
+  return it == flows_.end() ? kLineRateBps : it->second.rate;
 }
 
 void RateController::set_rate(u64 key, Flow& f, double r) {
-  r = std::clamp(r, params_.min_rate_bps, params_.line_rate_bps);
+  r = std::clamp(r, kMinRateBps, kLineRateBps);
   if (r < f.rate) ++rate_decreases_;
   f.rate = r;
   auto& reg = sim_.telemetry();
@@ -62,7 +62,7 @@ TimeNs RateController::reserve_send(u64 key, std::size_t packet_bytes) {
   Flow& f = flow(key);
   const TimeNs start = std::max(f.next_tx, sim_.now());
   const double bits =
-      static_cast<double>(packet_bytes + params_.wire_overhead_bytes) * 8.0;
+      static_cast<double>(packet_bytes + kWireOverheadBytes) * 8.0;
   f.next_tx = start + static_cast<TimeNs>(bits / f.rate * 1e9);
   return start;
 }
@@ -75,7 +75,7 @@ void RateController::on_cnp(u64 key) {
                                   static_cast<u64>(f.rate));
   // DCQCN reaction point: bump the congestion estimate, snapshot the
   // current rate as the recovery target, cut the rate by alpha/2.
-  f.alpha = (1.0 - params_.dcqcn_g) * f.alpha + params_.dcqcn_g;
+  f.alpha = (1.0 - kDcqcnG) * f.alpha + kDcqcnG;
   f.target = f.rate;
   f.recovery_rounds = 0;
   set_rate(key, f, f.rate * (1.0 - f.alpha / 2.0));
@@ -92,7 +92,7 @@ void RateController::on_cnp(u64 key) {
 
 void RateController::alpha_tick(u64 key) {
   Flow& f = flow(key);
-  f.alpha *= 1.0 - params_.dcqcn_g;
+  f.alpha *= 1.0 - kDcqcnG;
   if (f.alpha > kAlphaFloor) {
     sim_.after(params_.dcqcn_alpha_timer, [this, key] { alpha_tick(key); });
   } else {
@@ -104,20 +104,18 @@ void RateController::alpha_tick(u64 key) {
 void RateController::rate_tick(u64 key) {
   Flow& f = flow(key);
   ++f.recovery_rounds;
-  if (f.recovery_rounds > params_.dcqcn_fast_recovery_rounds) {
+  if (f.recovery_rounds > kDcqcnFastRecoveryRounds) {
     // Past fast recovery: probe the target upward, gently first, then in
     // hyper-additive strides once congestion has stayed away for a while.
-    const int ai_rounds =
-        f.recovery_rounds - params_.dcqcn_fast_recovery_rounds;
-    const double step = ai_rounds > params_.dcqcn_hai_after_rounds
-                            ? params_.dcqcn_hai_bps
-                            : params_.dcqcn_ai_bps;
-    f.target = std::min(f.target + step, params_.line_rate_bps);
+    const int ai_rounds = f.recovery_rounds - kDcqcnFastRecoveryRounds;
+    const double step =
+        ai_rounds > kDcqcnHaiAfterRounds ? kDcqcnHaiBps : kDcqcnAiBps;
+    f.target = std::min(f.target + step, kLineRateBps);
   }
   set_rate(key, f, (f.rate + f.target) / 2.0);
-  if (f.rate >= kLineSnap * params_.line_rate_bps) {
-    f.rate = params_.line_rate_bps;
-    f.target = params_.line_rate_bps;
+  if (f.rate >= kLineSnap * kLineRateBps) {
+    f.rate = kLineRateBps;
+    f.target = kLineRateBps;
     f.rate_armed = false;  // fully recovered: nothing left to schedule
   } else {
     sim_.after(params_.dcqcn_rate_timer, [this, key] { rate_tick(key); });
@@ -134,22 +132,21 @@ void RateController::on_rtt_sample(u64 key, TimeNs rtt) {
   }
   const double new_diff = static_cast<double>(rtt - f.prev_rtt);
   f.prev_rtt = rtt;
-  f.rtt_diff_ns = (1.0 - params_.timely_ewma_alpha) * f.rtt_diff_ns +
-                  params_.timely_ewma_alpha * new_diff;
-  const double norm_grad =
-      f.rtt_diff_ns / static_cast<double>(params_.timely_min_rtt);
+  f.rtt_diff_ns = (1.0 - kTimelyEwmaAlpha) * f.rtt_diff_ns +
+                  kTimelyEwmaAlpha * new_diff;
+  const double norm_grad = f.rtt_diff_ns / static_cast<double>(kTimelyMinRtt);
 
   double r;
-  if (rtt < params_.timely_t_low) {
-    r = f.rate + params_.timely_add_bps;  // clearly uncongested
-  } else if (rtt > params_.timely_t_high) {
+  if (rtt < kTimelyTLow) {
+    r = f.rate + kTimelyAddBps;  // clearly uncongested
+  } else if (rtt > kTimelyTHigh) {
     // RTT beyond the hard ceiling: decrease no matter which way the
     // gradient points, proportional to how far past the ceiling we are.
     r = f.rate * (1.0 - params_.timely_beta *
-                            (1.0 - static_cast<double>(params_.timely_t_high) /
+                            (1.0 - static_cast<double>(kTimelyTHigh) /
                                        static_cast<double>(rtt)));
   } else if (norm_grad <= 0) {
-    r = f.rate + params_.timely_add_bps;  // queues draining
+    r = f.rate + kTimelyAddBps;  // queues draining
   } else {
     r = f.rate * (1.0 - params_.timely_beta * norm_grad);  // queues growing
   }

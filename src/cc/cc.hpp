@@ -23,8 +23,9 @@
 //    controller schedules nothing and Simulation::run() drains.
 //  * kTimely — TIMELY-flavoured (SIGCOMM'15): no fabric signal needed; the
 //    RTT gradient (EWMA of successive ACK RTT samples, normalised by
-//    min_rtt) drives additive increase below t_low / gradient-proportional
-//    multiplicative decrease above. Entirely sample-driven: no timers.
+//    kTimelyMinRtt) drives additive increase below kTimelyTLow /
+//    gradient-proportional multiplicative decrease above. Entirely
+//    sample-driven: no timers.
 //
 // Everything runs on the deterministic Simulation clock and plain IEEE
 // doubles — same seed, same rates, byte-identical metrics. The controller
@@ -48,35 +49,38 @@ enum class CcMode : u8 {
 
 const char* cc_mode_name(CcMode m);
 
-/// Tuning knobs for both controllers. Defaults are scaled for the 10GE
-/// fabric (LinkParams defaults): microsecond-scale RTTs, queue build-up of
-/// tens of frames at the trunk.
+/// Controller constants. They are scaled for the 10GE fabric (LinkParams
+/// defaults): microsecond-scale RTTs, queue build-up of tens of frames at
+/// the trunk.
+inline constexpr double kLineRateBps = 10e9;  // rate ceiling (line rate)
+inline constexpr double kMinRateBps = 50e6;   // rate floor (never pace to 0)
+// Ethernet + IP + UDP framing bytes added below RD, so pacing at
+// kLineRateBps matches what the wire actually carries per packet.
+inline constexpr std::size_t kWireOverheadBytes = 66;
+
+// --- DCQCN ---
+inline constexpr double kDcqcnG = 1.0 / 16.0;       // alpha EWMA gain
+inline constexpr int kDcqcnFastRecoveryRounds = 5;  // R=(R+Rt)/2 before AI
+inline constexpr double kDcqcnAiBps = 40e6;         // additive increase of Rt
+inline constexpr double kDcqcnHaiBps = 400e6;       // hyper-AI, deep recovery
+inline constexpr int kDcqcnHaiAfterRounds = 5;      // AI rounds before HAI
+// Receiver-side CNP coalescing: at most one echo per peer per interval
+// (consumed by the RD receiver).
+inline constexpr TimeNs kCnpInterval = 50 * kMicrosecond;
+
+// --- TIMELY ---
+inline constexpr TimeNs kTimelyTLow = 20 * kMicrosecond;    // below: increase
+inline constexpr TimeNs kTimelyTHigh = 70 * kMicrosecond;   // above: decrease
+inline constexpr TimeNs kTimelyMinRtt = 10 * kMicrosecond;  // gradient norm
+inline constexpr double kTimelyEwmaAlpha = 0.46;  // RTT-diff EWMA weight
+inline constexpr double kTimelyAddBps = 40e6;     // additive increase step
+
+/// The tuning knobs the incast bench varies; everything else is a
+/// constant above.
 struct CcParams {
-  double line_rate_bps = 10e9;  // rate ceiling (host NIC line rate)
-  double min_rate_bps = 50e6;   // rate floor (never pace a flow to zero)
-  // Ethernet + IP + UDP framing bytes added below RD, so pacing at
-  // `line_rate_bps` matches what the wire actually carries per packet.
-  std::size_t wire_overhead_bytes = 66;
-
-  // --- DCQCN ---
-  double dcqcn_g = 1.0 / 16.0;        // alpha EWMA gain
-  TimeNs dcqcn_alpha_timer = 55 * kMicrosecond;   // alpha decay period
-  TimeNs dcqcn_rate_timer = 300 * kMicrosecond;   // recovery step period
-  int dcqcn_fast_recovery_rounds = 5;  // rounds of R=(R+Rt)/2 before AI
-  double dcqcn_ai_bps = 40e6;          // additive increase of Rt per round
-  double dcqcn_hai_bps = 400e6;        // hyper-AI once deep into recovery
-  int dcqcn_hai_after_rounds = 5;      // AI rounds before HAI kicks in
-  // Receiver-side CNP coalescing: at most one echo per peer per interval
-  // (consumed by the RD receiver, kept here so one struct tunes the loop).
-  TimeNs cnp_interval = 50 * kMicrosecond;
-
-  // --- TIMELY ---
-  TimeNs timely_t_low = 20 * kMicrosecond;   // below: additive increase
-  TimeNs timely_t_high = 70 * kMicrosecond;  // above: decrease regardless
-  TimeNs timely_min_rtt = 10 * kMicrosecond; // gradient normalisation
-  double timely_ewma_alpha = 0.46;           // RTT-diff EWMA weight
-  double timely_beta = 0.8;                  // multiplicative-decrease gain
-  double timely_add_bps = 40e6;              // additive increase step
+  TimeNs dcqcn_alpha_timer = 55 * kMicrosecond;  // alpha decay period
+  TimeNs dcqcn_rate_timer = 300 * kMicrosecond;  // recovery step period
+  double timely_beta = 0.8;  // multiplicative-decrease gain
 };
 
 /// Per-peer token-bucket rate limiter plus the DCQCN/Timely update rules.
@@ -89,10 +93,9 @@ class RateController {
   RateController(sim::Simulation& sim, CcMode mode, CcParams params);
 
   CcMode mode() const { return mode_; }
-  const CcParams& params() const { return params_; }
 
   /// Reserve wire time for one packet of `packet_bytes` (transport bytes;
-  /// wire_overhead_bytes is added here) on `flow`. Returns the earliest
+  /// kWireOverheadBytes is added here) on `flow`. Returns the earliest
   /// time the packet may enter the stack: now() when the bucket has room,
   /// later when the flow is paced. The reservation is consumed — callers
   /// must send (or deliberately waste the slot).

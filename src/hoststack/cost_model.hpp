@@ -4,8 +4,9 @@
 // space verbs/RDMAP/DDP/MPA over kernel UDP/TCP on 2 GHz Opterons with a
 // NetEffect 10GE NIC. Its throughput and latency are dominated by host CPU
 // work (copies, CRC32, MPA marker insertion, kernel protocol processing),
-// not by the 10 Gb/s wire. This struct is the substitute for that testbed:
-// every constant is the virtual-time price of one of those activities.
+// not by the 10 Gb/s wire. kCostModel, the one table every host charges, is
+// the substitute for that testbed: every entry is the virtual-time price of
+// one of those activities.
 //
 // Calibration targets (paper §VI.A):
 //   - UD send/recv + Write-Record small-message latency  ~27-28 us
@@ -120,6 +121,9 @@ struct CostModel {
   std::size_t ud_qp_bytes = 4 * 1024;
   std::size_t rc_qp_bytes = 6 * 1024;
 };
+
+/// The calibrated table (Host::costs() and HostCtx::costs refer to it).
+inline constexpr CostModel kCostModel{};
 
 /// MTUs and limits shared by the stack.
 inline constexpr std::size_t kWireMtu = 1500;       // Ethernet payload

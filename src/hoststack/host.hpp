@@ -14,14 +14,14 @@ class Host {
  public:
   /// Attach a new host to `topo` (creates the NIC and its leaf-switch
   /// port; placement is the topology's round-robin policy).
-  Host(sim::Topology& topo, const std::string& name, CostModel costs = {});
+  Host(sim::Topology& topo, const std::string& name);
 
   u32 addr() const { return ctx_.ip; }
   Endpoint endpoint(u16 port) const { return Endpoint{addr(), port}; }
 
   sim::Simulation& sim() { return ctx_.sim; }
   sim::CpuModel& cpu() { return cpu_; }
-  const CostModel& costs() const { return costs_; }
+  const CostModel& costs() const { return kCostModel; }
   MemLedger& ledger() { return *ledger_; }
   const std::shared_ptr<MemLedger>& ledger_ptr() const { return ledger_; }
   HostCtx& ctx() { return ctx_; }
@@ -33,7 +33,6 @@ class Host {
   std::size_t fabric_index() const { return index_; }
 
  private:
-  CostModel costs_;
   std::shared_ptr<MemLedger> ledger_ = std::make_shared<MemLedger>();
   std::size_t index_;
   sim::CpuModel cpu_;

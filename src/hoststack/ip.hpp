@@ -120,11 +120,7 @@ class IpLayer {
   /// Entry point for frames delivered by the NIC.
   void on_frame(sim::Frame f);
 
-  u64 datagrams_sent() const { return dgrams_tx_; }
-  u64 datagrams_delivered() const { return dgrams_rx_; }
   u64 reassembly_expired() const { return reassembly_expired_; }
-  u64 fragments_sent() const { return frags_tx_; }
-  u64 parse_rejects() const { return parse_rejects_; }
 
  private:
   struct FragKey {

@@ -92,10 +92,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
 
   // Introspection for tests and benches.
   u64 segments_sent() const { return seg_tx_; }
-  u64 segments_received() const { return seg_rx_; }
   u64 retransmissions() const { return retx_; }
-  u64 bytes_delivered() const { return delivered_bytes_; }
-  double cwnd_bytes() const { return cwnd_; }
 
  private:
   friend class TcpLayer;
@@ -218,9 +215,6 @@ class TcpLayer {
   /// always generated). Tests that want corrupted bytes to reach the MPA
   /// CRC — the paper's ablation — turn this off.
   void set_validate_checksum(bool v) { validate_checksum_ = v; }
-
-  u64 checksum_drops() const { return checksum_drops_; }
-  u64 parse_rejects() const { return parse_rejects_; }
 
  private:
   friend class TcpSocket;

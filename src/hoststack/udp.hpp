@@ -38,7 +38,6 @@ class UdpSocket {
     return send_to(dst, GatherList(data));
   }
 
-  u64 datagrams_sent() const { return tx_count_; }
   u64 datagrams_received() const { return rx_count_; }
 
  private:
@@ -68,8 +67,6 @@ class UdpLayer {
 
   HostCtx& ctx() { return ctx_; }
   IpLayer& ip() { return ip_; }
-
-  u64 parse_rejects() const { return parse_rejects_; }
 
  private:
   void on_datagram(u32 src_ip, Bytes dgram, bool tainted);

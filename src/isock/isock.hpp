@@ -107,7 +107,6 @@ class ISockStack {
   /// STag of a bound iWARP datagram socket's receive pool (what Write-Record
   /// peers are advertised); 0 for other sockets and unknown fds.
   u32 pool_stag(int fd) const;
-  const ISockConfig& config() const { return cfg_; }
 
  private:
   struct PeerState {

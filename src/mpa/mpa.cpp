@@ -168,7 +168,6 @@ Status MpaReceiver::process_defragged() {
       }
     }
 
-    ++delivered_;
     const bool fpdu_tainted = take_taint(total);
     if (handler_) {
       handler_(Bytes(pending_.begin() + static_cast<long>(head + kLengthBytes),

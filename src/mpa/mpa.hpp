@@ -55,7 +55,6 @@ class MpaSender {
   Bytes frame(ConstByteSpan ulpdu);
 
   u64 stream_position() const { return pos_; }
-  const MpaConfig& config() const { return cfg_; }
 
  private:
   void emit(Bytes& out, ConstByteSpan raw);
@@ -83,7 +82,6 @@ class MpaReceiver {
   /// spec an MPA stream error is fatal to the connection).
   Status consume(ConstByteSpan stream, bool tainted = false);
 
-  u64 ulpdus_delivered() const { return delivered_; }
   u64 crc_failures() const { return crc_failures_; }
   bool poisoned() const { return poisoned_; }
 
@@ -99,7 +97,6 @@ class MpaReceiver {
   std::deque<std::pair<std::size_t, bool>> taint_runs_;
   u64 pos_ = 0;      // absolute stream position (marker tracking)
   std::size_t marker_seen_ = 0;  // bytes of an in-flight marker consumed
-  u64 delivered_ = 0;
   u64 crc_failures_ = 0;
   bool poisoned_ = false;
 };

@@ -5,6 +5,11 @@
 
 namespace dgiwarp::perf {
 
+namespace {
+constexpr TimeNs kSampleInterval = 1 * kMillisecond;
+constexpr std::size_t kSampledTenants = 4;  // tenants with a memory series
+}  // namespace
+
 struct ClusterHarness::Tenant {
   std::unique_ptr<verbs::Node> server_node;
   std::unique_ptr<verbs::Node> client_node;
@@ -23,9 +28,7 @@ ClusterHarness::ClusterHarness(ClusterConfig cfg)
     reg.trace().enable();
   }
   if (cfg_.health.sample) {
-    telemetry::SamplerConfig sc;
-    sc.interval = cfg_.health.sample_interval;
-    reg.sampler().enable(sc);
+    reg.sampler().enable(kSampleInterval);
     // Fleet-wide counters worth a trajectory at scale: loss, recovery
     // effort, goodput.
     reg.sampler().add_counter("simnet.link.drops");
@@ -33,9 +36,7 @@ ClusterHarness::ClusterHarness(ClusterConfig cfg)
     reg.sampler().add_counter("rd.data_rx");
   }
   if (cfg_.health.watch) {
-    telemetry::WatchdogConfig wc;
-    wc.interval = cfg_.health.watch_interval;
-    reg.watchdog().enable(wc);
+    reg.watchdog().enable();
     // A flight-recorder dump without trace events is a black box; the ring
     // is bounded, so arming it at scale stays cheap.
     if (!reg.trace().enabled()) reg.trace().enable();
@@ -85,7 +86,7 @@ void ClusterHarness::build_tenants() {
       return static_cast<double>(srv->host().ledger().total());
     };
     if (cfg_.health.watch) reg.watchdog().watch_ledger(srv->name(), srv_mem);
-    if (cfg_.health.sample && i < cfg_.health.sample_tenants)
+    if (cfg_.health.sample && i < kSampledTenants)
       reg.sampler().add_probe("tenant." + srv->name() + ".mem", srv_mem);
 
     tenants_.push_back(std::move(t));

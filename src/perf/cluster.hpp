@@ -44,17 +44,14 @@ struct ClusterConfig {
   /// every trunk LAG member (Topology::attach_health) plus a per-tenant
   /// mem-leak rule on each server's MemLedger, and enables the trace ring
   /// so a flight-recorder dump has events to show. `sample` enables the
-  /// Sampler with trunk queue-depth probes, fleet counters, and per-tenant
-  /// memory series for the first `sample_tenants` tenants (bounded so a
-  /// 1000-host fleet does not swamp the export). Both change which registry
-  /// keys exist, so keep them identical across runs compared for
-  /// determinism.
+  /// Sampler at a 1 ms cadence with trunk queue-depth probes, fleet
+  /// counters, and per-tenant memory series for the first four tenants
+  /// (bounded so a 1000-host fleet does not swamp the export). Both change
+  /// which registry keys exist, so keep them identical across runs compared
+  /// for determinism.
   struct Health {
     bool watch = false;
     bool sample = false;
-    TimeNs watch_interval = 1 * kMillisecond;
-    TimeNs sample_interval = 1 * kMillisecond;
-    std::size_t sample_tenants = 4;
   };
   Health health;
 };

@@ -379,13 +379,13 @@ void ReliableDatagram::send_ack(Endpoint dst, u64 seq) {
   host::SpanScope scope(ctx_, 0);
   // DCQCN notification point: piggyback the CNP echo flag on this ACK if a
   // CE mark is pending and the coalescing interval has elapsed — at most
-  // one CNP per peer per cc.cnp_interval, however many marks arrived.
+  // one CNP per peer per cc::kCnpInterval, however many marks arrived.
   u8 type = kTypeAck;
   if (cc_ && cc_->mode() == cc::CcMode::kDcqcn) {
     PeerRx& rx = rx_[dst];
     if (rx.ce_pending &&
         (!rx.cnp_ever ||
-         ctx_.sim.now() - rx.last_cnp >= config_.cc.cnp_interval)) {
+         ctx_.sim.now() - rx.last_cnp >= cc::kCnpInterval)) {
       type |= kEcnEchoFlag;
       rx.ce_pending = false;
       rx.cnp_ever = true;

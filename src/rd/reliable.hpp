@@ -66,7 +66,7 @@ struct RdConfig {
   // no pacing, no CNP echo, no cc.* registry keys — byte-identical output.
   // kDcqcn paces each peer with a DCQCN-style rate controller fed by CNP
   // echoes (CE-marked data -> echo flag on the next ACK, coalesced per
-  // cc.cnp_interval). kTimely paces from clean ACK RTT samples instead and
+  // cc::kCnpInterval). kTimely paces from clean ACK RTT samples instead and
   // needs no fabric marking at all.
   cc::CcMode cc_mode = cc::CcMode::kOff;
   cc::CcParams cc;  // controller tuning, used when cc_mode != kOff
@@ -202,7 +202,7 @@ class ReliableDatagram {
     bool gap_armed = false;
     // CNP echo state (DCQCN mode): a CE-marked data packet sets ce_pending
     // and the next ACK towards the peer carries the echo flag, coalesced to
-    // one CNP per cc.cnp_interval.
+    // one CNP per cc::kCnpInterval.
     bool ce_pending = false;
     bool cnp_ever = false;
     TimeNs last_cnp = 0;

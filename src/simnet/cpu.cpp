@@ -30,10 +30,4 @@ void CpuModel::charge_kernel_then(TimeNs cost, Simulation::Task done) {
   sim_.at(charge_kernel(cost), std::move(done));
 }
 
-double CpuModel::utilisation() const {
-  const TimeNs t = sim_.now();
-  if (t <= 0) return 0.0;
-  return static_cast<double>(busy_total_) / static_cast<double>(t);
-}
-
 }  // namespace dgiwarp::sim

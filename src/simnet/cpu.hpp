@@ -61,9 +61,6 @@ class CpuModel {
   TimeNs free_at() const { return user_free_at_; }
   TimeNs busy_total() const { return busy_total_; }
 
-  /// CPU utilisation over [0, now].
-  double utilisation() const;
-
  private:
   void profile(const telemetry::CostSite& site, TimeNs cost) {
     sim_.telemetry().profiler().record(site, cost);

@@ -60,9 +60,6 @@ class Link {
   /// default — the pre-CC fabric behaviour).
   void set_queue_capacity(std::size_t frames);
 
-  std::size_t ecn_threshold() const { return ecn_threshold_; }
-  std::size_t queue_capacity() const { return queue_capacity_; }
-
   /// Queue a frame for transmission. Serialization begins when the link is
   /// free (output queueing), then the frame propagates, possibly dropped,
   /// jittered or reordered by the fault model, and is handed to the
@@ -74,7 +71,6 @@ class Link {
 
   const LinkStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
-  const LinkParams& params() const { return params_; }
 
   /// Frames accepted but not yet fully serialized onto the wire (the
   /// output-queue depth a switch port would show right now). Exact at

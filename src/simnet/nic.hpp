@@ -40,7 +40,6 @@ class Nic {
   /// Ingress entry point (invoked by the link).
   void deliver(Frame f);
 
-  u64 tx_frames() const { return tx_frames_; }
   u64 rx_frames() const { return rx_frames_; }
 
  private:

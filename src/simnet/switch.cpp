@@ -4,10 +4,10 @@
 
 namespace dgiwarp::sim {
 
-Switch::Switch(Simulation& sim, Rng& rng, TimeNs forwarding_latency,
-               std::string name, std::size_t fdb_capacity)
-    : sim_(sim), rng_(rng), latency_(forwarding_latency),
-      name_(std::move(name)), fdb_capacity_(fdb_capacity) {
+Switch::Switch(Simulation& sim, Rng& rng, std::string name,
+               std::size_t fdb_capacity)
+    : sim_(sim), rng_(rng), name_(std::move(name)),
+      fdb_capacity_(fdb_capacity) {
   forwarded_.bind(sim_.telemetry().counter("simnet.switch.frames_forwarded"));
   flooded_.bind(sim_.telemetry().counter("simnet.switch.frames_flooded"));
   fdb_evictions_.bind(
@@ -78,7 +78,7 @@ void Switch::on_ingress(std::size_t port, Frame f) {
     assert(out_port != port);
     if (out_port == port) return;
     Link& out = egress_link(out_port, fr);
-    sim_.at(sim_.now() + latency_, [&out, fr = std::move(fr)]() mutable {
+    sim_.after(kForwardingLatency, [&out, fr = std::move(fr)]() mutable {
       out.transmit(std::move(fr));
     });
   };

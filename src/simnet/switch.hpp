@@ -30,9 +30,11 @@ class Switch {
   /// 0 = unlimited (no eviction). The default comfortably holds the
   /// thousand-node scale runs while still modelling a finite table.
   static constexpr std::size_t kDefaultFdbCapacity = 4096;
+  /// Cut-through forwarding latency.
+  static constexpr TimeNs kForwardingLatency = 500;
 
-  Switch(Simulation& sim, Rng& rng, TimeNs forwarding_latency,
-         std::string name, std::size_t fdb_capacity = kDefaultFdbCapacity);
+  Switch(Simulation& sim, Rng& rng, std::string name,
+         std::size_t fdb_capacity = kDefaultFdbCapacity);
 
   /// Create a duplex cable between `host` and a fresh switch port.
   /// Returns the port index.
@@ -53,14 +55,12 @@ class Switch {
   /// switch -> host direction.
   Link& downlink(std::size_t port) { return *ports_[port].down; }
 
-  std::size_t ports() const { return ports_.size(); }
   const std::string& name() const { return name_; }
 
   u64 frames_forwarded() const { return forwarded_; }
   u64 frames_flooded() const { return flooded_; }
   u64 fdb_evictions() const { return fdb_evictions_; }
   std::size_t fdb_size() const { return fdb_.size(); }
-  std::size_t fdb_capacity() const { return fdb_capacity_; }
 
  private:
   struct Port {
@@ -78,7 +78,6 @@ class Switch {
 
   Simulation& sim_;
   Rng& rng_;
-  TimeNs latency_;
   std::string name_;
   std::size_t fdb_capacity_;
   std::vector<Port> ports_;

@@ -13,18 +13,16 @@ Topology::Topology(Params params) : params_(params), rng_(params.seed) {
   if (params_.leaves == 1) {
     // The paper's testbed: one switch, no spine. Golden traces carry the
     // name "switch0", so it stays.
-    leaves_.push_back(std::make_unique<Switch>(
-        sim_, rng_, params_.switch_latency, "switch0",
-        params_.fdb_capacity));
+    leaves_.push_back(
+        std::make_unique<Switch>(sim_, rng_, "switch0", params_.fdb_capacity));
     return;
   }
 
   for (std::size_t i = 0; i < params_.leaves; ++i)
     leaves_.push_back(std::make_unique<Switch>(
-        sim_, rng_, params_.switch_latency, "leaf" + std::to_string(i),
-        params_.fdb_capacity));
-  spine_ = std::make_unique<Switch>(sim_, rng_, params_.switch_latency,
-                                    "spine0", params_.fdb_capacity);
+        sim_, rng_, "leaf" + std::to_string(i), params_.fdb_capacity));
+  spine_ =
+      std::make_unique<Switch>(sim_, rng_, "spine0", params_.fdb_capacity);
 
   // One trunk LAG per leaf, joining it to the spine. The tree is loop-free
   // by construction (leaves only ever talk through the single spine), which

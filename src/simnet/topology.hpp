@@ -28,7 +28,6 @@ class Topology {
   struct Params {
     LinkParams host_link;            // host <-> leaf cables (10GE default)
     LinkParams trunk_link;           // leaf <-> spine cables
-    TimeNs switch_latency = 500;     // cut-through forwarding latency
     u64 seed = 0xD6E8FEB86659FD93ull;
     std::size_t leaves = 1;          // 1 => single flat switch, no spine
     std::size_t trunk_cables = 1;    // LAG width of each leaf<->spine trunk
@@ -41,7 +40,6 @@ class Topology {
   Simulation& sim() { return sim_; }
   const Simulation& sim() const { return sim_; }
   Rng& rng() { return rng_; }
-  const Params& params() const { return params_; }
 
   /// Add a host on leaf `index % leaves`; returns its global index. The
   /// host's link address is index + 1.
@@ -69,7 +67,6 @@ class Topology {
     return leaf_of_host(host).downlink(locs_[host].port);
   }
 
-  std::size_t trunk_cables() const { return params_.trunk_cables; }
   /// leaf -> spine member `cable` of leaf `i`'s trunk LAG.
   Link& trunk_up(std::size_t i, std::size_t cable = 0) {
     return *trunks_[i].up[cable];

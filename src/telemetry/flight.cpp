@@ -7,8 +7,12 @@
 
 namespace dgiwarp::telemetry {
 
-std::string flight_recorder_json(const Registry& reg, std::string_view reason,
-                                 const FlightOptions& opts) {
+namespace {
+constexpr std::size_t kMaxTraceEvents = 256;  // newest trace-ring events
+constexpr std::size_t kMaxPoints = 64;        // newest points per series
+}  // namespace
+
+std::string flight_recorder_json(const Registry& reg, std::string_view reason) {
   std::string out;
   out.reserve(8192);
   out += "{\n  \"schema\": \"";
@@ -29,12 +33,10 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
   out += wd.trips_json();
   out += "}";
 
-  // Newest `max_trace_events` trace-ring events.
+  // Newest kMaxTraceEvents trace-ring events.
   const std::vector<TraceEvent> events = reg.trace().snapshot();
   const std::size_t skip =
-      events.size() > opts.max_trace_events
-          ? events.size() - opts.max_trace_events
-          : 0;
+      events.size() > kMaxTraceEvents ? events.size() - kMaxTraceEvents : 0;
   out += ",\n  \"trace\": {\"recorded\": ";
   append_u64(out, reg.trace().recorded());
   out += ", \"tail\": [";
@@ -66,7 +68,7 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
     out += "\": [";
     const std::vector<SeriesPoint> pts = ts.snapshot();
     const std::size_t pskip =
-        pts.size() > opts.max_points ? pts.size() - opts.max_points : 0;
+        pts.size() > kMaxPoints ? pts.size() - kMaxPoints : 0;
     bool pfirst = true;
     for (std::size_t i = pskip; i < pts.size(); ++i) {
       out += pfirst ? "[" : ",[";

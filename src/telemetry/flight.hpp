@@ -24,13 +24,9 @@ class Registry;
 
 inline constexpr const char* kFlightSchema = "dgiwarp.flight.v1";
 
-struct FlightOptions {
-  std::size_t max_trace_events = 256;  // newest trace-ring events kept
-  std::size_t max_points = 64;         // newest points kept per series
-};
-
-std::string flight_recorder_json(const Registry& reg, std::string_view reason,
-                                 const FlightOptions& opts = {});
+/// Keeps the newest 256 trace-ring events and the newest 64 points of each
+/// sampled series.
+std::string flight_recorder_json(const Registry& reg, std::string_view reason);
 
 /// Structural validation: schema tag, reason, watchdog block with a trips
 /// array, trace tail with non-decreasing timestamps, counters object.

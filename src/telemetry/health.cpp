@@ -16,9 +16,7 @@ const char* watchdog_rule_name(WatchdogRule r) {
   return "?";
 }
 
-void Watchdog::enable(WatchdogConfig cfg) {
-  if (cfg.interval <= 0) cfg.interval = 1 * kMillisecond;
-  cfg_ = cfg;
+void Watchdog::enable() {
   enabled_ = true;
   next_due_ = 0;
   checks_ = 0;
@@ -102,7 +100,7 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
       }
       r.prev = d;
       r.have_prev = true;
-      if (r.run >= cfg_.queue_ticks) trip(r, t, d);
+      if (r.run >= kStuckQueueTicks) trip(r, t, d);
       break;
     }
     case WatchdogRule::kStalledFlow: {
@@ -115,7 +113,7 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
       }
       r.prev = prog;
       r.have_prev = true;
-      if (r.run >= cfg_.stall_ticks) trip(r, t, out);
+      if (r.run >= kStalledFlowTicks) trip(r, t, out);
       break;
     }
     case WatchdogRule::kRetxStorm: {
@@ -128,10 +126,10 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
         r.have_prev = true;
         break;
       }
-      if (++r.window_pos >= cfg_.storm_window) {
+      if (++r.window_pos >= kRetxStormWindow) {
         const double dr = retx - r.base1;
         const double dg = good > r.base2 ? good - r.base2 : 0.0;
-        if (dr >= cfg_.storm_min_retx && dr > cfg_.storm_ratio * dg)
+        if (dr >= kRetxStormMinRetx && dr > kRetxStormRatio * dg)
           trip(r, t, dr);
         r.base1 = retx;
         r.base2 = good;
@@ -146,7 +144,7 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
       } else {
         r.run = 0;
       }
-      if (r.run >= cfg_.floor_ticks) trip(r, t, rate);
+      if (r.run >= kRateFloorTicks) trip(r, t, rate);
       break;
     }
     case WatchdogRule::kMemLeak: {
@@ -157,7 +155,7 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
         // Both conditions must hold: sustained growth AND real slope. The
         // run keeps extending until either the growth pauses (reset) or
         // the total crosses the slope threshold (trip).
-        if (r.run >= cfg_.leak_ticks && b - r.base1 >= cfg_.leak_min_bytes)
+        if (r.run >= kMemLeakTicks && b - r.base1 >= kMemLeakMinBytes)
           trip(r, t, b - r.base1);
       } else {
         r.run = 0;
@@ -172,7 +170,7 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
 void Watchdog::trip(Rule& r, TimeNs t, double value) {
   r.latched = true;
   ++trip_count_;
-  if (trips_.size() < cfg_.max_trips)
+  if (trips_.size() < kMaxWatchdogTrips)
     trips_.push_back(WatchdogTrip{t, r.kind, r.target, value});
   if (reg_) {
     reg_->counter("telemetry.watchdog.trips").inc();

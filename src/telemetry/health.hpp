@@ -31,21 +31,21 @@ namespace dgiwarp::telemetry {
 
 class Registry;
 
-struct WatchdogConfig {
-  TimeNs interval = 1 * kMillisecond;  // evaluation cadence (virtual time)
-  u32 queue_ticks = 16;    // stuck-queue: consecutive non-draining ticks
-  u32 stall_ticks = 120;   // stalled-flow: must exceed 2x RdConfig::max_rto
-                           // (50ms) at the default 1ms cadence, or two
-                           // back-to-back dropped RTO retransmits at the
-                           // cap read as a stall
-  u32 floor_ticks = 50;    // rate-floor: consecutive pinned ticks
-  u32 storm_window = 16;   // retx-storm: evaluation window in ticks
-  double storm_ratio = 4.0;   // retx delta must exceed ratio * goodput delta
-  double storm_min_retx = 64.0;  // and at least this many retx in the window
-  u32 leak_ticks = 100;    // mem-leak: consecutive strictly-growing ticks
-  double leak_min_bytes = 256.0 * 1024.0;  // and at least this much growth
-  std::size_t max_trips = 64;  // trips retained (counters keep exact totals)
-};
+/// Watchdog cadence and rule thresholds.
+inline constexpr TimeNs kWatchdogInterval = 1 * kMillisecond;  // virtual time
+inline constexpr u32 kStuckQueueTicks = 16;  // consecutive non-draining ticks
+// Stalled flow: must exceed 2x RdConfig::max_rto (50ms) at the 1ms cadence,
+// or two back-to-back dropped RTO retransmits at the cap read as a stall.
+inline constexpr u32 kStalledFlowTicks = 120;
+inline constexpr u32 kRateFloorTicks = 50;   // consecutive pinned ticks
+inline constexpr u32 kRetxStormWindow = 16;  // evaluation window in ticks
+// A storm's retx delta must exceed kRetxStormRatio x the goodput delta and
+// be at least kRetxStormMinRetx.
+inline constexpr double kRetxStormRatio = 4.0;
+inline constexpr double kRetxStormMinRetx = 64.0;
+inline constexpr u32 kMemLeakTicks = 100;  // consecutive growing ticks
+inline constexpr double kMemLeakMinBytes = 256.0 * 1024.0;  // and this much
+inline constexpr std::size_t kMaxWatchdogTrips = 64;  // counters stay exact
 
 enum class WatchdogRule : u8 {
   kStuckQueue = 0,
@@ -69,10 +69,8 @@ struct WatchdogTrip {
 /// so a watchdog is configured enable-then-watch before the run it guards.
 class Watchdog {
  public:
-  void enable(WatchdogConfig cfg = {});
-  void disable() { enabled_ = false; }
+  void enable();
   bool enabled() const { return enabled_; }
-  const WatchdogConfig& config() const { return cfg_; }
 
   void watch_queue(const std::string& target, std::function<double()> depth);
   void watch_flow(const std::string& target,
@@ -92,7 +90,7 @@ class Watchdog {
   void on_advance(TimeNs t) {
     while (next_due_ <= t) {
       check_at(next_due_);
-      next_due_ += cfg_.interval;
+      next_due_ += kWatchdogInterval;
     }
   }
 
@@ -100,7 +98,6 @@ class Watchdog {
   const std::vector<WatchdogTrip>& trips() const { return trips_; }
   u64 trip_count() const { return trip_count_; }
   u64 checks() const { return checks_; }
-  std::size_t rules() const { return rules_.size(); }
 
   /// JSON array of trips (deterministic), embedded by the flight recorder.
   std::string trips_json() const;
@@ -128,7 +125,6 @@ class Watchdog {
   void trip(Rule& r, TimeNs t, double value);
 
   bool enabled_ = false;
-  WatchdogConfig cfg_;
   Registry* reg_ = nullptr;
   TimeNs next_due_ = 0;
   u64 checks_ = 0;

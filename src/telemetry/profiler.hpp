@@ -78,7 +78,6 @@ class CostProfiler {
   };
 
   void enable();
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   void record(const CostSite& site, TimeNs cost) {

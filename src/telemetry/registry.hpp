@@ -137,9 +137,6 @@ class Registry {
   /// Read-only iteration over the stored maps (flight recorder, tests).
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }

@@ -1,5 +1,8 @@
 #include "telemetry/series.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 
@@ -35,9 +38,13 @@ SeriesPoint TimeSeries::last() const {
   return ring_[(head_ + cap_ - 1) % cap_];
 }
 
-void Sampler::enable(SamplerConfig cfg) {
-  if (cfg.interval <= 0) cfg.interval = 100 * kMicrosecond;
-  cfg_ = cfg;
+void Sampler::enable(TimeNs interval) {
+  if (interval <= 0) {
+    std::fprintf(stderr, "Sampler::enable: interval %lld ns is not positive\n",
+                 static_cast<long long>(interval));
+    std::abort();
+  }
+  interval_ = interval;
   enabled_ = true;
   next_due_ = 0;
   last_boundary_ = 0;
@@ -54,8 +61,8 @@ void Sampler::add_probe(const std::string& name, std::function<double()> fn,
   s.fn = std::move(fn);
   s.rate = rate;
   sources_.push_back(std::move(s));
-  series_.try_emplace(name, "probe", cfg_.capacity);
-  if (rate) series_.try_emplace(name + ".rate", "rate", cfg_.capacity);
+  series_.try_emplace(name, "probe", kSeriesCapacity);
+  if (rate) series_.try_emplace(name + ".rate", "rate", kSeriesCapacity);
 }
 
 void Sampler::add_counter(const std::string& counter_name) {
@@ -64,8 +71,8 @@ void Sampler::add_counter(const std::string& counter_name) {
   s.name = counter_name;
   s.rate = true;
   sources_.push_back(std::move(s));
-  series_.try_emplace(counter_name, "counter", cfg_.capacity);
-  series_.try_emplace(counter_name + ".rate", "rate", cfg_.capacity);
+  series_.try_emplace(counter_name, "counter", kSeriesCapacity);
+  series_.try_emplace(counter_name + ".rate", "rate", kSeriesCapacity);
 }
 
 void Sampler::sample_at(TimeNs boundary) {
@@ -104,7 +111,7 @@ std::string Sampler::run_json() const {
   std::string out;
   out.reserve(1024);
   out += "{\"interval_ns\": ";
-  append_u64(out, static_cast<u64>(cfg_.interval));
+  append_u64(out, static_cast<u64>(interval_));
   out += ", \"samples\": ";
   append_u64(out, samples_);
   out += ", \"series\": {";

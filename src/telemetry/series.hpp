@@ -75,20 +75,18 @@ class TimeSeries {
   u64 recorded_ = 0;
 };
 
-struct SamplerConfig {
-  TimeNs interval = 100 * kMicrosecond;  // sampling cadence (virtual time)
-  std::size_t capacity = 4096;           // points retained per series
-};
+/// Points a Sampler retains per series.
+inline constexpr std::size_t kSeriesCapacity = 4096;
 
 /// Disabled by default; owned by Registry and driven from its clock mirror.
 /// enable() resets all sources and series, so a sampler is configured
 /// enable-then-register, before the run whose trajectory it should see.
 class Sampler {
  public:
-  void enable(SamplerConfig cfg = {});
-  void disable() { enabled_ = false; }
+  /// Sample every `interval` of virtual time. An interval <= 0 is a caller
+  /// bug: it prints the interval to stderr and aborts.
+  void enable(TimeNs interval);
   bool enabled() const { return enabled_; }
-  const SamplerConfig& config() const { return cfg_; }
 
   /// Arbitrary rollup source; with rate=true a derived `<name>.rate` series
   /// (units/s of virtual time) is emitted alongside the raw values.
@@ -106,7 +104,7 @@ class Sampler {
   void on_advance(TimeNs t) {
     while (next_due_ <= t) {
       sample_at(next_due_);
-      next_due_ += cfg_.interval;
+      next_due_ += interval_;
     }
   }
 
@@ -136,7 +134,7 @@ class Sampler {
   };
 
   bool enabled_ = false;
-  SamplerConfig cfg_;
+  TimeNs interval_ = 0;
   const Registry* reg_ = nullptr;
   TimeNs next_due_ = 0;
   TimeNs last_boundary_ = 0;

@@ -131,7 +131,6 @@ class SpanTracker {
 
   /// Start tracking. Re-enabling clears all live and finished spans.
   void enable(std::size_t max_finished = kDefaultMaxFinished);
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   /// Open a root span. Returns the null id 0 when disabled (all other

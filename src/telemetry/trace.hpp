@@ -75,7 +75,6 @@ class TraceRing {
 
   /// Start recording. Re-enabling with a new capacity clears the ring.
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() { enabled_ = false; }
 
   bool enabled() const { return enabled_; }
 

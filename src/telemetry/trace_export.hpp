@@ -14,9 +14,9 @@
 // nanosecond precision ("%llu.%03llu" — integer math, so same-seed runs
 // export byte-identical documents).
 //
-// validate_trace_event_json() is the schema gate the verify-telemetry
-// target runs: well-formed JSON, globally non-decreasing ts, and matched
-// B/E pairs per (pid, tid) track.
+// validate_trace_event_json() is the schema gate every trace export passes
+// (golden.fig5_latency runs it): well-formed JSON, globally non-decreasing
+// ts, and matched B/E pairs per (pid, tid) track.
 #pragma once
 
 #include <map>
@@ -48,7 +48,6 @@ class TraceCapture {
 
   std::size_t runs() const { return runs_; }
   const std::vector<Span>& spans() const { return spans_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
   const CostProfiler& profiler() const { return profiler_; }
 
   std::string trace_event_json() const;

@@ -10,7 +10,7 @@ Device::Device(host::Host& host) : Device(host, DeviceConfig{}) {}
 Device::~Device() = default;
 
 ProtectionDomain& Device::create_pd() {
-  pds_.push_back(std::make_unique<ProtectionDomain>(host_, next_pd_id_++));
+  pds_.push_back(std::make_unique<ProtectionDomain>(host_));
   return *pds_.back();
 }
 

@@ -86,7 +86,6 @@ class Device {
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   u32 next_qpn_ = 1;
-  u32 next_pd_id_ = 1;
 };
 
 }  // namespace dgiwarp::verbs

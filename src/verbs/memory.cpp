@@ -12,8 +12,8 @@ i64 mr_ledger_bytes(std::size_t region_bytes) {
 
 }  // namespace
 
-ProtectionDomain::ProtectionDomain(host::Host& host, u32 id)
-    : host_(host), id_(id), mem_(host.ledger_ptr(), "iwarp.pd", 512) {}
+ProtectionDomain::ProtectionDomain(host::Host& host)
+    : host_(host), mem_(host.ledger_ptr(), "iwarp.pd", 512) {}
 
 MemoryRegion ProtectionDomain::register_memory(ByteSpan region, u32 access) {
   const ddp::MemoryRegionInfo info = stags_.register_region(region, access);

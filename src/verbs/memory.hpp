@@ -22,7 +22,7 @@ struct MemoryRegion {
 
 class ProtectionDomain {
  public:
-  ProtectionDomain(host::Host& host, u32 id);
+  explicit ProtectionDomain(host::Host& host);
 
   /// Register `region`; the memory must outlive the registration. The
   /// returned STag can be advertised to peers for tagged access.
@@ -31,14 +31,12 @@ class ProtectionDomain {
   /// Invalidate `stag` and refund the ledger charge register_memory made.
   Status deregister(u32 stag);
 
-  u32 id() const { return id_; }
   const ddp::StagTable& stags() const { return stags_; }
   ddp::StagTable& stags() { return stags_; }
   std::size_t registered_regions() const { return stags_.size(); }
 
  private:
   host::Host& host_;
-  u32 id_;
   ddp::StagTable stags_;
   MemCharge mem_;
 };

@@ -5,7 +5,7 @@ namespace dgiwarp::verbs {
 Node::Node(sim::Topology& topo, NodeSpec spec) : spec_(std::move(spec)) {
   if (spec_.name.empty())
     spec_.name = "node" + std::to_string(topo.hosts());
-  host_ = std::make_unique<host::Host>(topo, spec_.name, spec_.costs);
+  host_ = std::make_unique<host::Host>(topo, spec_.name);
   host_->tcp().set_validate_checksum(spec_.tcp_checksum);
   device_ = std::make_unique<Device>(*host_, spec_.dev);
   pd_ = &device_->create_pd();
@@ -17,7 +17,6 @@ Node::Node(sim::Topology& topo, NodeSpec spec) : spec_(std::move(spec)) {
   attr.pd = pd_;
   attr.send_cq = send_cq_;
   attr.recv_cq = recv_cq_;
-  attr.port = spec_.ud_port;
   attr.reliable = spec_.endpoint == NodeSpec::Endpoint::kRd;
   auto qp = device_->create_ud_qp(attr);
   if (qp.ok())

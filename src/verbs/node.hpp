@@ -3,11 +3,11 @@
 // The node-array experiments (bench/fig12_scale) stand up hundreds of
 // endpoints; spelling out Host + Device + PD + CQs + QP for each one is the
 // construction boilerplate this bundle removes. A NodeSpec describes what
-// the node should carry — cost model, device configuration, and optionally
-// a ready-to-use datagram endpoint (plain UD or UD-over-RD) — and Node
+// the node should carry — device configuration and optionally a
+// ready-to-use datagram endpoint (plain UD or UD-over-RD) — and Node
 // materialises it against a sim::Topology. Placement (which leaf switch,
 // which port) is the topology's policy; the node only knows its global
-// index.
+// index. Every host charges the one cost table, host::kCostModel.
 #pragma once
 
 #include <memory>
@@ -19,14 +19,12 @@ namespace dgiwarp::verbs {
 
 struct NodeSpec {
   std::string name;          // "" => "node<index>" assigned at build time
-  host::CostModel costs;     // host CPU cost model
   DeviceConfig dev;          // RNIC configuration (CRC policy, RD params...)
   bool tcp_checksum = true;  // kernel TCP checksum offload stays on
 
   /// Datagram endpoint provisioned at construction.
   enum class Endpoint { kNone, kUd, kRd };
-  Endpoint endpoint = Endpoint::kNone;
-  u16 ud_port = 0;           // 0 = ephemeral
+  Endpoint endpoint = Endpoint::kNone;  // on an ephemeral UDP port
   std::size_t cq_capacity = 4096;
 };
 
@@ -49,7 +47,6 @@ class Node {
   const std::shared_ptr<UdQueuePair>& qp() const { return qp_; }
   const Status& status() const { return status_; }
 
-  const NodeSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
   std::size_t index() const { return host_->fabric_index(); }
   u32 addr() const { return host_->addr(); }

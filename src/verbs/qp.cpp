@@ -7,13 +7,12 @@ namespace dgiwarp::verbs {
 
 QueuePair::QueuePair(Device& dev, ProtectionDomain& pd,
                      CompletionQueue& send_cq, CompletionQueue& recv_cq,
-                     QpType type, u32 qpn, const std::string& mem_category,
+                     u32 qpn, const std::string& mem_category,
                      std::size_t mem_bytes)
     : dev_(dev),
       pd_(pd),
       send_cq_(send_cq),
       recv_cq_(recv_cq),
-      type_(type),
       qpn_(qpn),
       mem_(dev.host().ledger_ptr(), mem_category,
            static_cast<i64>(mem_bytes)) {}

@@ -17,7 +17,6 @@ class QueuePair {
   virtual ~QueuePair();
 
   u32 qpn() const { return qpn_; }
-  QpType type() const { return type_; }
   QpState state() const { return state_; }
   ProtectionDomain& pd() { return pd_; }
   CompletionQueue& send_cq() { return send_cq_; }
@@ -37,8 +36,8 @@ class QueuePair {
 
  protected:
   QueuePair(Device& dev, ProtectionDomain& pd, CompletionQueue& send_cq,
-            CompletionQueue& recv_cq, QpType type, u32 qpn,
-            const std::string& mem_category, std::size_t mem_bytes);
+            CompletionQueue& recv_cq, u32 qpn, const std::string& mem_category,
+            std::size_t mem_bytes);
 
   /// Pop the next posted receive WR (FIFO, like hardware RQs).
   std::optional<RecvWr> take_recv();
@@ -55,7 +54,6 @@ class QueuePair {
   ProtectionDomain& pd_;
   CompletionQueue& send_cq_;
   CompletionQueue& recv_cq_;
-  QpType type_;
   QpState state_ = QpState::kInit;
   u32 qpn_;
   std::deque<RecvWr> rq_;

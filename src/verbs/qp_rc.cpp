@@ -48,9 +48,8 @@ const char* rc_span_label(WrOpcode op) {
 }  // namespace
 
 RcQueuePair::RcQueuePair(Device& dev, const RcQpAttr& attr)
-    : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, QpType::kRC,
-                dev.alloc_qpn(), "iwarp.rc_qp",
-                dev.host().costs().rc_qp_bytes),
+    : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, dev.alloc_qpn(),
+                "iwarp.rc_qp", dev.host().costs().rc_qp_bytes),
       mpa_tx_(dev.config().mpa),
       mpa_rx_(dev.config().mpa) {
   mpa_rx_.on_ulpdu([this](Bytes ulpdu, bool tainted) {

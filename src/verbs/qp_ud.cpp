@@ -45,9 +45,8 @@ const char* ud_span_label(WrOpcode op) {
 
 UdQueuePair::UdQueuePair(Device& dev, const UdQpAttr& attr,
                          host::UdpSocket* socket)
-    : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, QpType::kUD,
-                dev.alloc_qpn(), "iwarp.ud_qp",
-                dev.host().costs().ud_qp_bytes),
+    : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, dev.alloc_qpn(),
+                "iwarp.ud_qp", dev.host().costs().ud_qp_bytes),
       socket_(socket) {
   auto& reg = dev_.host().sim().telemetry();
   stats_.segments_tx.bind(reg.counter("verbs.ud.segments_tx"));

@@ -55,7 +55,6 @@ class UdQueuePair final : public QueuePair,
 
   u16 local_port() const;
   host::Endpoint local_ep() const;
-  bool reliable() const { return rd_ != nullptr; }
   const UdQpStats& stats() const { return stats_; }
 
   /// Largest message this QP accepts in one WR (stack-level segmentation

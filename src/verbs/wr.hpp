@@ -12,7 +12,6 @@
 
 namespace dgiwarp::verbs {
 
-enum class QpType { kRC, kUD };
 enum class QpState { kInit, kRts, kError };
 
 enum class WrOpcode {

@@ -2,6 +2,8 @@
 // media streaming workload over both transports.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/media/media.hpp"
 #include "apps/sip/agents.hpp"
 #include "simnet/topology.hpp"
@@ -184,6 +186,40 @@ TEST(SipAgents, RcCallSetupAndTeardown) {
   r.client.teardown_all(kSecond);
   r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   EXPECT_EQ(r.server.active_calls(), 0u);
+}
+
+// Nothing answers on the server's port (its SipServer is never started), so
+// RFC 3261 Timer A resends the INVITE T1, 2*T1, ..., 32*T1 apart until
+// kMaxRetransmits resends have gone out; the next firing abandons the call.
+TEST(SipAgents, UdInviteAbandonedAfterTimerA) {
+  SipRig r(sip::Transport::kUd);
+  sim::Simulation& sim = r.topo.sim();
+  auto sent = [&sim] {
+    return sim.telemetry().counter_value("isock.dgram.tx");
+  };
+  const TimeNs t1 = sip::SipConfig{}.t1;
+  const TimeNs dial = sim.now();
+  ASSERT_EQ(r.client.start_calls(1), 1u);
+
+  // Virtual time of every INVITE the client puts on the wire.
+  const std::size_t invites = 1 + sip::kMaxRetransmits;
+  std::vector<TimeNs> at;
+  while (at.size() < invites && sim.step())
+    while (at.size() < sent()) at.push_back(sim.now());
+  ASSERT_EQ(at.size(), invites);
+
+  // The first copy leaves once the app has built it; Timer A runs from
+  // the dial, so resend k goes out (2^k - 1) * T1 after it.
+  EXPECT_GT(at[0], dial);
+  EXPECT_LT(at[0], dial + t1);
+  for (std::size_t k = 1; k < invites; ++k)
+    EXPECT_EQ(at[k] - dial, ((TimeNs{1} << k) - 1) * t1) << "resend " << k;
+
+  // run() returns: the abandoning firing re-arms nothing.
+  sim.run();
+  EXPECT_EQ(sent(), invites);
+  EXPECT_GE(sim.now(), dial + ((TimeNs{1} << invites) - 1) * t1);
+  EXPECT_EQ(r.client.established(), 0u);
 }
 
 TEST(SipAgents, UdResponseTimeFasterThanRc) {

@@ -48,13 +48,13 @@ TEST(RateController, DcqcnCnpCutsRateAndTimersRecoverToLine) {
   EXPECT_EQ(rc.cnps(), 1u);
   EXPECT_GE(rc.rate_decreases(), 1u);
   const double cut = rc.rate_bps(7);
-  EXPECT_LT(cut, p.line_rate_bps);
+  EXPECT_LT(cut, cc::kLineRateBps);
 
   // The alpha-decay and rate-recovery timers must be self-terminating:
   // run() returning at all proves they disarm, and full recovery must end
   // snapped to exactly line rate.
   sim.run();
-  EXPECT_EQ(rc.rate_bps(7), p.line_rate_bps);
+  EXPECT_EQ(rc.rate_bps(7), cc::kLineRateBps);
 }
 
 TEST(RateController, DcqcnRepeatedCnpsRespectTheMinRateFloor) {
@@ -62,9 +62,9 @@ TEST(RateController, DcqcnRepeatedCnpsRespectTheMinRateFloor) {
   cc::CcParams p;
   cc::RateController rc(sim, cc::CcMode::kDcqcn, p);
   for (int i = 0; i < 500; ++i) rc.on_cnp(3);
-  EXPECT_GE(rc.rate_bps(3), p.min_rate_bps);
+  EXPECT_GE(rc.rate_bps(3), cc::kMinRateBps);
   sim.run();
-  EXPECT_EQ(rc.rate_bps(3), p.line_rate_bps);
+  EXPECT_EQ(rc.rate_bps(3), cc::kLineRateBps);
 }
 
 TEST(RateController, TimelyGradientReactsToRttTrend) {
@@ -76,13 +76,13 @@ TEST(RateController, TimelyGradientReactsToRttTrend) {
   // clamped there).
   rc.on_rtt_sample(1, 12 * kMicrosecond);
   rc.on_rtt_sample(1, 12 * kMicrosecond);
-  EXPECT_EQ(rc.rate_bps(1), p.line_rate_bps);
+  EXPECT_EQ(rc.rate_bps(1), cc::kLineRateBps);
 
   // An RTT past t_high forces multiplicative decrease regardless of the
   // gradient sign.
   rc.on_rtt_sample(1, 300 * kMicrosecond);
   const double cut = rc.rate_bps(1);
-  EXPECT_LT(cut, p.line_rate_bps);
+  EXPECT_LT(cut, cc::kLineRateBps);
   EXPECT_GE(rc.rate_decreases(), 1u);
 
   // Draining queues (negative gradient, RTT back under t_low) climb back
@@ -101,11 +101,11 @@ TEST(RateController, ModesIgnoreTheOtherModesSignal) {
   cc::RateController timely(sim, cc::CcMode::kTimely, p);
   timely.on_cnp(1);
   EXPECT_EQ(timely.cnps(), 0u);
-  EXPECT_EQ(timely.rate_bps(1), p.line_rate_bps);
+  EXPECT_EQ(timely.rate_bps(1), cc::kLineRateBps);
 
   cc::RateController dcqcn(sim, cc::CcMode::kDcqcn, p);
   dcqcn.on_rtt_sample(1, kSecond);  // would be a massive Timely cut
-  EXPECT_EQ(dcqcn.rate_bps(1), p.line_rate_bps);
+  EXPECT_EQ(dcqcn.rate_bps(1), cc::kLineRateBps);
 }
 
 // Two hosts on one slow-linked leaf: back-to-back sends outrun the wire,

@@ -20,18 +20,14 @@ namespace {
 
 using telemetry::Registry;
 using telemetry::Sampler;
-using telemetry::SamplerConfig;
 using telemetry::Watchdog;
-using telemetry::WatchdogConfig;
 using telemetry::WatchdogRule;
 
 // ---------------------------------------------------------------- sampler
 
 TEST(Sampler, SamplesEveryBoundaryAcrossIdleJumps) {
   sim::Simulation sim;
-  SamplerConfig sc;
-  sc.interval = 1 * kMillisecond;
-  sim.telemetry().sampler().enable(sc);
+  sim.telemetry().sampler().enable(1 * kMillisecond);
   sim.telemetry().sampler().add_probe("const", [] { return 7.0; });
 
   // One event at 3 ms, then a pure idle jump to 10 ms: the boundary loop
@@ -51,9 +47,7 @@ TEST(Sampler, SamplesEveryBoundaryAcrossIdleJumps) {
 
 TEST(Sampler, CounterSourceDerivesRateSeries) {
   sim::Simulation sim;
-  SamplerConfig sc;
-  sc.interval = 1 * kMillisecond;
-  sim.telemetry().sampler().enable(sc);
+  sim.telemetry().sampler().enable(1 * kMillisecond);
   sim.telemetry().sampler().add_counter("test.ctr");
 
   // +10 events in (1ms, 2ms]: the t=2ms rate point must read 10 per 1 ms
@@ -88,6 +82,21 @@ TEST(Sampler, RingDropsOldestBeyondCapacity) {
   EXPECT_EQ(ts.last().v, 9.0);
 }
 
+TEST(SamplerDeathTest, NonPositiveIntervalAborts) {
+  EXPECT_DEATH(
+      {
+        sim::Simulation sim;
+        sim.telemetry().sampler().enable(0);
+      },
+      "Sampler::enable: interval 0 ns is not positive");
+  EXPECT_DEATH(
+      {
+        sim::Simulation sim;
+        sim.telemetry().sampler().enable(-5);
+      },
+      "interval -5 ns");
+}
+
 // A miniature fig13: 2 senders incast a 1G trunk, sampler armed the way the
 // bench arms it. Returns the run fragment + registry JSON.
 std::pair<std::string, std::string> mini_incast_sampled(bool sample) {
@@ -97,9 +106,7 @@ std::pair<std::string, std::string> mini_incast_sampled(bool sample) {
   sim::Topology topo(tp);
   auto& reg = topo.sim().telemetry();
   if (sample) {
-    SamplerConfig sc;
-    sc.interval = 250 * kMicrosecond;
-    reg.sampler().enable(sc);
+    reg.sampler().enable(250 * kMicrosecond);
     reg.sampler().add_counter("rd.data_rx");
     reg.sampler().add_counter("simnet.link.queue_drops");
   }
@@ -176,8 +183,7 @@ TEST(WatchdogRules, StuckQueueTripsAndLatchesOnce) {
   sim::Simulation sim;
   auto& reg = sim.telemetry();
   reg.trace().enable();
-  WatchdogConfig wc;  // 1 ms cadence, 16 non-draining ticks
-  reg.watchdog().enable(wc);
+  reg.watchdog().enable();  // 1 ms cadence, 16 non-draining ticks
   reg.watchdog().watch_queue("trunk", [] { return 5.0; });
 
   sim.run_until(40 * kMillisecond);
@@ -335,9 +341,7 @@ TEST(FlightRecorder, DocumentValidatesAndCarriesTheStory) {
   reg.trace().enable();
   reg.watchdog().enable();
   reg.watchdog().watch_queue("trunk", [] { return 3.0; });
-  SamplerConfig sc;
-  sc.interval = 1 * kMillisecond;
-  reg.sampler().enable(sc);
+  reg.sampler().enable(1 * kMillisecond);
   reg.sampler().add_probe("depth", [] { return 3.0; });
   reg.counter("some.counter").inc(11);
   sim.at(30 * kMillisecond, [] {});
