@@ -1,6 +1,5 @@
 #include "ddp/reassembly.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace dgiwarp::ddp {
@@ -20,44 +19,6 @@ Status UntaggedReassembler::begin(const UntaggedKey& key, u32 msg_len,
   return Status::Ok();
 }
 
-std::size_t UntaggedReassembler::merge_range(Assembly& a, u32 begin, u32 end) {
-  // Insert [begin,end) and return how many bytes were new.
-  std::size_t added = 0;
-  u32 cur = begin;
-  auto& rs = a.ranges;
-  std::vector<std::pair<u32, u32>> merged;
-  merged.reserve(rs.size() + 1);
-  bool inserted = false;
-  for (const auto& r : rs) {
-    if (r.second < begin || r.first > end) {
-      if (!inserted && r.first > end) {
-        // flush the new range before this one
-      }
-      merged.push_back(r);
-      continue;
-    }
-    // Overlap: count the new part before merging.
-    if (r.first > cur) added += r.first - cur;
-    cur = std::max(cur, r.second);
-    begin = std::min(begin, r.first);
-    end = std::max(end, r.second);
-  }
-  if (cur < end) added += end - cur;
-  merged.push_back({begin, end});
-  std::sort(merged.begin(), merged.end());
-  // Coalesce adjacent ranges.
-  rs.clear();
-  for (const auto& r : merged) {
-    if (!rs.empty() && r.first <= rs.back().second) {
-      rs.back().second = std::max(rs.back().second, r.second);
-    } else {
-      rs.push_back(r);
-    }
-  }
-  (void)inserted;
-  return added;
-}
-
 Result<UntaggedReassembler::OfferResult> UntaggedReassembler::offer(
     const UntaggedKey& key, u32 mo, ConstByteSpan payload) {
   auto it = inflight_.find(key);
@@ -68,7 +29,7 @@ Result<UntaggedReassembler::OfferResult> UntaggedReassembler::offer(
     return Status(Errc::kOutOfRange, "segment beyond message length");
 
   const std::size_t added =
-      merge_range(a, mo, mo + static_cast<u32>(payload.size()));
+      merge_range(a.ranges, mo, static_cast<u32>(payload.size()));
   if (added > 0) {
     std::memcpy(a.sink.data() + mo, payload.data(), payload.size());
     a.received += added;

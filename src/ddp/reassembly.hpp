@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/byte_ranges.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -70,10 +71,8 @@ class UntaggedReassembler {
     TimeNs deadline = 0;
     std::size_t received = 0;
     // Received byte ranges, coalesced, to make duplicates idempotent.
-    std::vector<std::pair<u32, u32>> ranges;  // [begin, end)
+    std::vector<ByteRange> ranges;
   };
-
-  static std::size_t merge_range(Assembly& a, u32 begin, u32 end);
 
   std::map<UntaggedKey, Assembly> inflight_;
 };

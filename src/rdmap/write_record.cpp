@@ -1,34 +1,9 @@
 #include "rdmap/write_record.hpp"
 
-#include <algorithm>
-
 namespace dgiwarp::rdmap {
 
 void ValidityMap::add(u32 offset, u32 length) {
-  if (length == 0) return;
-  u32 begin = offset;
-  u32 end = offset + length;
-  std::vector<Range> out;
-  out.reserve(ranges_.size() + 1);
-  bool inserted = false;
-  for (const Range& r : ranges_) {
-    const u32 r_end = r.offset + r.length;
-    if (r_end < begin || r.offset > end) {
-      if (!inserted && r.offset > end) {
-        out.push_back(Range{begin, end - begin});
-        inserted = true;
-      }
-      out.push_back(r);
-    } else {
-      begin = std::min(begin, r.offset);
-      end = std::max(end, r_end);
-    }
-  }
-  if (!inserted) out.push_back(Range{begin, end - begin});
-  std::sort(out.begin(), out.end(), [](const Range& a, const Range& b) {
-    return a.offset < b.offset;
-  });
-  ranges_ = std::move(out);
+  merge_range(ranges_, offset, length);
 }
 
 std::size_t ValidityMap::valid_bytes() const {

@@ -21,6 +21,7 @@
 #include <map>
 #include <vector>
 
+#include "common/byte_ranges.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "telemetry/registry.hpp"
@@ -30,11 +31,7 @@ namespace dgiwarp::rdmap {
 /// Sorted, coalesced set of valid byte ranges within one message.
 class ValidityMap {
  public:
-  struct Range {
-    u32 offset = 0;
-    u32 length = 0;
-    friend bool operator==(const Range&, const Range&) = default;
-  };
+  using Range = ByteRange;
 
   /// Record [offset, offset+length) as valid. Overlaps coalesce.
   void add(u32 offset, u32 length);

@@ -7,11 +7,10 @@ namespace dgiwarp::sim {
 void Nic::send(Frame f) {
   if (!tx_) return;
   f.src = addr_;
-  if (f.id == 0) f.id = reg_ ? reg_->alloc_frame_id() : next_frame_id_++;
+  if (f.id == 0) f.id = reg_.alloc_frame_id();
   ++tx_frames_;
-  if (f.span && reg_)
-    reg_->spans().stage(f.span, telemetry::Stage::kNicTx, f.id,
-                        f.wire_bytes());
+  if (f.span)
+    reg_.spans().stage(f.span, telemetry::Stage::kNicTx, f.id, f.wire_bytes());
   tx_->transmit(std::move(f));
 }
 

@@ -13,7 +13,14 @@ class Nic {
  public:
   using RxHandler = std::function<void(Frame)>;
 
-  Nic(LinkAddr addr, std::string name) : addr_(addr), name_(std::move(name)) {}
+  /// Frame counters mirror into `reg` (simnet.nic.*), which also allocates
+  /// frame ids (per-Simulation ids keep exported traces deterministic within
+  /// one process) and takes the kNicTx span stage marks.
+  Nic(LinkAddr addr, std::string name, telemetry::Registry& reg)
+      : addr_(addr), name_(std::move(name)), reg_(reg) {
+    tx_frames_.bind(reg.counter("simnet.nic.tx_frames"));
+    rx_frames_.bind(reg.counter("simnet.nic.rx_frames"));
+  }
 
   LinkAddr addr() const { return addr_; }
   const std::string& name() const { return name_; }
@@ -21,16 +28,6 @@ class Nic {
   /// Wire this NIC's egress to `tx` and register our handler as its peer's
   /// ingress. Called by the fabric builder.
   void attach_tx(Link* tx) { tx_ = tx; }
-
-  /// Mirror frame counters into `reg` (simnet.nic.*). Called by the fabric
-  /// builder right after construction. Also makes `reg` the frame-id
-  /// allocator (per-Simulation ids keep exported traces deterministic
-  /// within one process) and the span sink for kNicTx stage marks.
-  void bind_telemetry(telemetry::Registry& reg) {
-    tx_frames_.bind(reg.counter("simnet.nic.tx_frames"));
-    rx_frames_.bind(reg.counter("simnet.nic.rx_frames"));
-    reg_ = &reg;
-  }
 
   void set_rx_handler(RxHandler h) { rx_ = std::move(h); }
 
@@ -49,9 +46,7 @@ class Nic {
   RxHandler rx_;
   telemetry::Metric tx_frames_;
   telemetry::Metric rx_frames_;
-  telemetry::Registry* reg_ = nullptr;
-  // Fallback allocator for NICs never bound to a Registry (unit tests).
-  inline static u64 next_frame_id_ = 1;
+  telemetry::Registry& reg_;
 };
 
 }  // namespace dgiwarp::sim

@@ -66,8 +66,7 @@ Topology::Topology(Params params) : params_(params), rng_(params.seed) {
 std::size_t Topology::add_host(const std::string& name) {
   const std::size_t index = nics_.size();
   const LinkAddr addr = static_cast<LinkAddr>(index + 1);
-  nics_.push_back(std::make_unique<Nic>(addr, name));
-  nics_.back()->bind_telemetry(sim_.telemetry());
+  nics_.push_back(std::make_unique<Nic>(addr, name, sim_.telemetry()));
   const std::size_t leaf = index % leaves_.size();
   const std::size_t port =
       leaves_[leaf]->attach(*nics_.back(), params_.host_link);

@@ -56,7 +56,7 @@ void Registry::merge_from(const Registry& other) {
     for (double x : h.samples().values()) mine.add(x);
   }
   if (trace_.enabled()) {
-    for (const TraceEvent& e : other.trace_.snapshot()) trace_.push(e);
+    for (const TraceEvent& e : other.trace_.snapshot()) trace_.ring_.push(e);
   }
   // Profiler buckets add like counters. Spans are NOT merged here: their
   // timestamps are per-Simulation virtual times, so cross-run aggregation

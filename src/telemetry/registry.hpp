@@ -164,10 +164,9 @@ class Registry {
   Watchdog& watchdog() { return watchdog_; }
   const Watchdog& watchdog() const { return watchdog_; }
 
-  /// Per-Simulation frame-id allocator (used by sim::Nic once telemetry is
-  /// bound). Scoping ids to the Simulation — instead of a process-global
-  /// counter — keeps exported traces byte-identical across same-seed runs
-  /// inside one process.
+  /// Per-Simulation frame-id allocator (used by sim::Nic). Scoping ids to
+  /// the Simulation — instead of a process-global counter — keeps exported
+  /// traces byte-identical across same-seed runs inside one process.
   u64 alloc_frame_id() { return next_frame_id_++; }
 
   /// Virtual-clock mirror. Advanced by the owning Simulation as events

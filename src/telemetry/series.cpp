@@ -8,36 +8,6 @@
 
 namespace dgiwarp::telemetry {
 
-void TimeSeries::push(TimeNs t, double v) {
-  if (ring_.size() < cap_) {
-    ring_.push_back(SeriesPoint{t, v});
-  } else {
-    ring_[head_] = SeriesPoint{t, v};  // overwrite the oldest
-    head_ = (head_ + 1) % cap_;
-  }
-  ++recorded_;
-}
-
-std::vector<SeriesPoint> TimeSeries::snapshot() const {
-  std::vector<SeriesPoint> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < cap_) {
-    out = ring_;
-  } else {
-    out.insert(out.end(), ring_.begin() + static_cast<long>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<long>(head_));
-  }
-  return out;
-}
-
-SeriesPoint TimeSeries::last() const {
-  if (ring_.empty()) return {};
-  if (ring_.size() < cap_) return ring_.back();
-  return ring_[(head_ + cap_ - 1) % cap_];
-}
-
 void Sampler::enable(TimeNs interval) {
   if (interval <= 0) {
     std::fprintf(stderr, "Sampler::enable: interval %lld ns is not positive\n",

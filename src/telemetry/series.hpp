@@ -33,6 +33,7 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "telemetry/ring.hpp"
 
 namespace dgiwarp::telemetry {
 
@@ -45,34 +46,29 @@ struct SeriesPoint {
   double v = 0.0;
 };
 
-/// Fixed-capacity point ring: once full the oldest point is overwritten and
-/// counted in dropped(), so memory stays bounded regardless of run length
-/// (the TraceRing discipline).
+/// Fixed-capacity point ring (BoundedRing, as the trace uses): once full the
+/// oldest point is overwritten and counted in dropped(), so memory stays
+/// bounded regardless of run length.
 class TimeSeries {
  public:
   TimeSeries() = default;
   TimeSeries(const char* kind, std::size_t capacity)
-      : kind_(kind), cap_(capacity ? capacity : 1) {
-    ring_.reserve(cap_);
-  }
+      : kind_(kind), ring_(capacity) {}
 
-  void push(TimeNs t, double v);
+  void push(TimeNs t, double v) { ring_.push(SeriesPoint{t, v}); }
   /// Points currently held, oldest first.
-  std::vector<SeriesPoint> snapshot() const;
+  std::vector<SeriesPoint> snapshot() const { return ring_.snapshot(); }
 
   const char* kind() const { return kind_; }
   std::size_t size() const { return ring_.size(); }
-  u64 recorded() const { return recorded_; }
-  u64 dropped() const { return recorded_ > cap_ ? recorded_ - cap_ : 0; }
+  u64 recorded() const { return ring_.recorded(); }
+  u64 dropped() const { return ring_.dropped(); }
   /// Latest point (t=0/v=0 when empty) — what the flight recorder reports.
-  SeriesPoint last() const;
+  SeriesPoint last() const { return ring_.last(); }
 
  private:
   const char* kind_ = "probe";
-  std::size_t cap_ = 1;
-  std::size_t head_ = 0;  // next write position once full
-  std::vector<SeriesPoint> ring_;
-  u64 recorded_ = 0;
+  BoundedRing<SeriesPoint> ring_{1};
 };
 
 /// Points a Sampler retains per series.

@@ -28,38 +28,8 @@ const char* trace_kind_name(TraceKind k) {
 }
 
 void TraceRing::enable(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
   enabled_ = true;
-  cap_ = capacity;
-  head_ = 0;
-  recorded_ = 0;
-  ring_.clear();
-  ring_.reserve(capacity);
-}
-
-void TraceRing::push(TraceEvent e) {
-  if (ring_.size() < cap_) {
-    ring_.push_back(e);
-  } else {
-    ring_[head_] = e;  // overwrite the oldest
-  }
-  head_ = (head_ + 1) % cap_;
-  ++recorded_;
-}
-
-std::vector<TraceEvent> TraceRing::snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < cap_) {
-    out = ring_;
-  } else {
-    // Full ring: head_ is both the next write slot and the oldest event.
-    out.insert(out.end(), ring_.begin() + static_cast<long>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<long>(head_));
-  }
-  return out;
+  ring_.reset(capacity);
 }
 
 }  // namespace dgiwarp::telemetry

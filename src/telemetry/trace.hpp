@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "telemetry/ring.hpp"
 
 namespace dgiwarp::telemetry {
 
@@ -55,11 +56,11 @@ struct TraceEvent {
   u64 b = 0;
 };
 
-/// Fixed-capacity ring: once full, the oldest event is overwritten and
-/// counted in dropped(). Memory is bounded by capacity regardless of run
-/// length. Timestamps come from the clock pointer wired by the owning
-/// Registry (mirrored from the Simulation), so instrumented layers never
-/// re-read Simulation::now().
+/// Fixed-capacity ring (BoundedRing): once full, the oldest event is
+/// overwritten and counted in dropped(). Memory is bounded by capacity
+/// regardless of run length. Timestamps come from the clock pointer wired by
+/// the owning Registry (mirrored from the Simulation), so instrumented layers
+/// never re-read Simulation::now().
 ///
 /// Clock wiring: a ring obtained through Registry::trace() ALWAYS has the
 /// clock wired — the Registry constructor points it at the registry's
@@ -80,27 +81,24 @@ class TraceRing {
 
   void record(TraceKind kind, u64 a = 0, u64 b = 0) {
     if (!enabled_) return;  // the whole hot-path cost when tracing is off
-    push(TraceEvent{clock_ ? *clock_ : 0, kind, a, b});
+    ring_.push(TraceEvent{clock_ ? *clock_ : 0, kind, a, b});
   }
 
   /// Events currently held, oldest first.
-  std::vector<TraceEvent> snapshot() const;
+  std::vector<TraceEvent> snapshot() const { return ring_.snapshot(); }
 
-  std::size_t capacity() const { return cap_; }
-  u64 recorded() const { return recorded_; }
+  /// 0 until enabled.
+  std::size_t capacity() const { return ring_.capacity(); }
+  u64 recorded() const { return ring_.recorded(); }
   /// Events overwritten because the ring was full.
-  u64 dropped() const { return recorded_ > cap_ ? recorded_ - cap_ : 0; }
+  u64 dropped() const { return ring_.dropped(); }
 
  private:
   friend class Registry;
   void set_clock(const TimeNs* clock) { clock_ = clock; }
-  void push(TraceEvent e);
 
   bool enabled_ = false;
-  std::size_t cap_ = 0;
-  std::size_t head_ = 0;  // next write position
-  std::vector<TraceEvent> ring_;
-  u64 recorded_ = 0;
+  BoundedRing<TraceEvent> ring_;
   const TimeNs* clock_ = nullptr;
 };
 

@@ -22,29 +22,6 @@ Bytes make_handshake(bool request, const mpa::MpaConfig& cfg) {
   return out;
 }
 
-WcOpcode wc_of(WrOpcode op) {
-  switch (op) {
-    case WrOpcode::kSend:
-    case WrOpcode::kSendSE: return WcOpcode::kSend;
-    case WrOpcode::kRdmaWrite: return WcOpcode::kRdmaWrite;
-    case WrOpcode::kRdmaRead: return WcOpcode::kRdmaRead;
-    case WrOpcode::kWriteRecord: return WcOpcode::kWriteRecord;
-  }
-  return WcOpcode::kSend;
-}
-
-// Static label for the root lifecycle span of an RC work request.
-const char* rc_span_label(WrOpcode op) {
-  switch (op) {
-    case WrOpcode::kSend: return "RC Send";
-    case WrOpcode::kSendSE: return "RC SendSE";
-    case WrOpcode::kRdmaWrite: return "RC Write";
-    case WrOpcode::kRdmaRead: return "RC Read";
-    case WrOpcode::kWriteRecord: return "RC WriteRecord";
-  }
-  return "RC";
-}
-
 }  // namespace
 
 RcQueuePair::RcQueuePair(Device& dev, const RcQpAttr& attr)
@@ -62,7 +39,6 @@ RcQueuePair::RcQueuePair(Device& dev, const RcQpAttr& attr)
   stats_.crc_escapes.bind(reg.counter("verbs.rc.crc_escapes"));
   stats_.parse_rejects.bind(reg.counter("verbs.rc.parse_rejects"));
   stats_.terminates_rx.bind(reg.counter("verbs.rc.terminates_rx"));
-  wr_log_.bind_telemetry(reg);
 }
 
 RcQueuePair::~RcQueuePair() {
@@ -186,97 +162,43 @@ void RcQueuePair::on_handshake_complete() {
   drain_tx();
 }
 
+std::size_t RcQueuePair::max_segment_payload() const {
+  // MULPDU: the largest DDP segment MPA can frame into one TCP MSS.
+  return mpa::max_ulpdu_for(host::kTcpMss, dev_.config().mpa) -
+         ddp::kHeaderBytes;
+}
+
 Status RcQueuePair::post_send(const SendWr& wr) {
   if (state_ == QpState::kError)
     return Status(Errc::kInvalidArgument, "QP in error state");
 
-  auto& c = dev_.host().costs();
-  dev_.host().cpu().charge(c.verbs_post_fixed + c.rdmap_op_fixed,
-                           {telemetry::CostLayer::kVerbs,
-                            telemetry::CostActivity::kPost, wr.local.size()});
-
-  // Root of the message lifecycle (see UdQueuePair::post_send); RC frames
-  // carry it via TcpSocket::tag_tx_span because the drain into the socket
-  // is deferred past this scope.
-  host::HostCtx& hc = dev_.host().ctx();
-  auto& spans = dev_.host().sim().telemetry().spans();
-  u64 span = hc.active_span;
-  if (span == 0 && spans.enabled())
-    span = spans.begin(telemetry::SpanKind::kMessage, rc_span_label(wr.opcode),
-                       dev_.host().addr(),
-                       wr.opcode == WrOpcode::kRdmaRead ? wr.read_len
-                                                        : wr.local.size(),
-                       wr.wr_id);
-  host::SpanScope span_scope(hc, span);
+  // RC frames carry the root span via TcpSocket::tag_tx_span because the
+  // drain into the socket is deferred past this scope.
+  host::SpanScope span_scope(dev_.host().ctx(),
+                             begin_post(wr, kRcSpanLabels));
 
   if (wr.opcode == WrOpcode::kRdmaRead) {
-    rdmap::ReadRequestPayload req;
-    req.sink_stag = 0;
-    req.sink_to = 0;
-    req.src_stag = wr.remote_stag;
-    req.src_to = wr.remote_offset;
-    req.length = wr.read_len;
-    const u32 read_id = next_read_id_++;
+    const u32 read_id = next_msg_id_++;
     // The sink buffer must be registered for placement on response arrival.
     const auto mr = pd_.register_memory(wr.read_sink, kLocalWrite | kRemoteWrite);
     pending_reads_[read_id] =
         PendingRead{wr.wr_id, mr.stag, 0, wr.read_len, wr.signaled};
-
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(rdmap::Opcode::kReadRequest));
-    h.set_last(true);
-    h.queue = static_cast<u8>(ddp::Queue::kReadRequest);
-    h.msn = read_id;
-    h.src_qpn = qpn_;
-    const Bytes payload = req.serialize();
-    h.msg_len = static_cast<u32>(payload.size());
-    enqueue_segment(h, ConstByteSpan{payload}, std::nullopt);
+    const ControlMessage req = read_request_message(wr, read_id);
+    enqueue_segment(req.header, req.payload, std::nullopt);
     return Status::Ok();
   }
 
-  rdmap::Opcode op;
-  bool tagged = false;
-  switch (wr.opcode) {
-    case WrOpcode::kSend: op = rdmap::Opcode::kSend; break;
-    case WrOpcode::kSendSE: op = rdmap::Opcode::kSendSE; break;
-    case WrOpcode::kRdmaWrite:
-      op = rdmap::Opcode::kWrite;
-      tagged = true;
-      break;
-    case WrOpcode::kWriteRecord:
-      op = rdmap::Opcode::kWriteRecord;
-      tagged = true;
-      break;
-    default:
-      return Status(Errc::kUnsupported, "opcode not valid on RC");
-  }
-
-  // MULPDU: the largest DDP segment MPA can frame into one TCP MSS.
-  const std::size_t mulpdu =
-      mpa::max_ulpdu_for(host::kTcpMss, dev_.config().mpa);
-  const std::size_t max_payload = mulpdu - ddp::kHeaderBytes;
-  const auto plan = ddp::plan_segments(wr.local.size(), max_payload);
-  const u32 msn = tagged ? next_read_id_++ : ++tx_msn_;
-
-  for (const auto& seg : plan) {
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(op));
-    h.set_tagged(tagged);
-    h.set_last(seg.last);
-    h.queue = static_cast<u8>(rdmap::untagged_queue(op));
-    h.msn = msn;
-    h.mo = static_cast<u32>(seg.offset);
-    h.msg_len = static_cast<u32>(wr.local.size());
-    h.src_qpn = qpn_;
-    if (tagged) {
-      h.stag = wr.remote_stag;
-      h.to = wr.remote_offset + seg.offset;
-    }
+  const rdmap::Opcode op = rdmap_opcode(wr.opcode);
+  const u32 msn = rdmap::is_tagged(op) ? next_msg_id_++ : ++tx_msn_;
+  for (const auto& seg :
+       ddp::plan_segments(wr.local.size(), max_segment_payload())) {
     std::optional<TxCompletion> done;
     if (seg.last)
-      done = TxCompletion{wr.wr_id, wc_of(wr.opcode), wr.local.size(),
+      done = TxCompletion{wr.wr_id, wc_opcode(wr.opcode), wr.local.size(),
                           wr.signaled, dev_.host().sim().now()};
-    enqueue_segment(h, wr.local.subspan(seg.offset, seg.length), done);
+    enqueue_segment(segment_header(op, msn, static_cast<u32>(wr.local.size()),
+                                   seg, wr.remote_stag, wr.remote_offset),
+                    wr.local.subspan(seg.offset, seg.length), done);
   }
   return Status::Ok();
 }
@@ -439,12 +361,7 @@ void RcQueuePair::handle_untagged(const ddp::ParsedSegment& seg,
           fatal(Status(Errc::kInvalidArgument, "receive buffer too small"));
           return;
         }
-        dev_.host().cpu().charge(c.recv_match_fixed,
-                                 {telemetry::CostLayer::kVerbs,
-                                  telemetry::CostActivity::kMatch, 0});
-        dev_.host().sim().telemetry().spans().stage(
-            dev_.host().ctx().active_span, telemetry::Stage::kRecvMatch,
-            wr->wr_id, seg.header.msg_len);
+        charge_recv_match(wr->wr_id, seg.header.msg_len);
         active_recv_ = ActiveRecv{*wr, seg.header.msn, 0, seg.header.msg_len,
                                   op == rdmap::Opcode::kSendSE};
       }
@@ -537,25 +454,7 @@ void RcQueuePair::handle_tagged(const ddp::ParsedSegment& seg,
                                 telemetry::CostActivity::kControl, 0});
       spans.stage(span, telemetry::Stage::kPlacement, seg.header.to,
                   seg.payload.size());
-      auto res = wr_log_.record_chunk(
-          remote_ep().ip, seg.header.src_qpn, seg.header.msn, seg.header.stag,
-          seg.header.to, seg.header.mo, static_cast<u32>(seg.payload.size()),
-          seg.header.msg_len, seg.header.last(),
-          dev_.host().sim().now() + dev_.config().ud_message_timeout);
-      if (res.message_completed) {
-        auto rec = wr_log_.take_completed();
-        Completion done;
-        done.opcode = WcOpcode::kRecvWriteRecord;
-        done.byte_len = rec->validity.valid_bytes();
-        done.src = remote_ep();
-        done.src_qpn = rec->src_qpn;
-        done.stag = rec->stag;
-        done.base_to = rec->base_to;
-        done.validity = std::move(rec->validity);
-        done.span = span;
-        done.ends_span = true;
-        complete_recv(std::move(done));
-      }
+      record_write_chunk(remote_ep(), seg);
       return;
     }
     case rdmap::Opcode::kReadResponse: {
@@ -602,20 +501,11 @@ void RcQueuePair::respond_read(const ddp::ParsedSegment& seg) {
     fatal(data.status());
     return;
   }
-  const std::size_t mulpdu =
-      mpa::max_ulpdu_for(host::kTcpMss, dev_.config().mpa);
-  const auto plan = ddp::plan_segments(req->length, mulpdu - ddp::kHeaderBytes);
-  for (const auto& s : plan) {
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(rdmap::Opcode::kReadResponse));
-    h.set_tagged(true);
-    h.set_last(s.last);
-    h.msn = seg.header.msn;  // read id chosen by the requester
-    h.mo = static_cast<u32>(s.offset);
-    h.msg_len = req->length;
-    h.src_qpn = qpn_;
-    enqueue_segment(h, data->subspan(s.offset, s.length), std::nullopt);
-  }
+  for (const auto& s : ddp::plan_segments(req->length, max_segment_payload()))
+    enqueue_segment(segment_header(rdmap::Opcode::kReadResponse,
+                                   seg.header.msn, req->length, s,
+                                   req->src_stag),
+                    data->subspan(s.offset, s.length), std::nullopt);
 }
 
 void RcQueuePair::send_terminate(rdmap::TermError err, u32 context) {
@@ -626,18 +516,8 @@ void RcQueuePair::send_terminate(rdmap::TermError err, u32 context) {
   // Terminate is a reverse-direction control message: do not let it tag the
   // stream with the span of the segment that provoked it.
   host::SpanScope scope(dev_.host().ctx(), 0);
-  rdmap::TerminateMessage t;
-  t.layer = rdmap::TermLayer::kDdp;
-  t.error_code = static_cast<u8>(err);
-  t.context = context;
-  const Bytes payload = t.serialize();
-  ddp::SegmentHeader h;
-  h.set_opcode(static_cast<u8>(rdmap::Opcode::kTerminate));
-  h.set_last(true);
-  h.queue = static_cast<u8>(ddp::Queue::kTerminate);
-  h.msg_len = static_cast<u32>(payload.size());
-  h.src_qpn = qpn_;
-  enqueue_segment(h, ConstByteSpan{payload}, std::nullopt);
+  const ControlMessage t = terminate_message(err, context);
+  enqueue_segment(t.header, t.payload, std::nullopt);
 }
 
 void RcQueuePair::fatal(const Status& why) {

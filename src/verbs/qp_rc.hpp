@@ -8,13 +8,9 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <optional>
 
-#include "ddp/reassembly.hpp"
-#include "ddp/segmenter.hpp"
-#include "rdmap/message.hpp"
-#include "rdmap/terminate.hpp"
-#include "rdmap/write_record.hpp"
 #include "verbs/device.hpp"
 
 namespace dgiwarp::verbs {
@@ -68,6 +64,7 @@ class RcQueuePair final : public QueuePair,
   void respond_read(const ddp::ParsedSegment& seg);
   void send_terminate(rdmap::TermError err, u32 context);
   void fatal(const Status& why);
+  std::size_t max_segment_payload() const;
 
   /// Frame + queue one DDP segment for transmission; `completes_wr` marks
   /// the final segment of a message.
@@ -125,11 +122,6 @@ class RcQueuePair final : public QueuePair,
     bool signaled = true;
   };
   std::map<u32, PendingRead> pending_reads_;
-  u32 next_read_id_ = 1;
-
-  // Write-Record over a reliable transport (paper: "also valid for a
-  // reliable transport").
-  rdmap::WriteRecordLog wr_log_;
 
   RcQpStats stats_;
 };

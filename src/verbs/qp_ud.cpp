@@ -5,44 +5,6 @@
 
 namespace dgiwarp::verbs {
 
-namespace {
-
-rdmap::Opcode to_rdmap(WrOpcode op) {
-  switch (op) {
-    case WrOpcode::kSend: return rdmap::Opcode::kSend;
-    case WrOpcode::kSendSE: return rdmap::Opcode::kSendSE;
-    case WrOpcode::kWriteRecord: return rdmap::Opcode::kWriteRecord;
-    case WrOpcode::kRdmaWrite: return rdmap::Opcode::kWrite;
-    case WrOpcode::kRdmaRead: return rdmap::Opcode::kReadRequest;
-  }
-  return rdmap::Opcode::kSend;
-}
-
-WcOpcode wc_of(WrOpcode op) {
-  switch (op) {
-    case WrOpcode::kSend:
-    case WrOpcode::kSendSE: return WcOpcode::kSend;
-    case WrOpcode::kRdmaWrite: return WcOpcode::kRdmaWrite;
-    case WrOpcode::kRdmaRead: return WcOpcode::kRdmaRead;
-    case WrOpcode::kWriteRecord: return WcOpcode::kWriteRecord;
-  }
-  return WcOpcode::kSend;
-}
-
-// Static label for the root lifecycle span of a UD work request.
-const char* ud_span_label(WrOpcode op) {
-  switch (op) {
-    case WrOpcode::kSend: return "UD Send";
-    case WrOpcode::kSendSE: return "UD SendSE";
-    case WrOpcode::kRdmaWrite: return "UD Write";
-    case WrOpcode::kRdmaRead: return "UD Read";
-    case WrOpcode::kWriteRecord: return "UD WriteRecord";
-  }
-  return "UD";
-}
-
-}  // namespace
-
 UdQueuePair::UdQueuePair(Device& dev, const UdQpAttr& attr,
                          host::UdpSocket* socket)
     : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, dev.alloc_qpn(),
@@ -62,7 +24,6 @@ UdQueuePair::UdQueuePair(Device& dev, const UdQpAttr& attr,
   stats_.terminates_rx.bind(reg.counter("verbs.ud.terminates_rx"));
   stats_.rd_failures.bind(reg.counter("verbs.ud.rd_failures"));
   stats_.rd_rx_gaps.bind(reg.counter("verbs.ud.rd_rx_gaps"));
-  wr_log_.bind_telemetry(reg);
 
   if (attr.reliable) {
     rd_ = std::make_unique<rd::ReliableDatagram>(dev.host().ctx(), *socket_,
@@ -102,13 +63,44 @@ std::size_t UdQueuePair::max_segment_payload() const {
   return ddp::ud_max_segment_payload(budget);
 }
 
-void UdQueuePair::transmit_segment(const host::Endpoint& dst, Bytes segment) {
+void UdQueuePair::transmit_segment(const host::Endpoint& dst,
+                                   const ddp::SegmentHeader& h,
+                                   ConstByteSpan payload) {
+  const Bytes segment = ddp::build_segment(h, payload, dev_.config().ud_crc);
   ++stats_.segments_tx;
   if (rd_) {
     (void)rd_->send_to(dst, ConstByteSpan{segment});
   } else {
     (void)socket_->send_to(dst, ConstByteSpan{segment});
   }
+}
+
+void UdQueuePair::send_data_segment(const host::Endpoint& dst,
+                                    const ddp::SegmentHeader& h,
+                                    ConstByteSpan payload) {
+  // Stack work: build the segment (one touch of the payload) + CRC.
+  // Charged as three sequential attributable pieces — same total.
+  auto& c = dev_.host().costs();
+  auto& cpu = dev_.host().cpu();
+  cpu.charge(c.ddp_segment_fixed,
+             {telemetry::CostLayer::kDdp, telemetry::CostActivity::kSegment,
+              payload.size()});
+  cpu.charge(static_cast<TimeNs>(c.touch_ns_per_byte *
+                                 static_cast<double>(payload.size())),
+             {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCopy,
+              payload.size()});
+  if (dev_.config().ud_crc)
+    cpu.charge(static_cast<TimeNs>(c.crc_ns_per_byte *
+                                   static_cast<double>(payload.size())),
+               {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCrc,
+                payload.size()});
+  // The segment rides the ambient span: the WR's root span when posted, the
+  // requester's span for a Read Response (so its trace shows the full
+  // request->response round trip).
+  dev_.host().sim().telemetry().spans().stage(
+      dev_.host().ctx().active_span, telemetry::Stage::kSegmentTx, h.mo,
+      payload.size());
+  transmit_segment(dst, h, payload);
 }
 
 Status UdQueuePair::post_send(const SendWr& wr) {
@@ -125,112 +117,48 @@ Status UdQueuePair::post_send(const SendWr& wr) {
   if (wr.local.size() > max_message_size())
     return Status(Errc::kInvalidArgument, "message too large");
 
-  auto& c = dev_.host().costs();
-  dev_.host().cpu().charge(c.verbs_post_fixed + c.rdmap_op_fixed,
-                           {telemetry::CostLayer::kVerbs,
-                            telemetry::CostActivity::kPost, wr.local.size()});
-
-  // Root of the message lifecycle: the span begins here (with a kPostSend
-  // stage) unless an upper layer (isock) already opened one for this
-  // message, and rides HostCtx::active_span down to every frame this WR
-  // produces.
-  host::HostCtx& hc = dev_.host().ctx();
-  auto& spans = dev_.host().sim().telemetry().spans();
-  u64 span = hc.active_span;
-  if (span == 0 && spans.enabled())
-    span = spans.begin(telemetry::SpanKind::kMessage, ud_span_label(wr.opcode),
-                       dev_.host().addr(),
-                       wr.opcode == WrOpcode::kRdmaRead ? wr.read_len
-                                                        : wr.local.size(),
-                       wr.wr_id);
-  host::SpanScope span_scope(hc, span);
+  host::SpanScope span_scope(dev_.host().ctx(),
+                             begin_post(wr, kUdSpanLabels));
 
   // RDMA Read (extension): a single untagged request on QN1.
   if (wr.opcode == WrOpcode::kRdmaRead) {
-    rdmap::ReadRequestPayload req;
-    req.sink_stag = 0;  // sink is identified by read id on the UD path
-    req.sink_to = 0;
-    req.src_stag = wr.remote_stag;
-    req.src_to = wr.remote_offset;
-    req.length = wr.read_len;
     const u32 read_id = next_msg_id_++;
     pending_reads_[read_id] = PendingRead{
         wr.wr_id, wr.read_sink, wr.read_len, wr.signaled,
         dev_.host().sim().now() + dev_.config().ud_message_timeout};
     ensure_gc();
-
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(rdmap::Opcode::kReadRequest));
-    h.set_last(true);
-    h.queue = static_cast<u8>(ddp::Queue::kReadRequest);
-    h.msn = read_id;
-    h.src_qpn = qpn_;
-    const Bytes payload = req.serialize();
-    h.msg_len = static_cast<u32>(payload.size());
-    dev_.host().cpu().charge(c.ddp_segment_fixed,
+    const ControlMessage req = read_request_message(wr, read_id);
+    dev_.host().cpu().charge(dev_.host().costs().ddp_segment_fixed,
                              {telemetry::CostLayer::kDdp,
                               telemetry::CostActivity::kSegment,
-                              payload.size()});
-    spans.stage(span, telemetry::Stage::kSegmentTx, read_id, payload.size());
-    transmit_segment(wr.remote.ep,
-                     ddp::build_segment(h, ConstByteSpan{payload},
-                                        dev_.config().ud_crc));
+                              req.payload.size()});
+    dev_.host().sim().telemetry().spans().stage(
+        dev_.host().ctx().active_span, telemetry::Stage::kSegmentTx, read_id,
+        req.payload.size());
+    transmit_segment(wr.remote.ep, req.header, req.payload);
     // Completion is raised when the response data has been placed.
     return Status::Ok();
   }
 
-  const rdmap::Opcode op = to_rdmap(wr.opcode);
-  const bool tagged = rdmap::is_tagged(op);
-  const auto plan = ddp::plan_segments(wr.local.size(), max_segment_payload());
-
-  u32 msn;
-  if (tagged) {
-    msn = next_msg_id_++;  // Write-Record message id
-  } else {
-    msn = ++next_msn_[{wr.remote.ep, wr.remote.qpn}];
-  }
-
-  for (const auto& seg : plan) {
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(op));
-    h.set_tagged(tagged);
-    h.set_last(seg.last);
-    h.queue = static_cast<u8>(rdmap::untagged_queue(op));
-    h.msn = msn;
-    h.mo = static_cast<u32>(seg.offset);
-    h.msg_len = static_cast<u32>(wr.local.size());
-    h.src_qpn = qpn_;
-    if (tagged) {
-      h.stag = wr.remote_stag;
-      h.to = wr.remote_offset + seg.offset;
-    }
-    const ConstByteSpan payload = wr.local.subspan(seg.offset, seg.length);
-    // Stack work: build the segment (one touch of the payload) + CRC.
-    // Charged as three sequential attributable pieces — same total.
-    dev_.host().cpu().charge(c.ddp_segment_fixed,
-                             {telemetry::CostLayer::kDdp,
-                              telemetry::CostActivity::kSegment, seg.length});
-    dev_.host().cpu().charge(
-        static_cast<TimeNs>(c.touch_ns_per_byte *
-                            static_cast<double>(seg.length)),
-        {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCopy,
-         seg.length});
-    if (dev_.config().ud_crc)
-      dev_.host().cpu().charge(
-          static_cast<TimeNs>(c.crc_ns_per_byte *
-                              static_cast<double>(seg.length)),
-          {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCrc,
-           seg.length});
-    spans.stage(span, telemetry::Stage::kSegmentTx, seg.offset, seg.length);
-    transmit_segment(wr.remote.ep,
-                     ddp::build_segment(h, payload, dev_.config().ud_crc));
-  }
+  const rdmap::Opcode op = rdmap_opcode(wr.opcode);
+  // Tagged: the Write-Record message id; untagged: the next MSN for this
+  // destination.
+  const u32 msn = rdmap::is_tagged(op)
+                      ? next_msg_id_++
+                      : ++next_msn_[{wr.remote.ep, wr.remote.qpn}];
+  for (const auto& seg :
+       ddp::plan_segments(wr.local.size(), max_segment_payload()))
+    send_data_segment(wr.remote.ep,
+                      segment_header(op, msn,
+                                     static_cast<u32>(wr.local.size()), seg,
+                                     wr.remote_stag, wr.remote_offset),
+                      wr.local.subspan(seg.offset, seg.length));
 
   // "The source completes the operation at the moment that the last bit of
   // the message is passed to transport layer" (§IV.B.3). The source-side
   // completion does not end the lifecycle span — the message is still in
   // flight; the receive side finishes it.
-  complete_send(wr.wr_id, wc_of(wr.opcode), wr.local.size(), Status::Ok(),
+  complete_send(wr.wr_id, wc_opcode(wr.opcode), wr.local.size(), Status::Ok(),
                 wr.signaled);
   return Status::Ok();
 }
@@ -352,12 +280,7 @@ void UdQueuePair::handle_untagged(host::Endpoint src,
       send_terminate(src, rdmap::TermError::kBufferTooSmall, seg.header.msn);
       return;
     }
-    dev_.host().cpu().charge(c.recv_match_fixed,
-                             {telemetry::CostLayer::kVerbs,
-                              telemetry::CostActivity::kMatch, 0});
-    dev_.host().sim().telemetry().spans().stage(
-        dev_.host().ctx().active_span, telemetry::Stage::kRecvMatch,
-        wr->wr_id, seg.header.msg_len);
+    charge_recv_match(wr->wr_id, seg.header.msg_len);
     (void)reasm_.begin(key, seg.header.msg_len, wr->buffer, wr->wr_id,
                        dev_.host().sim().now() + dev_.config().ud_message_timeout);
     ensure_gc();
@@ -420,31 +343,8 @@ void UdQueuePair::handle_write_record(host::Endpoint src,
       dev_.host().ctx().active_span, telemetry::Stage::kPlacement,
       seg.header.to, seg.payload.size());
 
-  auto res = wr_log_.record_chunk(
-      src.ip, seg.header.src_qpn, seg.header.msn, seg.header.stag,
-      seg.header.to, seg.header.mo, static_cast<u32>(seg.payload.size()),
-      seg.header.msg_len, seg.header.last(),
-      dev_.host().sim().now() + dev_.config().ud_message_timeout);
-  if (res.late) ++stats_.late_chunks;
   ensure_gc();
-
-  if (res.message_completed) {
-    auto rec = wr_log_.take_completed();
-    Completion done;
-    done.wr_id = 0;  // no WR was consumed — truly one-sided
-    done.opcode = WcOpcode::kRecvWriteRecord;
-    done.byte_len = rec->validity.valid_bytes();
-    done.src = src;
-    done.src_qpn = rec->src_qpn;
-    done.stag = rec->stag;
-    done.base_to = rec->base_to;
-    done.validity = std::move(rec->validity);
-    // One-sided: the target-side record entry is what completes the
-    // Write-Record's lifecycle.
-    done.span = dev_.host().ctx().active_span;
-    done.ends_span = true;
-    complete_recv(std::move(done));
-  }
+  if (record_write_chunk(src, seg).late) ++stats_.late_chunks;
 }
 
 void UdQueuePair::handle_read_request(host::Endpoint src,
@@ -466,43 +366,14 @@ void UdQueuePair::handle_read_request(host::Endpoint src,
     return;
   }
 
-  // Stream the response as tagged ReadResponse segments keyed by read id.
-  auto& c = dev_.host().costs();
-  const auto plan = ddp::plan_segments(req->length, max_segment_payload());
-  for (const auto& s : plan) {
-    ddp::SegmentHeader h;
-    h.set_opcode(static_cast<u8>(rdmap::Opcode::kReadResponse));
-    h.set_tagged(true);
-    h.set_last(s.last);
-    h.msn = seg.header.msn;  // read id
-    h.mo = static_cast<u32>(s.offset);
-    h.msg_len = req->length;
-    h.src_qpn = qpn_;
-    h.stag = req->src_stag;  // informational; requester places by read id
-    h.to = s.offset;
-    dev_.host().cpu().charge(c.ddp_segment_fixed,
-                             {telemetry::CostLayer::kDdp,
-                              telemetry::CostActivity::kSegment, s.length});
-    dev_.host().cpu().charge(
-        static_cast<TimeNs>(c.touch_ns_per_byte *
-                            static_cast<double>(s.length)),
-        {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCopy,
-         s.length});
-    if (dev_.config().ud_crc)
-      dev_.host().cpu().charge(
-          static_cast<TimeNs>(c.crc_ns_per_byte *
-                              static_cast<double>(s.length)),
-          {telemetry::CostLayer::kDdp, telemetry::CostActivity::kCrc,
-           s.length});
-    // Response segments ride the requester's span (the ambient delivery
-    // scope), so its trace shows the full request->response round trip.
-    dev_.host().sim().telemetry().spans().stage(
-        dev_.host().ctx().active_span, telemetry::Stage::kSegmentTx, s.offset,
-        s.length);
-    transmit_segment(src, ddp::build_segment(
-                              h, data->subspan(s.offset, s.length),
-                              dev_.config().ud_crc));
-  }
+  // Stream the response as tagged Read Response segments keyed by read id;
+  // their STag is informational, as the requester places by read id.
+  for (const auto& s : ddp::plan_segments(req->length, max_segment_payload()))
+    send_data_segment(src,
+                      segment_header(rdmap::Opcode::kReadResponse,
+                                     seg.header.msn, req->length, s,
+                                     req->src_stag),
+                      data->subspan(s.offset, s.length));
 }
 
 void UdQueuePair::handle_read_response(host::Endpoint src,
@@ -540,27 +411,15 @@ void UdQueuePair::handle_read_response(host::Endpoint src,
 
 void UdQueuePair::send_terminate(host::Endpoint dst, rdmap::TermError err,
                                  u32 context) {
-  rdmap::TerminateMessage t;
-  t.layer = rdmap::TermLayer::kDdp;
-  t.error_code = static_cast<u8>(err);
-  t.context = context;
-  const Bytes payload = t.serialize();
-
-  ddp::SegmentHeader h;
-  h.set_opcode(static_cast<u8>(rdmap::Opcode::kTerminate));
-  h.set_last(true);
-  h.queue = static_cast<u8>(ddp::Queue::kTerminate);
-  h.msg_len = static_cast<u32>(payload.size());
-  h.src_qpn = qpn_;
+  const ControlMessage t = terminate_message(err, context);
   dev_.host().cpu().charge(dev_.host().costs().ddp_segment_fixed,
                            {telemetry::CostLayer::kDdp,
                             telemetry::CostActivity::kControl,
-                            payload.size()});
+                            t.payload.size()});
   // Terminate is a reverse-direction control message: it must not carry the
   // span of the segment that provoked it.
   host::SpanScope scope(dev_.host().ctx(), 0);
-  transmit_segment(dst, ddp::build_segment(h, ConstByteSpan{payload},
-                                           dev_.config().ud_crc));
+  transmit_segment(dst, t.header, t.payload);
 }
 
 void UdQueuePair::ensure_gc() {

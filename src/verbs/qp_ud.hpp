@@ -14,10 +14,6 @@
 #include <map>
 
 #include "ddp/reassembly.hpp"
-#include "ddp/segmenter.hpp"
-#include "rdmap/message.hpp"
-#include "rdmap/terminate.hpp"
-#include "rdmap/write_record.hpp"
 #include "verbs/device.hpp"
 
 namespace dgiwarp::verbs {
@@ -72,7 +68,14 @@ class UdQueuePair final : public QueuePair,
   void handle_read_request(host::Endpoint src, const ddp::ParsedSegment& seg);
   void handle_read_response(host::Endpoint src, const ddp::ParsedSegment& seg);
   void send_terminate(host::Endpoint dst, rdmap::TermError err, u32 context);
-  void transmit_segment(const host::Endpoint& dst, Bytes segment);
+  /// Build one segment (DDP CRC per DeviceConfig::ud_crc) and send it as
+  /// one datagram.
+  void transmit_segment(const host::Endpoint& dst, const ddp::SegmentHeader& h,
+                        ConstByteSpan payload);
+  /// transmit_segment for a data segment (Send, Write-Record, Read
+  /// Response), charging its build, copy and CRC.
+  void send_data_segment(const host::Endpoint& dst,
+                         const ddp::SegmentHeader& h, ConstByteSpan payload);
   std::size_t max_segment_payload() const;
   void ensure_gc();
   void run_gc();
@@ -80,10 +83,8 @@ class UdQueuePair final : public QueuePair,
   host::UdpSocket* socket_;
   std::unique_ptr<rd::ReliableDatagram> rd_;
   ddp::UntaggedReassembler reasm_;
-  rdmap::WriteRecordLog wr_log_;
   /// Per-destination MSN for untagged sends (keyed by endpoint+QPN).
   std::map<std::pair<host::Endpoint, u32>, u32> next_msn_;
-  u32 next_msg_id_ = 1;
   /// Outstanding UD RDMA Reads (extension): read id -> pending state.
   struct PendingRead {
     u64 wr_id = 0;

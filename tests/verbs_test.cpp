@@ -1,8 +1,12 @@
 // Verbs layer tests: datagram loss semantics (buffer recovery, relaxed
 // error rules), Write-Record partial placement end-to-end, CQ behaviour,
-// multi-peer UD scalability, the RD-mode QP and the UD RDMA Read extension.
+// multi-peer UD scalability, the RD-mode QP, the UD RDMA Read extension and
+// the UD wire format.
 #include <gtest/gtest.h>
 
+#include "ddp/header.hpp"
+#include "rdmap/message.hpp"
+#include "rdmap/terminate.hpp"
 #include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_rc.hpp"
@@ -450,6 +454,172 @@ TEST(UdQp, UnsignaledSendsProduceNoCompletion) {
   // Receiver saw it; sender CQ stays empty.
   EXPECT_TRUE(r.cq_b.poll().has_value());
   EXPECT_FALSE(r.cq_a.poll().has_value());
+}
+
+// Every field of a DDP header parsed off the wire against the expected one.
+void expect_header(const ddp::SegmentHeader& got,
+                   const ddp::SegmentHeader& want) {
+  EXPECT_EQ(got.control, want.control);
+  EXPECT_EQ(got.queue, want.queue);
+  EXPECT_EQ(got.stag, want.stag);
+  EXPECT_EQ(got.to, want.to);
+  EXPECT_EQ(got.msn, want.msn);
+  EXPECT_EQ(got.mo, want.mo);
+  EXPECT_EQ(got.msg_len, want.msg_len);
+  EXPECT_EQ(got.src_qpn, want.src_qpn);
+}
+
+TEST(UdQp, WireFormatSeenByRawSocket) {
+  // A raw UDP socket on the peer host parses each datagram the UD QP emits
+  // (DDP CRC on) and checks every header field of each segment kind: the
+  // datagram-iWARP wire format, written out here field by field.
+  verbs::DeviceConfig cfg;
+  cfg.enable_ud_read = true;
+  cfg.max_ud_payload = 1000;  // 32 B header + 964 B payload + 4 B CRC
+  constexpr u32 kSeg = 964;
+  constexpr u8 kTagged = ddp::kCtrlTagged, kLast = ddp::kCtrlLast;
+  Rig r(cfg);
+  auto qa = r.ud_pair_a();
+  const u32 qpn = qa->qpn();
+  host::UdpSocket* sock = *r.b.udp().open(4000);
+  std::vector<Bytes> wire;
+  sock->set_handler([&](host::Endpoint src, Bytes data, bool) {
+    EXPECT_EQ(src, qa->local_ep());
+    wire.push_back(std::move(data));
+  });
+  // Runs the simulation and parses what reached the socket since the last
+  // call; the segments view `wire` until the next call.
+  auto delivered = [&] {
+    wire.clear();
+    r.topo.sim().run();
+    std::vector<ddp::ParsedSegment> segs;
+    for (const Bytes& d : wire) {
+      EXPECT_LE(d.size(), cfg.max_ud_payload);
+      auto p = ddp::parse_segment(ConstByteSpan{d}, /*with_crc=*/true);
+      EXPECT_TRUE(p.ok()) << p.status().to_string();
+      if (p.ok()) segs.push_back(*p);
+    }
+    return segs;
+  };
+  const verbs::RemoteAddress peer{r.b.endpoint(4000), 9};
+
+  // Multi-segment Send: untagged QN0, MSN 1 for this destination.
+  const Bytes msg = make_pattern(2500, 1);
+  SendWr wr;
+  wr.local = ConstByteSpan{msg};
+  wr.remote = peer;
+  ASSERT_TRUE(qa->post_send(wr).ok());
+  auto segs = delivered();
+  ASSERT_EQ(segs.size(), 3u);
+  for (u32 i = 0; i < 3; ++i) {
+    const u32 mo = i * kSeg;
+    const u8 last = i == 2 ? kLast : 0;
+    expect_header(segs[i].header,
+                  {.control = static_cast<u8>(last | 0x3), .queue = 0,
+                   .stag = 0, .to = 0, .msn = 1, .mo = mo, .msg_len = 2500,
+                   .src_qpn = qpn});
+    EXPECT_TRUE(std::equal(segs[i].payload.begin(), segs[i].payload.end(),
+                           msg.begin() + mo));
+  }
+
+  // SendSE: the next MSN on the same destination.
+  wr.opcode = WrOpcode::kSendSE;
+  wr.local = ConstByteSpan{msg}.subspan(0, 100);
+  ASSERT_TRUE(qa->post_send(wr).ok());
+  segs = delivered();
+  ASSERT_EQ(segs.size(), 1u);
+  expect_header(segs[0].header,
+                {.control = kLast | 0x5, .queue = 0, .stag = 0, .to = 0,
+                 .msn = 2, .mo = 0, .msg_len = 100, .src_qpn = qpn});
+
+  // Write-Record: tagged, TO = remote offset + MO, the first message id.
+  wr.opcode = WrOpcode::kWriteRecord;
+  wr.local = ConstByteSpan{msg}.subspan(0, 2000);
+  wr.remote_stag = 0x1234;
+  wr.remote_offset = 500;
+  ASSERT_TRUE(qa->post_send(wr).ok());
+  segs = delivered();
+  ASSERT_EQ(segs.size(), 3u);
+  for (u32 i = 0; i < 3; ++i) {
+    const u32 mo = i * kSeg;
+    const u8 last = i == 2 ? kLast : 0;
+    expect_header(segs[i].header,
+                  {.control = static_cast<u8>(kTagged | last | 0x8),
+                   .queue = 0, .stag = 0x1234, .to = 500u + mo, .msn = 1,
+                   .mo = mo, .msg_len = 2000, .src_qpn = qpn});
+  }
+
+  // Read Request (extension): untagged QN1; the read id continues the
+  // tagged message ids.
+  Bytes sink(300, 0);
+  wr.opcode = WrOpcode::kRdmaRead;
+  wr.remote_stag = 0x5678;
+  wr.remote_offset = 40;
+  wr.read_sink = ByteSpan{sink};
+  wr.read_len = 300;
+  ASSERT_TRUE(qa->post_send(wr).ok());
+  segs = delivered();
+  ASSERT_EQ(segs.size(), 1u);
+  expect_header(segs[0].header,
+                {.control = kLast | 0x1, .queue = 1, .stag = 0, .to = 0,
+                 .msn = 2, .mo = 0, .msg_len = 28, .src_qpn = qpn});
+  auto req = rdmap::ReadRequestPayload::parse(segs[0].payload);
+  ASSERT_TRUE(req.ok());
+  EXPECT_EQ(req->sink_stag, 0u);
+  EXPECT_EQ(req->sink_to, 0u);
+  EXPECT_EQ(req->src_stag, 0x5678u);
+  EXPECT_EQ(req->src_to, 40u);
+  EXPECT_EQ(req->length, 300u);
+
+  // Read Response to a Read Request from the socket: tagged, MSN = the
+  // requester's read id, STag = the source STag, TO = MO.
+  Bytes region = make_pattern(2000, 2);
+  auto mr = r.pd_a.register_memory(ByteSpan{region},
+                                   verbs::kLocalRead | verbs::kRemoteRead);
+  const Bytes ask = rdmap::ReadRequestPayload{0, 0, mr.stag, 100, 1500}
+                        .serialize();
+  ASSERT_TRUE(sock->send_to(qa->local_ep(),
+                            ConstByteSpan{ddp::build_segment(
+                                {.control = kLast | 0x1, .queue = 1,
+                                 .msn = 77,
+                                 .msg_len = static_cast<u32>(ask.size()),
+                                 .src_qpn = 9},
+                                ConstByteSpan{ask}, true)})
+                  .ok());
+  segs = delivered();
+  ASSERT_EQ(segs.size(), 2u);
+  for (u32 i = 0; i < 2; ++i) {
+    const u32 mo = i * kSeg;
+    const u8 last = i == 1 ? kLast : 0;
+    expect_header(segs[i].header,
+                  {.control = static_cast<u8>(kTagged | last | 0x2),
+                   .queue = 0, .stag = mr.stag, .to = mo, .msn = 77,
+                   .mo = mo, .msg_len = 1500, .src_qpn = qpn});
+    EXPECT_TRUE(std::equal(segs[i].payload.begin(), segs[i].payload.end(),
+                           region.begin() + 100 + mo));
+  }
+
+  // A tagged RDMA Write is invalid over datagrams: the QP answers with a
+  // Terminate on QN2 naming the offending MSN.
+  const Bytes junk(10, 0xAB);
+  ASSERT_TRUE(sock->send_to(qa->local_ep(),
+                            ConstByteSpan{ddp::build_segment(
+                                {.control = kTagged | kLast | 0x0,
+                                 .stag = mr.stag, .msn = 55, .msg_len = 10,
+                                 .src_qpn = 9},
+                                ConstByteSpan{junk}, true)})
+                  .ok());
+  segs = delivered();
+  ASSERT_EQ(segs.size(), 1u);
+  expect_header(segs[0].header,
+                {.control = kLast | 0x6, .queue = 2, .stag = 0, .to = 0,
+                 .msn = 0, .mo = 0, .msg_len = 8, .src_qpn = qpn});
+  auto term = rdmap::TerminateMessage::parse(segs[0].payload);
+  ASSERT_TRUE(term.ok());
+  EXPECT_EQ(term->layer, rdmap::TermLayer::kDdp);
+  EXPECT_EQ(term->error_code,
+            static_cast<u8>(rdmap::TermError::kInvalidOpcode));
+  EXPECT_EQ(term->context, 55u);
 }
 
 TEST(Cq, WaitTimesOutWhenNothingArrives) {
