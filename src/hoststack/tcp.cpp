@@ -764,13 +764,10 @@ u16 TcpLayer::alloc_ephemeral() {
     const u16 candidate = next_ephemeral_;
     next_ephemeral_ =
         next_ephemeral_ == 65'535 ? u16{49'152} : u16(next_ephemeral_ + 1);
-    bool used = false;
-    for (const auto& [key, _] : conns_) {
-      if (key.local_port == candidate) {
-        used = true;
-        break;
-      }
-    }
+    // ConnKey orders by local port first, so the first key at or after
+    // (candidate, lowest endpoint) tells whether any connection uses it.
+    const auto it = conns_.lower_bound(ConnKey{candidate, Endpoint{}});
+    const bool used = it != conns_.end() && it->first.local_port == candidate;
     if (!used && !listeners_.contains(candidate)) return candidate;
   }
   return 0;

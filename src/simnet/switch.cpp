@@ -37,13 +37,12 @@ std::size_t Switch::add_trunk(std::vector<Link*> cables) {
   const std::size_t port = ports_.size();
   Port p;
   p.egress = std::move(cables);
-  p.trunk = true;
   ports_.push_back(std::move(p));
   return port;
 }
 
-void Switch::learn(LinkAddr src, std::size_t port) {
-  if (auto it = fdb_.find(src); it != fdb_.end()) {
+void Switch::learn(LinkAddr addr, std::size_t port) {
+  if (auto it = fdb_.find(addr); it != fdb_.end()) {
     it->second = port;  // station moved (or trunk path refreshed)
     return;
   }
@@ -54,8 +53,8 @@ void Switch::learn(LinkAddr src, std::size_t port) {
     fdb_fifo_.pop_front();
     ++fdb_evictions_;
   }
-  fdb_.emplace(src, port);
-  fdb_fifo_.push_back(src);
+  fdb_.emplace(addr, port);
+  fdb_fifo_.push_back(addr);
 }
 
 Link& Switch::egress_link(std::size_t port, const Frame& f) {

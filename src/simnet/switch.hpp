@@ -57,6 +57,11 @@ class Switch {
 
   const std::string& name() const { return name_; }
 
+  /// Point the FDB entry for `addr` at `port`, evicting the oldest entry
+  /// when the table is full. Every ingress frame teaches its source this
+  /// way; sim::Topology also calls it to program a leaf-spine fabric.
+  void learn(LinkAddr addr, std::size_t port);
+
   u64 frames_forwarded() const { return forwarded_; }
   u64 frames_flooded() const { return flooded_; }
   u64 fdb_evictions() const { return fdb_evictions_; }
@@ -67,11 +72,9 @@ class Switch {
     std::unique_ptr<Link> up;    // host -> switch (host ports only)
     std::unique_ptr<Link> down;  // switch -> host (host ports only)
     std::vector<Link*> egress;   // {down.get()} for hosts; the LAG for trunks
-    bool trunk = false;
   };
 
   void on_ingress(std::size_t port, Frame f);
-  void learn(LinkAddr src, std::size_t port);
   /// Egress LAG member for `f` on `port`: stable per-flow (src, dst) hash,
   /// so a flow's frames share one cable and stay ordered.
   Link& egress_link(std::size_t port, const Frame& f);

@@ -71,6 +71,15 @@ std::size_t Topology::add_host(const std::string& name) {
   const std::size_t port =
       leaves_[leaf]->attach(*nics_.back(), params_.host_link);
   locs_.push_back({leaf, port});
+  if (spine_) {
+    // A leaf-spine fabric knows where every host is from the start, as a
+    // controller or gratuitous ARP would arrange: its own leaf points at
+    // the host port, every other leaf at its trunk, the spine at the trunk
+    // toward the host's leaf. Learning and flooding remain the fallback.
+    for (std::size_t i = 0; i < leaves_.size(); ++i)
+      leaves_[i]->learn(addr, i == leaf ? port : trunks_[i].leaf_port);
+    spine_->learn(addr, trunks_[leaf].spine_port);
+  }
   return index;
 }
 

@@ -42,7 +42,9 @@ class Topology {
   Rng& rng() { return rng_; }
 
   /// Add a host on leaf `index % leaves`; returns its global index. The
-  /// host's link address is index + 1.
+  /// host's link address is index + 1. With a spine, every switch's FDB
+  /// is programmed with that address at once; the one-leaf testbed learns
+  /// it from traffic.
   std::size_t add_host(const std::string& name);
 
   Nic& nic(std::size_t host) { return *nics_[host]; }

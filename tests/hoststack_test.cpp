@@ -3,6 +3,9 @@
 // implementation (handshake, bulk transfer, loss recovery, teardown).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "hoststack/host.hpp"
 #include "simnet/topology.hpp"
 
@@ -318,6 +321,36 @@ TEST(Tcp, ConnectionCountTracksLifecycle) {
   p.n.topo.sim().run();
   EXPECT_EQ(p.n.a.tcp().connection_count(), 0u);
   EXPECT_EQ(p.n.b.tcp().connection_count(), 0u);
+}
+
+TEST(Tcp, EphemeralPortsAreDistinctSkipListenersAndRecycle) {
+  // The ephemeral range [49152, 65535] holds 16,384 ports and a listener
+  // takes one. The simulation never runs, so every socket stays in
+  // SYN-SENT and keeps its port.
+  Net n;
+  constexpr u16 kListenPort = 49'153;
+  ASSERT_TRUE(n.a.tcp().listen(kListenPort, [](host::TcpSocket::Ptr) {}).ok());
+  std::vector<host::TcpSocket::Ptr> socks;
+  std::set<u16> ports;
+  for (int i = 0; i < 16'383; ++i) {
+    auto r = n.a.tcp().connect({n.b.addr(), 800});
+    ASSERT_TRUE(r.ok()) << "connect " << i;
+    socks.push_back(*r);
+    ports.insert(socks.back()->local().port);
+  }
+  EXPECT_EQ(ports.size(), 16'383u);
+  EXPECT_GE(*ports.begin(), 49'152);
+  EXPECT_FALSE(ports.contains(kListenPort));
+  EXPECT_EQ(n.a.tcp().connect({n.b.addr(), 800}).code(),
+            Errc::kResourceExhausted);
+
+  // Closing a socket in SYN-SENT frees its port for the next connect.
+  host::TcpSocket& victim = *socks[100];
+  ASSERT_EQ(victim.state(), host::TcpSocket::State::kSynSent);
+  victim.close();
+  auto again = n.a.tcp().connect({n.b.addr(), 800});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->local().port, victim.local().port);
 }
 
 TEST(Ip, ReassemblyTimeoutExpiresPartials) {
