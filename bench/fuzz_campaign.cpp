@@ -245,15 +245,14 @@ FormatResult fuzz_mpa() {
       Bytes stream;
       for (int f = 0; f < 3; ++f) {
         const Bytes ulpdu = pattern(40 + 64 * f, static_cast<u32>(f));
-        const Bytes framed = tx.frame(ConstByteSpan{ulpdu});
-        stream.insert(stream.end(), framed.begin(), framed.end());
+        tx.frame(stream, ConstByteSpan{ulpdu});
       }
       const Bytes mut = m.mutate(ConstByteSpan{stream});
       ++res.mutations;
 
       mpa::MpaReceiver rx(cfg);
       std::size_t delivered = 0;
-      rx.on_ulpdu([&](Bytes u, bool) { delivered += u.size(); });
+      rx.on_ulpdu([&](ConstByteSpan u, bool) { delivered += u.size(); });
       std::size_t off = 0;
       bool poisoned = false;
       while (off < mut.size()) {

@@ -105,7 +105,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void on_segment(const SegmentView& seg, bool tainted);
   void handle_ack(const SegmentView& seg);
   void handle_data(const SegmentView& seg, bool tainted);
-  void deliver_in_order();
+  void deliver_in_order(ConstByteSpan in_order = {}, bool tainted = false,
+                        u64 span = 0);
   void try_send();
   void send_segment(u64 seq, ConstByteSpan payload, u8 flags, bool retx);
   void send_ack();
@@ -114,6 +115,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void retransmit_head();
   void update_rtt(TimeNs sample);
   std::size_t flight_size() const;
+  std::size_t unacked_bytes() const { return snd_buf_.size() - snd_head_; }
   void to_state(State s);
   void notify_close();
   void destroy();
@@ -123,8 +125,11 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   Endpoint remote_;
   State state_ = State::kClosed;
 
-  // Send side. snd_buf_[0] corresponds to sequence snd_una_.
+  // Send side. snd_buf_[snd_head_] is the byte at sequence snd_una_: ACKs
+  // advance snd_head_, and the acked prefix is dropped only once it is at
+  // least half the buffer, so each byte moves at most once on average.
   Bytes snd_buf_;
+  std::size_t snd_head_ = 0;
   std::size_t snd_buf_limit_ = 256 * 1024;
   u64 iss_ = 0;       // initial send sequence
   u64 snd_una_ = 0;   // oldest unacknowledged
@@ -145,6 +150,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::size_t ooo_bytes_ = 0;
   std::size_t rcv_buf_limit_ = 256 * 1024;
   Bytes rx_app_buf_;                   // in-order data awaiting app wakeup
+  Bytes rx_spare_;                     // empty; swapped in by the wakeup
   bool rx_app_tainted_ = false;        // taint pending with rx_app_buf_
   u64 rx_app_span_ = 0;                // span pending with rx_app_buf_
   bool rx_delivery_scheduled_ = false;

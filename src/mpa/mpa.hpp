@@ -51,8 +51,11 @@ class MpaSender {
  public:
   explicit MpaSender(MpaConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Frame one ULPDU; returns the exact bytes to append to the TCP stream.
-  Bytes frame(ConstByteSpan ulpdu);
+  /// Frame one ULPDU, `head` followed by `body` (on the RC path a DDP
+  /// header and its payload), straight into `out`: length, ULPDU, pad and
+  /// CRC, with markers laced in at their stream positions. Returns the
+  /// number of stream bytes appended.
+  std::size_t frame(Bytes& out, ConstByteSpan head, ConstByteSpan body = {});
 
   u64 stream_position() const { return pos_; }
 
@@ -70,8 +73,9 @@ class MpaReceiver {
  public:
   /// (ULPDU, corruption taint). `tainted` mirrors the simulator's oracle:
   /// true when any stream byte of the FPDU rode a corrupted frame — with
-  /// the MPA CRC on it can only be true for a CRC32 collision.
-  using UlpduHandler = std::function<void(Bytes, bool tainted)>;
+  /// the MPA CRC on it can only be true for a CRC32 collision. The ULPDU is
+  /// a view into the receiver's buffer, valid only for the handler call.
+  using UlpduHandler = std::function<void(ConstByteSpan, bool tainted)>;
 
   explicit MpaReceiver(MpaConfig cfg = {}) : cfg_(cfg) {}
 
@@ -91,7 +95,9 @@ class MpaReceiver {
 
   MpaConfig cfg_;
   UlpduHandler handler_;
-  Bytes pending_;    // de-markered bytes not yet consumed as FPDUs
+  // De-markered bytes not yet consumed as FPDUs. Handlers see ULPDU spans
+  // into it; it is not resized while one is out.
+  Bytes pending_;
   // Run-length taint map aligned with pending_ (front of the deque covers
   // the front of pending_): <byte count, tainted>. Consumed by take_taint.
   std::deque<std::pair<std::size_t, bool>> taint_runs_;

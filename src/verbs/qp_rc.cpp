@@ -29,9 +29,8 @@ RcQueuePair::RcQueuePair(Device& dev, const RcQpAttr& attr)
                 "iwarp.rc_qp", dev.host().costs().rc_qp_bytes),
       mpa_tx_(dev.config().mpa),
       mpa_rx_(dev.config().mpa) {
-  mpa_rx_.on_ulpdu([this](Bytes ulpdu, bool tainted) {
-    on_ulpdu(std::move(ulpdu), tainted);
-  });
+  mpa_rx_.on_ulpdu(
+      [this](ConstByteSpan ulpdu, bool tainted) { on_ulpdu(ulpdu, tainted); });
   auto& reg = dev_.host().sim().telemetry();
   stats_.segments_tx.bind(reg.counter("verbs.rc.segments_tx"));
   stats_.segments_rx.bind(reg.counter("verbs.rc.segments_rx"));
@@ -207,8 +206,8 @@ void RcQueuePair::enqueue_segment(const ddp::SegmentHeader& h,
                                   ConstByteSpan payload,
                                   std::optional<TxCompletion> completes_wr) {
   auto& c = dev_.host().costs();
-  // Build ULPDU (DDP segment; CRC is MPA's job on this path).
-  Bytes ulpdu = ddp::build_segment(h, payload, /*with_crc=*/false);
+  // The ULPDU is the DDP segment (CRC is MPA's job on this path).
+  const std::size_t ulpdu_len = ddp::kHeaderBytes + payload.size();
 
   // Software stack cost: segment build (one touch), marker insertion and
   // FPDU CRC over the framed bytes — charged as sequential attributable
@@ -219,7 +218,7 @@ void RcQueuePair::enqueue_segment(const ddp::SegmentHeader& h,
                             payload.size()});
   dev_.host().cpu().charge(c.mpa_frame_fixed,
                            {telemetry::CostLayer::kMpa,
-                            telemetry::CostActivity::kSegment, ulpdu.size()});
+                            telemetry::CostActivity::kSegment, ulpdu_len});
   dev_.host().cpu().charge(
       static_cast<TimeNs>(c.touch_ns_per_byte *
                           static_cast<double>(payload.size())),
@@ -228,20 +227,22 @@ void RcQueuePair::enqueue_segment(const ddp::SegmentHeader& h,
   if (dev_.config().mpa.use_markers)
     dev_.host().cpu().charge(
         static_cast<TimeNs>(c.marker_insert_ns_per_byte *
-                            static_cast<double>(ulpdu.size())),
+                            static_cast<double>(ulpdu_len)),
         {telemetry::CostLayer::kMpa, telemetry::CostActivity::kMarkers,
-         ulpdu.size()});
+         ulpdu_len});
   if (dev_.config().mpa.use_crc)
     dev_.host().cpu().charge(
         static_cast<TimeNs>(c.crc_ns_per_byte *
-                            static_cast<double>(ulpdu.size())),
+                            static_cast<double>(ulpdu_len)),
         {telemetry::CostLayer::kMpa, telemetry::CostActivity::kCrc,
-         ulpdu.size()});
+         ulpdu_len});
 
   ++stats_.segments_tx;
-  const Bytes framed = mpa_tx_.frame(ConstByteSpan{ulpdu});
-  txbuf_.insert(txbuf_.end(), framed.begin(), framed.end());
-  tx_total_abs_ += framed.size();
+  ddp_header_.clear();
+  h.serialize(ddp_header_);
+  const std::size_t framed =
+      mpa_tx_.frame(txbuf_, ConstByteSpan{ddp_header_}, payload);
+  tx_total_abs_ += framed;
   // Associate the segment's stream bytes with the ambient lifecycle span:
   // both sides of the connection wrote exactly kHandshakeBytes of MPA
   // handshake before the first framed byte, so the framed-stream offset is
@@ -250,7 +251,7 @@ void RcQueuePair::enqueue_segment(const ddp::SegmentHeader& h,
   if (span != 0 && sock_) {
     sock_->tag_tx_span(kHandshakeBytes + tx_total_abs_, span);
     dev_.host().sim().telemetry().spans().stage(
-        span, telemetry::Stage::kSegmentTx, tx_total_abs_, framed.size());
+        span, telemetry::Stage::kSegmentTx, tx_total_abs_, framed);
   }
   if (completes_wr) tx_marks_.emplace_back(tx_total_abs_, *completes_wr);
   // Batch the socket write: segments enqueued in the same event (e.g. an
@@ -295,7 +296,7 @@ void RcQueuePair::drain_tx() {
   }
 }
 
-void RcQueuePair::on_ulpdu(Bytes ulpdu, bool tainted) {
+void RcQueuePair::on_ulpdu(ConstByteSpan ulpdu, bool tainted) {
   auto& c = dev_.host().costs();
   dev_.host().cpu().charge(c.mpa_frame_fixed,
                            {telemetry::CostLayer::kMpa,
@@ -304,7 +305,7 @@ void RcQueuePair::on_ulpdu(Bytes ulpdu, bool tainted) {
                            {telemetry::CostLayer::kDdp,
                             telemetry::CostActivity::kDeliver, ulpdu.size()});
 
-  auto parsed = ddp::parse_segment(ConstByteSpan{ulpdu}, /*with_crc=*/false);
+  auto parsed = ddp::parse_segment(ulpdu, /*with_crc=*/false);
   if (!parsed.ok()) {
     ++stats_.parse_rejects;
     send_terminate(rdmap::TermError::kCatastrophic, 0);

@@ -58,7 +58,7 @@ class RcQueuePair final : public QueuePair,
   void attach_socket(host::TcpSocket::Ptr sock);
   void on_tcp_data(ConstByteSpan stream, bool tainted);
   void on_handshake_complete();
-  void on_ulpdu(Bytes ulpdu, bool tainted);
+  void on_ulpdu(ConstByteSpan ulpdu, bool tainted);
   void handle_untagged(const ddp::ParsedSegment& seg, rdmap::Opcode op);
   void handle_tagged(const ddp::ParsedSegment& seg, rdmap::Opcode op);
   void respond_read(const ddp::ParsedSegment& seg);
@@ -93,6 +93,7 @@ class RcQueuePair final : public QueuePair,
   // write, like writev). Completion marks fire when the socket accepts all
   // bytes up to their absolute stream offset.
   Bytes txbuf_;
+  Bytes ddp_header_;              // DDP header being framed; reused
   std::size_t tx_head_ = 0;       // first unsent byte within txbuf_
   u64 tx_accepted_abs_ = 0;       // absolute stream bytes accepted by TCP
   u64 tx_total_abs_ = 0;          // absolute stream bytes ever enqueued

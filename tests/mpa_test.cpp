@@ -13,12 +13,15 @@ using mpa::MpaConfig;
 using mpa::MpaReceiver;
 using mpa::MpaSender;
 
+Bytes frame_one(MpaSender& tx, ConstByteSpan ulpdu) {
+  Bytes stream;
+  tx.frame(stream, ulpdu);
+  return stream;
+}
+
 Bytes frame_stream(MpaSender& tx, const std::vector<Bytes>& ulpdus) {
   Bytes stream;
-  for (const auto& u : ulpdus) {
-    const Bytes f = tx.frame(ConstByteSpan{u});
-    stream.insert(stream.end(), f.begin(), f.end());
-  }
+  for (const auto& u : ulpdus) tx.frame(stream, ConstByteSpan{u});
   return stream;
 }
 
@@ -26,9 +29,11 @@ TEST(Mpa, SingleFpduRoundtrip) {
   MpaSender tx;
   MpaReceiver rx;
   std::vector<Bytes> got;
-  rx.on_ulpdu([&](Bytes u, bool) { got.push_back(std::move(u)); });
+  rx.on_ulpdu(
+      [&](ConstByteSpan u, bool) { got.emplace_back(u.begin(), u.end()); });
   const Bytes ulpdu = make_pattern(100, 1);
-  ASSERT_TRUE(rx.consume(ConstByteSpan{tx.frame(ConstByteSpan{ulpdu})}).ok());
+  ASSERT_TRUE(
+      rx.consume(ConstByteSpan{frame_one(tx, ConstByteSpan{ulpdu})}).ok());
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], ulpdu);
 }
@@ -37,7 +42,7 @@ TEST(Mpa, MarkersAppearEvery512StreamBytes) {
   MpaSender tx;
   // A large ULPDU spans multiple marker positions.
   const Bytes ulpdu = make_pattern(2000, 2);
-  const Bytes stream = tx.frame(ConstByteSpan{ulpdu});
+  const Bytes stream = frame_one(tx, ConstByteSpan{ulpdu});
   // Stream grows by one marker per 512-byte boundary crossed.
   const std::size_t raw = 2 + 2000 + 2 /*pad*/ + 4;  // len+data+pad+crc
   const std::size_t markers = (stream.size() - raw) / 4;
@@ -49,26 +54,26 @@ TEST(Mpa, EmptyUlpduIsLegal) {
   MpaSender tx;
   MpaReceiver rx;
   int count = 0;
-  rx.on_ulpdu([&](Bytes u, bool) {
+  rx.on_ulpdu([&](ConstByteSpan u, bool) {
     EXPECT_TRUE(u.empty());
     ++count;
   });
-  ASSERT_TRUE(rx.consume(ConstByteSpan{tx.frame({})}).ok());
+  ASSERT_TRUE(rx.consume(ConstByteSpan{frame_one(tx, {})}).ok());
   EXPECT_EQ(count, 1);
 }
 
 TEST(Mpa, CrcCorruptionPoisonsStream) {
   MpaSender tx;
   MpaReceiver rx;
-  rx.on_ulpdu([](Bytes, bool) {});
-  Bytes stream = tx.frame(ConstByteSpan{make_pattern(64, 3)});
+  rx.on_ulpdu([](ConstByteSpan, bool) {});
+  Bytes stream = frame_one(tx, ConstByteSpan{make_pattern(64, 3)});
   stream[10] ^= 0xFF;
   EXPECT_EQ(rx.consume(ConstByteSpan{stream}).code(), Errc::kCrcError);
   EXPECT_TRUE(rx.poisoned());
   EXPECT_EQ(rx.crc_failures(), 1u);
   // Poisoned streams reject all further input (fatal per spec).
   MpaSender tx2;
-  EXPECT_FALSE(rx.consume(ConstByteSpan{tx2.frame({})}).ok());
+  EXPECT_FALSE(rx.consume(ConstByteSpan{frame_one(tx2, {})}).ok());
 }
 
 TEST(Mpa, NoMarkersMode) {
@@ -77,9 +82,10 @@ TEST(Mpa, NoMarkersMode) {
   MpaSender tx(cfg);
   MpaReceiver rx(cfg);
   std::vector<Bytes> got;
-  rx.on_ulpdu([&](Bytes u, bool) { got.push_back(std::move(u)); });
+  rx.on_ulpdu(
+      [&](ConstByteSpan u, bool) { got.emplace_back(u.begin(), u.end()); });
   const Bytes big = make_pattern(3000, 4);
-  const Bytes stream = tx.frame(ConstByteSpan{big});
+  const Bytes stream = frame_one(tx, ConstByteSpan{big});
   EXPECT_EQ(stream.size(), 2u + 3000 + 2 + 4);  // no marker bytes
   ASSERT_TRUE(rx.consume(ConstByteSpan{stream}).ok());
   ASSERT_EQ(got.size(), 1u);
@@ -92,10 +98,10 @@ TEST(Mpa, NoCrcMode) {
   MpaSender tx(cfg);
   MpaReceiver rx(cfg);
   int count = 0;
-  rx.on_ulpdu([&](Bytes, bool) { ++count; });
-  ASSERT_TRUE(
-      rx.consume(ConstByteSpan{tx.frame(ConstByteSpan{make_pattern(64, 5)})})
-          .ok());
+  rx.on_ulpdu([&](ConstByteSpan, bool) { ++count; });
+  ASSERT_TRUE(rx.consume(ConstByteSpan{frame_one(
+                              tx, ConstByteSpan{make_pattern(64, 5)})})
+                  .ok());
   EXPECT_EQ(count, 1);
 }
 
@@ -130,7 +136,8 @@ TEST_P(MpaChunking, ResegmentationIsTransparent) {
 
   MpaReceiver rx;
   std::vector<Bytes> got;
-  rx.on_ulpdu([&](Bytes u, bool) { got.push_back(std::move(u)); });
+  rx.on_ulpdu(
+      [&](ConstByteSpan u, bool) { got.emplace_back(u.begin(), u.end()); });
   for (std::size_t off = 0; off < stream.size(); off += chunk) {
     const std::size_t n = std::min(chunk, stream.size() - off);
     ASSERT_TRUE(rx.consume(ConstByteSpan{stream}.subspan(off, n)).ok());
@@ -150,11 +157,11 @@ TEST_P(MpaFramedSize, PredictionMatchesActual) {
   const std::size_t len = GetParam();
   MpaSender tx;
   // Advance the stream to a quasi-random position first.
-  (void)tx.frame(ConstByteSpan{make_pattern(137, 9)});
+  (void)frame_one(tx, ConstByteSpan{make_pattern(137, 9)});
   const u64 pos = tx.stream_position();
   const Bytes ulpdu = make_pattern(len, 1);
   const std::size_t predicted = mpa::framed_size(len, pos, MpaConfig{});
-  EXPECT_EQ(tx.frame(ConstByteSpan{ulpdu}).size(), predicted);
+  EXPECT_EQ(frame_one(tx, ConstByteSpan{ulpdu}).size(), predicted);
 }
 
 INSTANTIATE_TEST_SUITE_P(UlpduSizes, MpaFramedSize,

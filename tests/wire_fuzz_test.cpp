@@ -148,14 +148,13 @@ TEST(WireFuzz, MpaReceiverSurvivesMutatedStreams) {
     Bytes stream;
     for (int f = 0; f < 3; ++f) {
       const Bytes ulpdu = make_pattern(40 + 64 * f, static_cast<u32>(f));
-      const Bytes framed = tx.frame(ConstByteSpan{ulpdu});
-      stream.insert(stream.end(), framed.begin(), framed.end());
+      tx.frame(stream, ConstByteSpan{ulpdu});
     }
     const Bytes mut = m.mutate(ConstByteSpan{stream});
 
     mpa::MpaReceiver rx(cfg);
     std::size_t delivered_bytes = 0;
-    rx.on_ulpdu([&](Bytes u, bool) { delivered_bytes += u.size(); });
+    rx.on_ulpdu([&](ConstByteSpan u, bool) { delivered_bytes += u.size(); });
     // Feed in random chunks: defragmentation and split markers get hit too.
     std::size_t off = 0;
     while (off < mut.size()) {
