@@ -704,6 +704,82 @@ TEST(RcQp, WriteRecordOverReliableTransport) {
   EXPECT_TRUE(std::equal(msg.begin(), msg.end(), region.begin()));
 }
 
+TEST(RcQp, LargeMessagesUnderFaultsArriveByteExact) {
+  // Bulk RC traffic under the fault campaign's "combined storm" on the data
+  // path. Loss makes TCP retransmit from the middle of its send buffer;
+  // reordering and duplication park and re-deliver segments; 256 KiB
+  // messages make FPDUs straddle TCP deliveries. Every byte of every Send
+  // and RDMA Write must land exactly.
+  Rig r;
+  r.a.tcp().set_min_rto(5 * kMillisecond);
+  r.b.tcp().set_min_rto(5 * kMillisecond);
+  std::shared_ptr<verbs::RcQueuePair> server;
+  ASSERT_TRUE(r.dev_b
+                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                             [&](auto qp) { server = std::move(qp); })
+                  .ok());
+  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+                                    r.b.endpoint(800));
+  r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
+  ASSERT_NE(server, nullptr);
+
+  sim::Faults storm;
+  storm.loss = std::make_unique<sim::BernoulliLoss>(0.02);
+  storm.reorder_rate = 0.1;
+  storm.reorder_delay = 100 * kMicrosecond;
+  storm.jitter = 10 * kMicrosecond;
+  storm.dup_rate = 0.1;
+  r.topo.host_uplink(0).set_faults(std::move(storm));
+
+  constexpr std::size_t kMessages = 8;
+  constexpr std::size_t kLen = 256 * KiB;
+  Bytes region(kMessages * kLen, 0);
+  auto mr = r.pd_b.register_memory(ByteSpan{region},
+                                   verbs::kLocalWrite | verbs::kRemoteWrite);
+  std::vector<Bytes> sinks(kMessages, Bytes(kLen, 0));
+  std::vector<Bytes> writes, sends;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(server->post_recv(RecvWr{i, ByteSpan{sinks[i]}}).ok());
+    writes.push_back(make_pattern(kLen - 3 * i, static_cast<u32>(100 + i)));
+    sends.push_back(make_pattern(kLen - 5 * i, static_cast<u32>(200 + i)));
+  }
+  // Each Write goes ahead of a Send on the same stream, so the last receive
+  // completion proves every Write was placed.
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    SendWr w;
+    w.opcode = WrOpcode::kRdmaWrite;
+    w.local = ConstByteSpan{writes[i]};
+    w.remote_stag = mr.stag;
+    w.remote_offset = i * kLen;
+    ASSERT_TRUE(client->post_send(w).ok());
+    SendWr s;
+    s.local = ConstByteSpan{sends[i]};
+    ASSERT_TRUE(client->post_send(s).ok());
+  }
+  std::vector<Completion> recvs;
+  const bool done = r.topo.sim().run_while_pending(
+      [&] {
+        while (auto c = r.cq_b.poll()) recvs.push_back(std::move(*c));
+        return recvs.size() == kMessages;
+      },
+      60 * kSecond);
+  ASSERT_TRUE(done) << recvs.size() << " of " << kMessages << " received";
+  EXPECT_GT(r.topo.sim().telemetry().counter_value("hoststack.tcp.retransmits"),
+            0u);
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(recvs[i].status.ok()) << recvs[i].status.to_string();
+    EXPECT_EQ(recvs[i].wr_id, i);
+    EXPECT_EQ(recvs[i].byte_len, sends[i].size());
+    EXPECT_TRUE(std::equal(sends[i].begin(), sends[i].end(), sinks[i].begin()))
+        << "send " << i;
+    EXPECT_TRUE(std::equal(writes[i].begin(), writes[i].end(),
+                           region.begin() + static_cast<long>(i * kLen)))
+        << "write " << i;
+  }
+  EXPECT_TRUE(client->connected());
+  EXPECT_TRUE(server->connected());
+}
+
 TEST(RcQp, CorruptedFpduFailsCrcAndTerminates) {
   // The MPA CRC is the last line of defense when the TCP checksum is off
   // (the paper's CRC ablation): a corrupted FPDU must fail the CRC, raise a
