@@ -101,7 +101,7 @@ Bytes SipMessage::serialize() const {
   }
   out += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
   out += body;
-  return Bytes(out.begin(), out.end());
+  return bytes_of(out);
 }
 
 Result<SipMessage> SipMessage::parse(ConstByteSpan wire) {

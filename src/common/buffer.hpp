@@ -23,6 +23,22 @@ using Bytes = std::vector<u8, mem::CountingAllocator<u8>>;
 using ByteSpan = std::span<u8>;
 using ConstByteSpan = std::span<const u8>;
 
+/// Appends `s` to `out`: a resize, then one memcpy. libstdc++ copies a
+/// range into a vector whose allocator is not std::allocator one byte per
+/// iteration, so src/ copies ranges into `Bytes` only through this and
+/// to_bytes (the ctest lint_bytes_copies checks). The resize grows the
+/// capacity by the same rule as a range insert at end(), so capacities and
+/// allocation counts are those of that insert.
+/// `s` must not view `out`: the resize may move `out`'s storage.
+void append(Bytes& out, ConstByteSpan s);
+
+/// An owned copy of `s`, sized exactly (one allocation unless empty).
+inline Bytes to_bytes(ConstByteSpan s) {
+  Bytes out;
+  append(out, s);
+  return out;
+}
+
 /// A gather list: ordered non-owning views of source data to transmit.
 class GatherList {
  public:
@@ -132,7 +148,7 @@ class WireWriter {
     for (int s = 56; s >= 0; s -= 8)
       out_.push_back(static_cast<dgiwarp::u8>(v >> s));
   }
-  void bytes(ConstByteSpan s) { out_.insert(out_.end(), s.begin(), s.end()); }
+  void bytes(ConstByteSpan s) { append(out_, s); }
 
  private:
   Bytes& out_;
@@ -189,9 +205,9 @@ class WireReader {
   bool ok_ = true;
 };
 
-/// Convenience: make an owned buffer from a string literal (tests).
+/// Convenience: make an owned buffer from a string's characters.
 inline Bytes bytes_of(const std::string& s) {
-  return Bytes(s.begin(), s.end());
+  return to_bytes({reinterpret_cast<const u8*>(s.data()), s.size()});
 }
 
 /// Deterministic pattern fill used by tests to detect misplacement.

@@ -37,7 +37,7 @@ Bytes build_segment(const SegmentHeader& h, ConstByteSpan payload,
   Bytes out;
   out.reserve(kHeaderBytes + payload.size() + (with_crc ? kCrcBytes : 0));
   h.serialize(out);
-  out.insert(out.end(), payload.begin(), payload.end());
+  append(out, payload);
   if (with_crc) {
     const u32 crc = crc32_ieee(ConstByteSpan{out});
     WireWriter w(out);

@@ -83,8 +83,7 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
     f.span = ctx_.active_span;  // lifecycle span rides the frame
     f.payload.reserve(kIpHeaderBytes + n);
     h.serialize(f.payload);
-    f.payload.insert(f.payload.end(), payload.begin() + static_cast<long>(off),
-                     payload.begin() + static_cast<long>(off + n));
+    append(f.payload, ConstByteSpan{payload}.subspan(off, n));
 
     // Per-fragment kernel transmit cost; the frame enters the wire when the
     // CPU has finished preparing it.
@@ -123,7 +122,7 @@ void IpLayer::on_frame(sim::Frame f) {
     ++dgrams_rx_;
     SpanScope scope(ctx_, f.span);
     EcnScope ecn_scope(ctx_, f.ecn);
-    deliver(f.src, h.proto, Bytes(body.begin(), body.end()), f.corrupted);
+    deliver(f.src, h.proto, to_bytes(body), f.corrupted);
     return;
   }
 

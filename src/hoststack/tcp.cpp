@@ -148,7 +148,7 @@ std::size_t TcpSocket::send(ConstByteSpan data) {
                                           static_cast<double>(n)),
                       {telemetry::CostLayer::kTcp,
                        telemetry::CostActivity::kCopy, n});
-  snd_buf_.insert(snd_buf_.end(), data.begin(), data.begin() + static_cast<long>(n));
+  append(snd_buf_, data.first(n));
   try_send();
   return n;
 }
@@ -347,8 +347,8 @@ void TcpSocket::handle_data(const SegmentView& seg, bool tainted) {
     } else {
       // Out of order: park a copy until the gap before it fills.
       if (!parked) {
-        ooo_.emplace(seq, OooSeg{Bytes(payload.begin(), payload.end()),
-                                 tainted, layer_.ctx().active_span});
+        ooo_.emplace(seq, OooSeg{to_bytes(payload), tainted,
+                                 layer_.ctx().active_span});
         ooo_bytes_ += payload.size();
       }
       deliver_in_order();
@@ -366,7 +366,7 @@ void TcpSocket::handle_data(const SegmentView& seg, bool tainted) {
 // popped segment that carries a span.
 void TcpSocket::deliver_in_order(ConstByteSpan in_order, bool tainted,
                                  u64 span) {
-  rx_app_buf_.insert(rx_app_buf_.end(), in_order.begin(), in_order.end());
+  append(rx_app_buf_, in_order);
   rcv_nxt_ += in_order.size();
   std::size_t appended = in_order.size();
   while (true) {
@@ -380,8 +380,7 @@ void TcpSocket::deliver_in_order(ConstByteSpan in_order, bool tainted,
     ooo_bytes_ -= std::min<std::size_t>(ooo_bytes_, seg.size());
     const std::size_t skip = rcv_nxt_ - seq;  // partial overlap
     if (skip >= seg.size()) continue;
-    rx_app_buf_.insert(rx_app_buf_.end(),
-                       seg.begin() + static_cast<long>(skip), seg.end());
+    append(rx_app_buf_, ConstByteSpan{seg}.subspan(skip));
     if (seg_tainted) tainted = true;
     appended += seg.size() - skip;
     rcv_nxt_ = seq + seg.size();

@@ -158,7 +158,7 @@ void UdpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
     return;
   }
 
-  Bytes payload(body.begin(), body.end());
+  Bytes payload = to_bytes(body);
 
   // Kernel rx: socket demux + wakeup + kernel->user copy of the (fully
   // reassembled) datagram. Note: this copy happens only once the whole

@@ -204,7 +204,7 @@ void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
                        static_cast<u64>(src.port), data.size());
     return;
   }
-  s.rx_queue.emplace_back(src, Bytes(data.begin(), data.end()));
+  s.rx_queue.emplace_back(src, to_bytes(data));
   reg.gauge("isock.pool.rx_queue_depth")
       .set(static_cast<double>(s.rx_queue.size()));
 }
@@ -308,7 +308,7 @@ Status ISockStack::sendto(int fd, Endpoint dst, ConstByteSpan data) {
   // Write-Record data path: needs the peer's slot-ring advert first.
   PeerState& peer = s->peers[dst];
   if (!peer.advertised) {
-    peer.pending.emplace_back(dst, Bytes(data.begin(), data.end()));
+    peer.pending.emplace_back(dst, to_bytes(data));
     if (peer.pending.size() == 1) {
       Bytes hello;
       WireWriter w(hello);
@@ -402,7 +402,7 @@ void ISockStack::pump_stream_recv(verbs::CompletionQueue& cq) {
       repost();
       continue;
     }
-    Bytes payload(msg.begin() + 1, msg.end());
+    Bytes payload = to_bytes(msg.subspan(1));
     repost();
     sk->stats.bytes_rx += payload.size();
     dev_.host().cpu().charge(
@@ -532,7 +532,7 @@ std::size_t ISockStack::send(int fd, ConstByteSpan data) {
   Bytes staged;
   staged.reserve(data.size() + 1);
   staged.push_back(kStreamData);
-  staged.insert(staged.end(), data.begin(), data.end());
+  append(staged, data);
   s->tx_hold.push_back(std::move(staged));
   --s->tx_credits;
   verbs::SendWr wr;

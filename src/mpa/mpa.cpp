@@ -67,8 +67,7 @@ void MpaSender::emit(Bytes& out, ConstByteSpan raw) {
           kMarkerInterval - (pos_ % kMarkerInterval));
       n = std::min(n, to_boundary);
     }
-    out.insert(out.end(), raw.begin() + static_cast<long>(off),
-               raw.begin() + static_cast<long>(off + n));
+    append(out, raw.subspan(off, n));
     off += n;
     pos_ += n;
   }
@@ -131,8 +130,7 @@ Status MpaReceiver::consume(ConstByteSpan stream, bool tainted) {
           kMarkerInterval - (pos_ % kMarkerInterval));
       n = std::min(n, to_boundary);
     }
-    pending_.insert(pending_.end(), stream.begin() + static_cast<long>(off),
-                    stream.begin() + static_cast<long>(off + n));
+    append(pending_, stream.subspan(off, n));
     if (!taint_runs_.empty() && taint_runs_.back().second == tainted)
       taint_runs_.back().first += n;
     else

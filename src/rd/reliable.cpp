@@ -534,8 +534,7 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
       return;
     }
     auto [it, inserted] = rx.ooo.emplace(
-        seq, OooDgram{Bytes(body.begin(), body.end()), tainted, ctx_.rx_ecn,
-                      ctx_.active_span});
+        seq, OooDgram{to_bytes(body), tainted, ctx_.rx_ecn, ctx_.active_span});
     if (inserted) account_ooo(rx, static_cast<i64>(it->second.data.size()));
     arm_gap_timer(src);
     send_ack(src, seq);
@@ -543,7 +542,7 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
   }
 
   ++rx.next_expected;
-  if (handler_) handler_(src, Bytes(body.begin(), body.end()), tainted);
+  if (handler_) handler_(src, to_bytes(body), tainted);
   while (deliver_parked(src, rx, /*step_before_handler=*/true)) {}
   send_ack(src, seq);  // cum covers everything the drain just delivered
 }

@@ -15,7 +15,7 @@ constexpr char kRepMagic[8] = {'M', 'P', 'A', ' ', 'R', 'E', 'P', '\0'};
 Bytes make_handshake(bool request, const mpa::MpaConfig& cfg) {
   Bytes out;
   const char* magic = request ? kReqMagic : kRepMagic;
-  out.insert(out.end(), magic, magic + 8);
+  append(out, {reinterpret_cast<const u8*>(magic), 8});
   WireWriter w(out);
   w.u8be(static_cast<u8>((cfg.use_markers ? 1 : 0) | (cfg.use_crc ? 2 : 0)));
   while (out.size() < kHandshakeBytes) w.u8be(0);
@@ -107,7 +107,7 @@ void RcQueuePair::attach_socket(host::TcpSocket::Ptr sock) {
 
 void RcQueuePair::on_tcp_data(ConstByteSpan stream, bool tainted) {
   if (!handshake_done_) {
-    handshake_buf_.insert(handshake_buf_.end(), stream.begin(), stream.end());
+    append(handshake_buf_, stream);
     if (handshake_buf_.size() < kHandshakeBytes) return;
 
     const char* want = active_ ? kRepMagic : kReqMagic;
@@ -119,7 +119,8 @@ void RcQueuePair::on_tcp_data(ConstByteSpan stream, bool tainted) {
       Bytes rep = make_handshake(false, dev_.config().mpa);
       (void)sock_->send(ConstByteSpan{rep});
     }
-    Bytes rest(handshake_buf_.begin() + kHandshakeBytes, handshake_buf_.end());
+    Bytes rest =
+        to_bytes(ConstByteSpan{handshake_buf_}.subspan(kHandshakeBytes));
     handshake_buf_.clear();
     on_handshake_complete();
     if (!rest.empty()) on_tcp_data(ConstByteSpan{rest}, tainted);
