@@ -1,6 +1,9 @@
-// CRC32 (IEEE 802.3, as mandated by the MPA/DDP specs) computed with a
-// slice-by-8 table. Datagram-iWARP "always requires the use of CRC32 when
-// sending messages" (paper §IV.B item 6); this is that CRC.
+// CRC32 (IEEE 802.3). Datagram-iWARP "always requires the use of CRC32 when
+// sending messages" (paper §IV.B item 6); this is that CRC. MPA (RFC 5044)
+// specifies CRC32c instead; the model keeps IEEE CRC-32 with the same 4-byte
+// trailer and per-byte charge (DESIGN.md §10). Inputs of 64 B or more are
+// folded with PCLMULQDQ where the CPU has it; a slice-by-8 table does the
+// rest.
 #pragma once
 
 #include "common/buffer.hpp"
