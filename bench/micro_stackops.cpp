@@ -1,7 +1,7 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the real CPU cost of
-// the stack's data-path primitives on the build machine: CRC32, MPA
-// framing/de-framing, DDP segment build/parse, segmentation planning,
-// validity-map maintenance and SIP message codec.
+// the stack's data-path primitives on the build machine: CRC32, byte
+// appends, MPA framing/de-framing, DDP segment build/parse, segmentation
+// planning, validity-map maintenance and SIP message codec.
 //
 // These are the operations whose *modelled* costs drive the virtual-time
 // results; this binary shows what they cost for real on modern hardware.
@@ -28,7 +28,29 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(1 << 10)->Arg(64 << 10)->Arg(1 << 20);
+// 1,480 B is an IP fragment's payload, 8,256 B an rd_lossy datagram.
+BENCHMARK(BM_Crc32)
+    ->Arg(64)
+    ->Arg(1 << 10)
+    ->Arg(1480)
+    ->Arg(8256)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20);
+
+void BM_BytesAppend(benchmark::State& state) {
+  const Bytes src = make_pattern(static_cast<std::size_t>(state.range(0)), 4);
+  Bytes buf;
+  buf.reserve(src.size());
+  for (auto _ : state) {
+    buf.clear();
+    append(buf, ConstByteSpan{src});
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BytesAppend)->Arg(1480)->Arg(8256);
 
 void BM_MpaFrame(benchmark::State& state) {
   const Bytes ulpdu = make_pattern(static_cast<std::size_t>(state.range(0)), 2);
