@@ -1,10 +1,19 @@
-// Unit tests for the common substrate: CRC32, buffers, wire codecs, RNG,
-// statistics and the memory ledger.
+// Unit tests for the common substrate: CRC32, buffers, zero regions, lazy
+// queues, wire codecs, RNG, statistics and the memory ledger.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/crc32.hpp"
+#include "common/lazy_deque.hpp"
 #include "common/memledger.hpp"
+#include "common/region.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -140,6 +149,153 @@ TEST(Bytes, AppendCopiesAndGrowsLikeInsert) {
       EXPECT_EQ(by_append.count, by_insert.count) << "start " << start;
       EXPECT_EQ(by_append.bytes, by_insert.bytes) << "start " << start;
     }
+  }
+}
+
+TEST(ZeroRegion, ContentsReadZero) {
+  for (std::size_t n : {0, 1, 4'096, 65'535, 65'536, 512 * 1024}) {
+    ZeroRegion r(n);
+    const ByteSpan s = r.span();
+    ASSERT_EQ(s.size(), n);
+    EXPECT_EQ(r.size(), n);
+    EXPECT_TRUE(std::all_of(s.begin(), s.end(), [](u8 b) { return b == 0; }))
+        << n;
+  }
+}
+
+TEST(ZeroRegion, SpanSurvivesAMove) {
+  for (std::size_t n : {4'096, 512 * 1024}) {
+    ZeroRegion a(n);
+    a.span()[7] = 0x5A;
+    const ByteSpan before = a.span();
+
+    ZeroRegion b(std::move(a));
+    EXPECT_EQ(b.span().data(), before.data()) << n;
+    EXPECT_EQ(b.span().size(), n);
+    EXPECT_EQ(b.span()[7], 0x5A);
+    EXPECT_TRUE(a.span().empty());
+
+    ZeroRegion c(16);
+    c = std::move(b);
+    EXPECT_EQ(c.span().data(), before.data()) << n;
+    EXPECT_EQ(c.size(), n);
+    EXPECT_EQ(c.span()[7], 0x5A);
+    EXPECT_EQ(b.size(), 0u);
+  }
+}
+
+// The SIP listening ring's size, well under a 2 MiB transparent huge page:
+// a write faults in one 4 KiB page, and the rest of the ring costs no RSS.
+TEST(ZeroRegion, LargeRegionIsResidentOnlyWhereWritten) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "regions are heap Bytes under ASan";
+#else
+  const std::size_t n = 512 * 1024;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const auto resident = [&](ZeroRegion& r) {
+    std::vector<unsigned char> vec((n + page - 1) / page);
+    EXPECT_EQ(::mincore(r.span().data(), n, vec.data()), 0);
+    return std::count_if(vec.begin(), vec.end(),
+                         [](unsigned char v) { return (v & 1) != 0; });
+  };
+  const mem::AllocTally t0 = mem::snapshot();
+  ZeroRegion r(n);
+  EXPECT_EQ(mem::delta(t0).count, 0u);  // no Bytes behind it
+  EXPECT_EQ(resident(r), 0);
+  r.span()[300 * 1024] = 1;
+  EXPECT_EQ(resident(r), 1);
+#endif
+}
+
+TEST(ZeroRegion, SmallRegionIsHeapBacked) {
+  const mem::AllocTally t0 = mem::snapshot();
+  ZeroRegion r(4'096);
+  const mem::AllocTally d = mem::delta(t0);
+  EXPECT_EQ(d.count, 1u);
+  EXPECT_EQ(d.bytes, 4'096u);
+  EXPECT_EQ(r.size(), 4'096u);
+}
+
+// Every operation src/ applies to a LazyDeque, in a seeded random order,
+// against a std::deque, with clear() and moves in between.
+TEST(LazyDeque, MatchesStdDeque) {
+  using Item = std::pair<int, std::string>;
+  LazyDeque<Item> lazy;
+  std::deque<Item> ref;
+  EXPECT_TRUE(lazy.empty());
+  EXPECT_EQ(lazy.size(), 0u);
+  EXPECT_TRUE(lazy.begin() == lazy.end());
+  lazy.clear();
+  EXPECT_TRUE(lazy.empty());
+
+  const auto same = [&] {
+    if (lazy.size() != ref.size() || lazy.empty() != ref.empty()) return false;
+    if (!ref.empty() &&
+        (lazy.front() != ref.front() || lazy.back() != ref.back()))
+      return false;
+    return std::equal(lazy.begin(), lazy.end(), ref.begin(), ref.end());
+  };
+
+  Rng rng(21);
+  for (int step = 0; step < 20'000; ++step) {
+    const int v = static_cast<int>(rng.below(1'000));
+    Item item{v, std::to_string(v)};
+    switch (rng.below(16)) {
+      case 0: case 1: case 2:
+        lazy.push_back(item);
+        ref.push_back(item);
+        break;
+      case 3: case 4: case 5: {
+        Item copy = item;
+        lazy.push_back(std::move(item));
+        ref.push_back(std::move(copy));
+        break;
+      }
+      case 6: case 7: case 8:
+        EXPECT_EQ(lazy.emplace_back(v, std::to_string(v)),
+                  ref.emplace_back(v, std::to_string(v)));
+        break;
+      case 9: case 10: case 11:
+        if (!ref.empty()) {
+          lazy.pop_front();
+          ref.pop_front();
+        }
+        break;
+      case 12:
+        if (!ref.empty()) {
+          lazy.pop_back();
+          ref.pop_back();
+        }
+        break;
+      case 13:
+        if (!ref.empty()) {
+          lazy.front().first += 1;
+          lazy.back().second += "x";
+          ref.front().first += 1;
+          ref.back().second += "x";
+        }
+        break;
+      case 14:
+        if (rng.below(8) == 0) {
+          lazy.clear();
+          ref.clear();
+        }
+        break;
+      case 15: {
+        // Moved out and cleared, as the Write-Record pending flush does.
+        LazyDeque<Item> moved = std::move(lazy);
+        lazy.clear();
+        std::deque<Item> ref_moved = std::move(ref);
+        ref.clear();
+        EXPECT_TRUE(lazy.empty());
+        EXPECT_TRUE(std::equal(moved.begin(), moved.end(), ref_moved.begin(),
+                               ref_moved.end()));
+        lazy = std::move(moved);
+        ref = std::move(ref_moved);
+        break;
+      }
+    }
+    ASSERT_TRUE(same()) << "step " << step;
   }
 }
 
