@@ -3,12 +3,12 @@
 // IP-fragmented and reassembled all-or-nothing.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
+#include "common/lazy_deque.hpp"
 #include "hoststack/ip.hpp"
 
 namespace dgiwarp::host {
@@ -49,7 +49,7 @@ class UdpSocket {
   UdpLayer& layer_;
   u16 port_;
   DatagramHandler handler_;
-  std::deque<std::pair<Endpoint, Bytes>> rx_queue_;
+  LazyDeque<std::pair<Endpoint, Bytes>> rx_queue_;
   std::size_t rx_queue_limit_ = 256;  // datagrams; overflow drops (like SO_RCVBUF)
   telemetry::Metric tx_count_;
   telemetry::Metric rx_count_;

@@ -91,18 +91,20 @@ Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
     return Status::Ok();
   }
 
-  auto& send_cq = dev_.create_cq(1 << 14);
-  auto& recv_cq = dev_.create_cq(1 << 14);
+  // The socket owns its CQs (not the Device), so close() frees them.
+  s.send_cq = std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
+  s.recv_cq = std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
   auto qp = dev_.create_ud_qp(
-      {&pd_, &send_cq, &recv_cq, port, cfg_.reliable_dgram});
+      {&pd_, s.send_cq.get(), s.recv_cq.get(), port, cfg_.reliable_dgram});
   if (!qp.ok()) return qp.status();
   s.ud = *qp;
 
   // Buffered-copy pool: one registered slot ring per socket. In Write-Record
   // mode peers write into it directly; in send/recv mode its slots back the
-  // posted receive WRs.
-  s.pool.assign(s.pool_slots * s.slot_bytes, 0);
-  s.pool_mr = pd_.register_memory(ByteSpan{s.pool},
+  // posted receive WRs. The ledger charges the whole ring, though pages that
+  // never take data cost no RSS (ZeroRegion).
+  s.pool = ZeroRegion(s.pool_slots * s.slot_bytes);
+  s.pool_mr = pd_.register_memory(s.pool.span(),
                                   verbs::kLocalWrite | verbs::kRemoteWrite);
   s.pool_mem = MemCharge(dev_.host().ledger_ptr(), "isock.pool",
                          static_cast<i64>(s.pool.size()));
@@ -123,10 +125,10 @@ void ISockStack::post_pool_recvs(Sock& s) {
   if (cfg_.ud_mode == XferMode::kSendRecv) {
     for (std::size_t i = 0; i < s.pool_slots; ++i) {
       (void)s.ud->post_recv(verbs::RecvWr{
-          i, ByteSpan{s.pool}.subspan(i * s.slot_bytes, s.slot_bytes)});
+          i, s.pool.span().subspan(i * s.slot_bytes, s.slot_bytes)});
     }
   } else {
-    s.rx_bufs.clear();
+    s.rx_bufs.reserve(8);
     for (std::size_t i = 0; i < 8; ++i) {
       s.rx_bufs.push_back(Bytes(64, 0));
       (void)s.ud->post_recv(verbs::RecvWr{1000 + i, ByteSpan{s.rx_bufs.back()}});
@@ -144,15 +146,15 @@ void ISockStack::pump_recv_cq(Sock& s) {
       // Loss-recovered buffer (UD) — repost it in send/recv mode.
       if (cfg_.ud_mode == XferMode::kSendRecv && c->wr_id < s.pool_slots) {
         (void)s.ud->post_recv(verbs::RecvWr{
-            c->wr_id, ByteSpan{s.pool}.subspan(c->wr_id * s.slot_bytes,
-                                               s.slot_bytes)});
+            c->wr_id,
+            s.pool.span().subspan(c->wr_id * s.slot_bytes, s.slot_bytes)});
       }
       continue;
     }
     if (c->opcode == verbs::WcOpcode::kRecvWriteRecord) {
       // One-sided data: locate the slot via the reported base offset.
       if (!c->validity.ranges().empty()) {
-        const auto span = ConstByteSpan{s.pool}.subspan(
+        const ConstByteSpan span = s.pool.span().subspan(
             static_cast<std::size_t>(c->base_to), c->byte_len);
         deliver_datagram(s, c->src, span);
       }
@@ -161,12 +163,10 @@ void ISockStack::pump_recv_cq(Sock& s) {
     if (c->opcode == verbs::WcOpcode::kRecv) {
       if (cfg_.ud_mode == XferMode::kSendRecv) {
         const auto slot = static_cast<std::size_t>(c->wr_id);
-        const auto span =
-            ConstByteSpan{s.pool}.subspan(slot * s.slot_bytes, c->byte_len);
-        deliver_datagram(s, c->src, span);
-        (void)s.ud->post_recv(verbs::RecvWr{
-            c->wr_id,
-            ByteSpan{s.pool}.subspan(slot * s.slot_bytes, s.slot_bytes)});
+        const ByteSpan buf =
+            s.pool.span().subspan(slot * s.slot_bytes, s.slot_bytes);
+        deliver_datagram(s, c->src, ConstByteSpan{buf}.first(c->byte_len));
+        (void)s.ud->post_recv(verbs::RecvWr{c->wr_id, buf});
       } else {
         // Control traffic in Write-Record mode.
         const std::size_t idx = static_cast<std::size_t>(c->wr_id - 1000);
@@ -379,13 +379,13 @@ void ISockStack::pump_stream_recv(verbs::CompletionQueue& cq) {
     if (!sk || !sk->rc) continue;
     if (!c->status.ok() || c->opcode != verbs::WcOpcode::kRecv) continue;
     const std::size_t idx = static_cast<std::size_t>(c->wr_id);
-    if (idx >= sk->stream_rx_bufs.size()) continue;
-    const ConstByteSpan msg =
-        ConstByteSpan{sk->stream_rx_bufs[idx]}.subspan(0, c->byte_len);
+    if (idx >= sk->pool_slots) continue;
+    const ByteSpan slot =
+        sk->pool.span().subspan(idx * sk->slot_bytes, sk->slot_bytes);
+    const ConstByteSpan msg = ConstByteSpan{slot}.subspan(0, c->byte_len);
     // Repost the buffer before dispatch: handlers may trigger more traffic.
     const auto repost = [&] {
-      (void)sk->rc->post_recv(
-          verbs::RecvWr{c->wr_id, ByteSpan{sk->stream_rx_bufs[idx]}});
+      (void)sk->rc->post_recv(verbs::RecvWr{c->wr_id, slot});
     };
     if (msg.empty()) {
       repost();
@@ -456,13 +456,13 @@ void ISockStack::pump_stream_send(verbs::CompletionQueue& cq) {
 }
 
 void ISockStack::post_stream_recvs(Sock& s) {
-  s.stream_rx_bufs.clear();
+  s.pool = ZeroRegion(s.pool_slots * s.slot_bytes);
   for (std::size_t i = 0; i < s.pool_slots; ++i) {
-    s.stream_rx_bufs.push_back(Bytes(s.slot_bytes, 0));
-    (void)s.rc->post_recv(verbs::RecvWr{i, ByteSpan{s.stream_rx_bufs.back()}});
+    (void)s.rc->post_recv(verbs::RecvWr{
+        i, s.pool.span().subspan(i * s.slot_bytes, s.slot_bytes)});
   }
   s.pool_mem = MemCharge(dev_.host().ledger_ptr(), "isock.pool",
-                         static_cast<i64>(s.pool_slots * s.slot_bytes));
+                         static_cast<i64>(s.pool.size()));
 }
 
 Status ISockStack::connect(int fd, Endpoint dst, ConnectHandler on_connected) {
@@ -557,6 +557,7 @@ Status ISockStack::close(int fd) {
   if (!s) return Status(Errc::kInvalidArgument, "bad fd");
   if (s->native) dev_.host().udp().close(s->native);
   // The pool is freed with the socket below; its STag must not outlive it.
+  // Erasing the socket destroys its UD QP before the QP's CQs.
   if (s->ud) (void)pd_.deregister(s->pool_mr.stag);
   if (s->rc) {
     qpn_fd_.erase(s->rc->qpn());

@@ -17,11 +17,14 @@
 //    interface's own overhead (paper: ~2%).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <vector>
 
+#include "common/lazy_deque.hpp"
+#include "common/region.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_rc.hpp"
 #include "verbs/qp_ud.hpp"
@@ -117,7 +120,7 @@ class ISockStack {
     u32 remote_qpn = 0;
     u64 next_slot = 0;
     bool advertised = false;
-    std::deque<std::pair<Endpoint, Bytes>> pending;  // awaiting advert
+    LazyDeque<std::pair<Endpoint, Bytes>> pending;  // awaiting advert
   };
 
   struct Sock {
@@ -128,11 +131,16 @@ class ISockStack {
     bool credit_flush_scheduled = false;
     ISockStats stats;
 
-    // iWARP datagram state.
+    // iWARP datagram state. The socket owns its QP's two CQs, declared
+    // first so that they outlive the QP, which holds references to them.
+    std::shared_ptr<verbs::CompletionQueue> send_cq;
+    std::shared_ptr<verbs::CompletionQueue> recv_cq;
     std::shared_ptr<verbs::UdQueuePair> ud;
-    Bytes pool;                      // registered slot ring (rx)
+    // Receive slot ring: registered for datagram sockets, the posted
+    // receive buffers of stream sockets.
+    ZeroRegion pool;
     verbs::MemoryRegion pool_mr{};
-    std::deque<Bytes> rx_bufs;       // send/recv mode receive buffers
+    std::vector<Bytes> rx_bufs;      // Write-Record mode control buffers
     std::map<Endpoint, PeerState> peers;
 
     // Native passthrough state.
@@ -141,8 +149,7 @@ class ISockStack {
     // Stream state.
     std::shared_ptr<verbs::RcQueuePair> rc;
     u16 listen_port = 0;
-    std::deque<Bytes> tx_hold;       // buffered-copy staging for sends
-    std::deque<Bytes> stream_rx_bufs;
+    LazyDeque<Bytes> tx_hold;        // buffered-copy staging for sends
     /// SDP-style flow control: messages the peer can still absorb. Both
     /// ends start from the same pool geometry; consumed buffers are
     /// re-credited in batches via kStreamCredit messages.
@@ -157,7 +164,7 @@ class ISockStack {
     DatagramHandler on_datagram;
     StreamDataHandler on_stream;
     AcceptHandler on_accept;
-    std::deque<std::pair<Endpoint, Bytes>> rx_queue;
+    LazyDeque<std::pair<Endpoint, Bytes>> rx_queue;
     std::size_t rx_queue_limit = 1024;
   };
 

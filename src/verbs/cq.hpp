@@ -7,15 +7,20 @@
 // virtual-time timeout expires.
 #pragma once
 
-#include <deque>
+#include <memory>
 #include <optional>
 
+#include "common/lazy_deque.hpp"
 #include "hoststack/host.hpp"
 #include "verbs/wr.hpp"
 
 namespace dgiwarp::verbs {
 
-class CompletionQueue {
+/// A CQ that a QP completes into must be owned by a shared_ptr
+/// (Device::create_cq, or a socket's own CQs in isock): a completion
+/// already scheduled on the CPU model holds its CQ until it lands, so a CQ
+/// can be released while completions are still on their way to it.
+class CompletionQueue : public std::enable_shared_from_this<CompletionQueue> {
  public:
   CompletionQueue(host::Host& host, std::size_t capacity);
 
@@ -47,7 +52,7 @@ class CompletionQueue {
  private:
   host::Host& host_;
   std::size_t capacity_;
-  std::deque<Completion> q_;
+  LazyDeque<Completion> q_;
   std::function<void()> on_event_;
   telemetry::Metric completions_;
   telemetry::Metric overruns_;

@@ -15,7 +15,7 @@ ProtectionDomain& Device::create_pd() {
 }
 
 CompletionQueue& Device::create_cq(std::size_t capacity) {
-  cqs_.push_back(std::make_unique<CompletionQueue>(host_, capacity));
+  cqs_.push_back(std::make_shared<CompletionQueue>(host_, capacity));
   return *cqs_.back();
 }
 

@@ -79,12 +79,14 @@ class Device {
                    std::function<void(std::shared_ptr<RcQueuePair>)> on_accept);
 
   u32 alloc_qpn() { return next_qpn_++; }
+  /// CQs made by create_cq; they live as long as the Device.
+  std::size_t cq_count() const { return cqs_.size(); }
 
  private:
   host::Host& host_;
   DeviceConfig cfg_;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
-  std::vector<std::unique_ptr<CompletionQueue>> cqs_;
+  std::vector<std::shared_ptr<CompletionQueue>> cqs_;
   u32 next_qpn_ = 1;
 };
 

@@ -183,17 +183,20 @@ void QueuePair::complete_send(u64 wr_id, WcOpcode op, std::size_t bytes,
   c.span = span;
   c.ends_span = ends_span;
   // The completion becomes visible when the CPU finishes the posting work
-  // already charged; schedule at the current CPU horizon.
-  auto& cpu = dev_.host().cpu();
-  auto& cq = send_cq_;
-  cpu.charge_then(0, [&cq, c = std::move(c)]() mutable { cq.push(std::move(c)); });
+  // already charged; schedule at the current CPU horizon. It holds the CQ,
+  // which its owner may release before then (an isock socket closing).
+  dev_.host().cpu().charge_then(
+      0, [cq = send_cq_.shared_from_this(), c = std::move(c)]() mutable {
+        cq->push(std::move(c));
+      });
 }
 
 void QueuePair::complete_recv(Completion c) {
   c.qpn = qpn_;
-  auto& cpu = dev_.host().cpu();
-  auto& cq = recv_cq_;
-  cpu.charge_then(0, [&cq, c = std::move(c)]() mutable { cq.push(std::move(c)); });
+  dev_.host().cpu().charge_then(
+      0, [cq = recv_cq_.shared_from_this(), c = std::move(c)]() mutable {
+        cq->push(std::move(c));
+      });
 }
 
 }  // namespace dgiwarp::verbs

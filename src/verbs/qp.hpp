@@ -6,9 +6,9 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 
+#include "common/lazy_deque.hpp"
 #include "ddp/segmenter.hpp"
 #include "rdmap/message.hpp"
 #include "rdmap/terminate.hpp"
@@ -112,7 +112,7 @@ class QueuePair {
   u32 qpn_;
   /// Tagged message ids and read ids, from one counter.
   u32 next_msg_id_ = 1;
-  std::deque<RecvWr> rq_;
+  LazyDeque<RecvWr> rq_;
   std::size_t rq_capacity_ = 4096;
   MemCharge mem_;
   /// Target-side Write-Record log (paper §IV.B.3; "also valid for a

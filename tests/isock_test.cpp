@@ -235,5 +235,29 @@ TEST(ISock, CloseDeregistersTheReceivePool) {
   EXPECT_EQ(stale.status().code(), Errc::kAccessDenied);
 }
 
+// A datagram socket's CQs belong to the socket, so a server that churns
+// per-call sockets does not grow its Device.
+TEST(ISock, CloseReleasesTheSocketsCqs) {
+  Rig r;
+  const std::size_t cqs = r.dev_b.cq_count();
+  for (int i = 0; i < 1'000; ++i) {
+    auto fd = *r.io_b.socket(SockType::kDatagram, 2, 2'048);
+    ASSERT_TRUE(r.io_b.bind(fd, 9000).ok());
+    ASSERT_TRUE(r.io_b.close(fd).ok());
+  }
+  EXPECT_EQ(r.dev_b.cq_count(), cqs);
+
+  // A socket on the churned port still completes receives.
+  auto sfd = *r.io_b.socket(SockType::kDatagram, 2, 2'048);
+  ASSERT_TRUE(r.io_b.bind(sfd, 9000).ok());
+  auto cfd = *r.io_a.socket(SockType::kDatagram);
+  const Bytes msg = make_pattern(900, 7);
+  ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
+  auto got = r.io_b.recvfrom(sfd);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->second, msg);
+}
+
 }  // namespace
 }  // namespace dgiwarp
