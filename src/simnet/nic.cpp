@@ -15,7 +15,7 @@ void Nic::send(Frame f) {
 }
 
 void Nic::deliver(Frame f) {
-  if (f.dst != addr_ && f.dst != kBroadcast) return;  // not for us
+  if (f.dst != addr_) return;  // not for us
   ++rx_frames_;
   if (rx_) rx_(std::move(f));
 }

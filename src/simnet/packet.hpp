@@ -7,10 +7,9 @@
 namespace dgiwarp::sim {
 
 /// Link-layer address. For simplicity the fabric uses the host's IPv4-style
-/// address directly (no ARP); the switch learns them like MACs.
+/// address directly (no ARP); sim::Topology programs each one into the
+/// switches' forwarding tables as its host attaches.
 using LinkAddr = u32;
-
-inline constexpr LinkAddr kBroadcast = 0xFFFFFFFFu;
 
 /// Bytes a frame occupies on the wire beyond its payload: Ethernet header
 /// (14) + FCS (4) + preamble/SFD (8) + inter-frame gap (12).

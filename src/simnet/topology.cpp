@@ -13,20 +13,18 @@ Topology::Topology(Params params) : params_(params), rng_(params.seed) {
   if (params_.leaves == 1) {
     // The paper's testbed: one switch, no spine. Golden traces carry the
     // name "switch0", so it stays.
-    leaves_.push_back(
-        std::make_unique<Switch>(sim_, rng_, "switch0", params_.fdb_capacity));
+    leaves_.push_back(std::make_unique<Switch>(sim_, rng_, "switch0"));
     return;
   }
 
   for (std::size_t i = 0; i < params_.leaves; ++i)
-    leaves_.push_back(std::make_unique<Switch>(
-        sim_, rng_, "leaf" + std::to_string(i), params_.fdb_capacity));
-  spine_ =
-      std::make_unique<Switch>(sim_, rng_, "spine0", params_.fdb_capacity);
+    leaves_.push_back(
+        std::make_unique<Switch>(sim_, rng_, "leaf" + std::to_string(i)));
+  spine_ = std::make_unique<Switch>(sim_, rng_, "spine0");
 
   // One trunk LAG per leaf, joining it to the spine. The tree is loop-free
-  // by construction (leaves only ever talk through the single spine), which
-  // learning + flooding requires.
+  // by construction (leaves only ever talk through the single spine), so
+  // each switch has exactly one port toward any host.
   trunks_.resize(params_.leaves);
   for (std::size_t i = 0; i < params_.leaves; ++i) {
     Trunk& t = trunks_[i];
@@ -71,15 +69,13 @@ std::size_t Topology::add_host(const std::string& name) {
   const std::size_t port =
       leaves_[leaf]->attach(*nics_.back(), params_.host_link);
   locs_.push_back({leaf, port});
-  if (spine_) {
-    // A leaf-spine fabric knows where every host is from the start, as a
-    // controller or gratuitous ARP would arrange: its own leaf points at
-    // the host port, every other leaf at its trunk, the spine at the trunk
-    // toward the host's leaf. Learning and flooding remain the fallback.
-    for (std::size_t i = 0; i < leaves_.size(); ++i)
-      leaves_[i]->learn(addr, i == leaf ? port : trunks_[i].leaf_port);
-    spine_->learn(addr, trunks_[leaf].spine_port);
-  }
+  // Every switch knows where the host is from the start, as a controller or
+  // gratuitous ARP would arrange: its own leaf points at the host port,
+  // every other leaf at its trunk, the spine at the trunk toward the host's
+  // leaf. The one-leaf testbed has only the first of these.
+  for (std::size_t i = 0; i < leaves_.size(); ++i)
+    leaves_[i]->program(addr, i == leaf ? port : trunks_[i].leaf_port);
+  if (spine_) spine_->program(addr, trunks_[leaf].spine_port);
   return index;
 }
 

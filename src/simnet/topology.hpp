@@ -3,10 +3,12 @@
 // Owns everything below the hoststack for one experiment: the Simulation,
 // the seeded Rng, a two-tier switching fabric (M leaf switches optionally
 // joined through one spine), and the per-host NICs. Hosts are placed
-// round-robin across leaves; cross-leaf traffic rides leaf<->spine trunk
-// LAGs whose cable count (and therefore oversubscription ratio) is
-// configurable. The default, `leaves == 1`, is the paper's testbed: one
-// switch named "switch0", one cable per host.
+// round-robin across leaves, and each one is programmed into every
+// switch's forwarding table as it is added; no switch learns or floods.
+// Cross-leaf traffic rides leaf<->spine trunk LAGs whose cable count (and
+// therefore oversubscription ratio) is configurable. The default,
+// `leaves == 1`, is the paper's testbed: one switch named "switch0", one
+// cable per host.
 //
 // Fault attachment is through Link references
 // (host_uplink/host_downlink/trunk_up/trunk_down) rather than index pairs;
@@ -31,7 +33,6 @@ class Topology {
     u64 seed = 0xD6E8FEB86659FD93ull;
     std::size_t leaves = 1;          // 1 => single flat switch, no spine
     std::size_t trunk_cables = 1;    // LAG width of each leaf<->spine trunk
-    std::size_t fdb_capacity = Switch::kDefaultFdbCapacity;
   };
 
   explicit Topology(Params params);
@@ -42,9 +43,8 @@ class Topology {
   Rng& rng() { return rng_; }
 
   /// Add a host on leaf `index % leaves`; returns its global index. The
-  /// host's link address is index + 1. With a spine, every switch's FDB
-  /// is programmed with that address at once; the one-leaf testbed learns
-  /// it from traffic.
+  /// host's link address is index + 1, and every switch's FDB is
+  /// programmed with it at once.
   std::size_t add_host(const std::string& name);
 
   Nic& nic(std::size_t host) { return *nics_[host]; }

@@ -1,6 +1,6 @@
 // Tests for the multi-switch Topology layer: leaf-spine wiring, programmed
-// forwarding tables, address learning across trunk LAGs, oversubscription
-// queueing, per-link fault isolation, and whole-topology determinism.
+// forwarding tables, unicast across trunk LAGs, oversubscription queueing,
+// per-link fault isolation, and whole-topology determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -61,17 +61,10 @@ TEST(Topology, CrossTrunkLearningAndUnicast) {
   EXPECT_EQ(ub->datagrams_received(), 1u);
   EXPECT_GE(topo.trunk_up(0).stats().frames_delivered.value(), 1u);
 
-  // All three switches know a's address, so the reply is pure unicast: no
-  // additional floods anywhere.
-  const u64 floods = topo.leaf(0).frames_flooded() +
-                     topo.leaf(1).frames_flooded() +
-                     topo.spine().frames_flooded();
+  // All three switches know a's address, so the reply is unicast too.
   (void)ub->send_to({a.addr(), 100}, ConstByteSpan{msg});
   topo.sim().run();
   EXPECT_EQ(ua->datagrams_received(), 1u);
-  EXPECT_EQ(topo.leaf(0).frames_flooded() + topo.leaf(1).frames_flooded() +
-                topo.spine().frames_flooded(),
-            floods);
   EXPECT_GE(topo.spine().frames_forwarded(), 1u);
   // And b's reply crossed the reverse trunk direction.
   EXPECT_GE(topo.trunk_down(0).stats().frames_delivered.value(), 1u);
@@ -91,61 +84,19 @@ TEST(Topology, ProgrammedFdbForwardsTheFirstCrossLeafFrame) {
   EXPECT_EQ(topo.spine().fdb_size(), topo.hosts());
 
   // h0 (leaf0) -> h1 (leaf1) before either has sent anything: the first
-  // frame is forwarded, never flooded, and no bystander sees a copy.
+  // frame is forwarded, and no bystander sees a copy.
   auto* u0 = *hosts[0]->udp().open(100);
   auto* u1 = *hosts[1]->udp().open(100);
   Bytes msg = small_msg();
   (void)u0->send_to({hosts[1]->addr(), 100}, ConstByteSpan{msg});
   topo.sim().run();
   EXPECT_EQ(u1->datagrams_received(), 1u);
-  for (std::size_t i = 0; i < topo.leaves(); ++i)
-    EXPECT_EQ(topo.leaf(i).frames_flooded(), 0u) << "leaf " << i;
-  EXPECT_EQ(topo.spine().frames_flooded(), 0u);
   EXPECT_GE(topo.spine().frames_forwarded(), 1u);
   for (std::size_t h = 0; h < topo.hosts(); ++h) {
     if (h == 1) continue;
     EXPECT_EQ(topo.host_downlink(h).stats().frames_offered.value(), 0u)
         << "bystander h" << h;
   }
-}
-
-TEST(Topology, ProgrammingAFullFdbEvictsAndDegradesToFlooding) {
-  // Three hosts into 2-entry FDBs: each switch evicts its oldest entry, a.
-  sim::Topology::Params p;
-  p.leaves = 2;
-  p.fdb_capacity = 2;
-  sim::Topology topo(p);
-  // Round-robin: a, c on leaf0; b on leaf1.
-  host::Host a(topo, "a"), b(topo, "b"), c(topo, "c");
-  EXPECT_EQ(topo.leaf(0).fdb_evictions(), 1u);
-  EXPECT_EQ(topo.leaf(1).fdb_evictions(), 1u);
-  EXPECT_EQ(topo.spine().fdb_evictions(), 1u);
-  EXPECT_EQ(topo.sim().telemetry().counter_value(
-                "simnet.switch.fdb_evictions"),
-            3u);
-  EXPECT_EQ(topo.leaf(0).fdb_size(), 2u);
-  EXPECT_EQ(topo.spine().fdb_size(), 2u);
-
-  // b -> a: no switch knows a any more, so the frame floods all the way
-  // and still arrives.
-  auto* ua = *a.udp().open(100);
-  auto* ub = *b.udp().open(100);
-  Bytes msg = small_msg();
-  (void)ub->send_to({a.addr(), 100}, ConstByteSpan{msg});
-  topo.sim().run();
-  EXPECT_EQ(ua->datagrams_received(), 1u);
-  EXPECT_EQ(topo.leaf(1).frames_flooded(), 1u);
-  EXPECT_EQ(topo.spine().frames_flooded(), 1u);
-  EXPECT_EQ(topo.leaf(0).frames_flooded(), 1u);
-
-  // b -> c: the newer entries survived, so this frame is forwarded.
-  auto* uc = *c.udp().open(100);
-  (void)ub->send_to({c.addr(), 100}, ConstByteSpan{msg});
-  topo.sim().run();
-  EXPECT_EQ(uc->datagrams_received(), 1u);
-  EXPECT_EQ(topo.leaf(1).frames_flooded() + topo.spine().frames_flooded() +
-                topo.leaf(0).frames_flooded(),
-            3u);
 }
 
 TEST(Topology, SameLeafTrafficStaysOffTheTrunk) {
@@ -247,8 +198,7 @@ TEST(Topology, PerLinkFaultIsolation) {
 
     Bytes msg = bytes_of("payload");
     // One exchange first, identical in both runs: the faulted uplink is not
-    // on these paths. The FDBs are programmed, so the measured frames are
-    // unicast, not floods.
+    // on these paths.
     (void)uc->send_to({a.addr(), 100}, ConstByteSpan{msg});
     topo.sim().run();
     (void)ud_->send_to({b.addr(), 100}, ConstByteSpan{msg});
