@@ -703,6 +703,8 @@ Status TcpLayer::listen(u16 port, AcceptHandler on_accept) {
   return Status::Ok();
 }
 
+void TcpLayer::stop_listening(u16 port) { listeners_.erase(port); }
+
 void TcpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
   auto sr = TcpSocket::SegmentView::parse(ConstByteSpan{dgram});
   if (!sr.ok()) {

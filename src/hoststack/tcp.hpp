@@ -204,6 +204,9 @@ class TcpLayer {
   /// Passive open: accepted sockets are handed to `on_accept` once their
   /// handshake completes.
   Status listen(u16 port, AcceptHandler on_accept);
+  /// Drop `port`'s accept handler: a later SYN there is refused with a RST.
+  /// Connections already accepted are not touched.
+  void stop_listening(u16 port);
 
   HostCtx& ctx() { return ctx_; }
   IpLayer& ip() { return ip_; }

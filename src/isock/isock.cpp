@@ -82,6 +82,10 @@ u32 ISockStack::pool_stag(int fd) const {
   return s && s->ud ? s->pool_mr.stag : 0;
 }
 
+std::shared_ptr<verbs::CompletionQueue> ISockStack::make_cq() {
+  return std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
+}
+
 Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
   if (!cfg_.use_iwarp) {
     auto sock = dev_.host().udp().open(port);
@@ -92,8 +96,8 @@ Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
   }
 
   // The socket owns its CQs (not the Device), so close() frees them.
-  s.send_cq = std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
-  s.recv_cq = std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
+  s.send_cq = make_cq();
+  s.recv_cq = make_cq();
   auto qp = dev_.create_ud_qp(
       {&pd_, s.send_cq.get(), s.recv_cq.get(), port, cfg_.reliable_dgram});
   if (!qp.ok()) return qp.status();
@@ -469,9 +473,9 @@ Status ISockStack::connect(int fd, Endpoint dst, ConnectHandler on_connected) {
   Sock* s = find(fd);
   if (!s || s->type != SockType::kStream)
     return Status(Errc::kInvalidArgument, "bad fd");
-  auto& send_cq = dev_.create_cq(1 << 14);
-  auto& recv_cq = dev_.create_cq(1 << 14);
-  auto qp = dev_.rc_connect({&pd_, &send_cq, &recv_cq}, dst);
+  s->send_cq = make_cq();
+  s->recv_cq = make_cq();
+  auto qp = dev_.rc_connect({&pd_, s->send_cq.get(), s->recv_cq.get()}, dst);
   if (!qp.ok()) return qp.status();
   s->rc = *qp;
   wire_stream_qp(fd, *s);
@@ -484,13 +488,17 @@ Status ISockStack::listen(int fd, AcceptHandler on_accept) {
   if (!s || s->type != SockType::kStream)
     return Status(Errc::kInvalidArgument, "bad fd");
   if (!s->bound) return Status(Errc::kInvalidArgument, "bind first");
+  if (s->listening) return Status(Errc::kInvalidArgument, "already listening");
   s->on_accept = std::move(on_accept);
-  auto& send_cq = dev_.create_cq(1 << 14);
-  auto& recv_cq = dev_.create_cq(1 << 14);
-  const int listen_fd = fd;
-  return dev_.rc_listen(
-      s->listen_port, {&pd_, &send_cq, &recv_cq},
-      [this, listen_fd](std::shared_ptr<verbs::RcQueuePair> qp) {
+  s->send_cq = make_cq();
+  s->recv_cq = make_cq();
+  // The callback holds the listener's CQs too. The port keeps it until
+  // close(), and every QP it builds keeps a copy for life, so no QP
+  // outlives the CQs it completes into, even after the listener closes.
+  Status st = dev_.rc_listen(
+      s->listen_port, {&pd_, s->send_cq.get(), s->recv_cq.get()},
+      [this, listen_fd = fd, send_cq = s->send_cq, recv_cq = s->recv_cq](
+          std::shared_ptr<verbs::RcQueuePair> qp) {
         Sock* ls = find(listen_fd);
         if (!ls) return;
         const int newfd = next_fd_++;
@@ -499,12 +507,16 @@ Status ISockStack::listen(int fd, AcceptHandler on_accept) {
         ns.bound = true;
         ns.pool_slots = ls->pool_slots;
         ns.slot_bytes = ls->slot_bytes;
+        ns.send_cq = send_cq;
+        ns.recv_cq = recv_cq;
         ns.rc = std::move(qp);
         auto [it, _] = socks_.emplace(newfd, std::move(ns));
         bind_sock_telemetry(it->second);
         wire_stream_qp(newfd, it->second);
         if (ls->on_accept) ls->on_accept(newfd);
       });
+  s->listening = st.ok();
+  return st;
 }
 
 std::size_t ISockStack::send(int fd, ConstByteSpan data) {
@@ -559,6 +571,7 @@ Status ISockStack::close(int fd) {
   // The pool is freed with the socket below; its STag must not outlive it.
   // Erasing the socket destroys its UD QP before the QP's CQs.
   if (s->ud) (void)pd_.deregister(s->pool_mr.stag);
+  if (s->listening) dev_.rc_stop_listening(s->listen_port);
   if (s->rc) {
     qpn_fd_.erase(s->rc->qpn());
     s->rc->disconnect();

@@ -131,10 +131,13 @@ class ISockStack {
     bool credit_flush_scheduled = false;
     ISockStats stats;
 
-    // iWARP datagram state. The socket owns its QP's two CQs, declared
-    // first so that they outlive the QP, which holds references to them.
+    // The socket owns its QP's two CQs, declared before `ud` and `rc` so
+    // that they outlive the QP, which holds references to them. A listener
+    // shares its pair with the sockets it accepts.
     std::shared_ptr<verbs::CompletionQueue> send_cq;
     std::shared_ptr<verbs::CompletionQueue> recv_cq;
+
+    // iWARP datagram state.
     std::shared_ptr<verbs::UdQueuePair> ud;
     // Receive slot ring: registered for datagram sockets, the posted
     // receive buffers of stream sockets.
@@ -149,6 +152,7 @@ class ISockStack {
     // Stream state.
     std::shared_ptr<verbs::RcQueuePair> rc;
     u16 listen_port = 0;
+    bool listening = false;  // holds listen_port's accept callback
     LazyDeque<Bytes> tx_hold;        // buffered-copy staging for sends
     /// SDP-style flow control: messages the peer can still absorb. Both
     /// ends start from the same pool geometry; consumed buffers are
@@ -171,6 +175,7 @@ class ISockStack {
   Sock* find(int fd);
   const Sock* find(int fd) const;
   void bind_sock_telemetry(Sock& s);
+  std::shared_ptr<verbs::CompletionQueue> make_cq();
   Status setup_datagram(int fd, Sock& s, u16 port);
   void pump_recv_cq(Sock& s);
   void post_pool_recvs(Sock& s);

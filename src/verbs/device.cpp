@@ -50,4 +50,6 @@ Status Device::rc_listen(
       });
 }
 
+void Device::rc_stop_listening(u16 port) { host_.tcp().stop_listening(port); }
+
 }  // namespace dgiwarp::verbs

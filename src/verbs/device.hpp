@@ -77,6 +77,9 @@ class Device {
   /// and are delivered to `on_accept` once their MPA handshake completes.
   Status rc_listen(u16 port, RcQpAttr attr,
                    std::function<void(std::shared_ptr<RcQueuePair>)> on_accept);
+  /// Undo rc_listen: the port refuses new connections. A QP still in its
+  /// MPA handshake keeps its copy of `on_accept` and is delivered to it.
+  void rc_stop_listening(u16 port);
 
   u32 alloc_qpn() { return next_qpn_++; }
   /// CQs made by create_cq; they live as long as the Device.

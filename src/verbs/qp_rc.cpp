@@ -154,10 +154,10 @@ void RcQueuePair::on_handshake_complete() {
   handshake_done_ = true;
   state_ = QpState::kRts;
   if (on_established_) on_established_(Status::Ok());
-  if (accept_ready_) {
-    accept_ready_(shared_from_this());
-    accept_ready_ = nullptr;
-  }
+  // handshake_done_ makes this the only call. The callback is kept for
+  // the QP's life: it may own the CQs the QP completes into (an isock
+  // listener's pair), so the QP never outlives them, adopted or not.
+  if (accept_ready_) accept_ready_(shared_from_this());
   self_hold_.reset();  // the application owns the QP now (or it dies)
   drain_tx();
 }

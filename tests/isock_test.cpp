@@ -3,6 +3,8 @@
 // advert handshake.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "isock/isock.hpp"
 #include "simnet/topology.hpp"
 
@@ -257,6 +259,87 @@ TEST(ISock, CloseReleasesTheSocketsCqs) {
   auto got = r.io_b.recvfrom(sfd);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, msg);
+}
+
+TEST(ISock, StreamCloseReleasesTheSocketsCqs) {
+  Rig r;
+  auto lfd = *r.io_b.socket(SockType::kStream, 4, 2'048);
+  ASSERT_TRUE(r.io_b.bind(lfd, 8080).ok());
+  std::vector<int> accepted;
+  ASSERT_TRUE(
+      r.io_b.listen(lfd, [&](int fd) { accepted.push_back(fd); }).ok());
+  const std::size_t client_cqs = r.dev_a.cq_count();
+  const std::size_t server_cqs = r.dev_b.cq_count();
+
+  // Connect, accept, then close both ends, 50 times over.
+  for (int i = 0; i < 50; ++i) {
+    auto cfd = *r.io_a.socket(SockType::kStream, 4, 2'048);
+    bool connected = false;
+    ASSERT_TRUE(r.io_a
+                    .connect(cfd, r.b.endpoint(8080),
+                             [&](Status st) { connected = st.ok(); })
+                    .ok());
+    r.topo.sim().run_while_pending(
+        [&] { return connected && accepted.size() == std::size_t(i) + 1; },
+        r.topo.sim().now() + kSecond);
+    ASSERT_TRUE(connected);
+    ASSERT_EQ(accepted.size(), std::size_t(i) + 1);
+    ASSERT_TRUE(r.io_a.close(cfd).ok());
+    ASSERT_TRUE(r.io_b.close(accepted.back()).ok());
+    r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
+  }
+  EXPECT_EQ(r.dev_a.cq_count(), client_cqs);
+  EXPECT_EQ(r.dev_b.cq_count(), server_cqs);
+
+  // The listener still accepts, and the new connection carries data.
+  auto cfd = *r.io_a.socket(SockType::kStream, 4, 2'048);
+  bool connected = false;
+  ASSERT_TRUE(r.io_a
+                  .connect(cfd, r.b.endpoint(8080),
+                           [&](Status st) { connected = st.ok(); })
+                  .ok());
+  r.topo.sim().run_while_pending(
+      [&] { return connected && accepted.size() == 51; },
+      r.topo.sim().now() + kSecond);
+  ASSERT_TRUE(connected);
+  ASSERT_EQ(accepted.size(), 51u);
+  Bytes got;
+  r.io_b.set_stream_handler(accepted.back(), [&](ConstByteSpan d) {
+    append(got, d);
+  });
+  const Bytes msg = make_pattern(1'500, 7);
+  EXPECT_EQ(r.io_a.send(cfd, ConstByteSpan{msg}), msg.size());
+  r.topo.sim().run_while_pending([&] { return got.size() >= msg.size(); },
+                                   r.topo.sim().now() + kSecond);
+  EXPECT_EQ(got, msg);
+}
+
+TEST(ISock, ClosingAListenerStopsListening) {
+  Rig r;
+  auto old_fd = *r.io_b.socket(SockType::kStream);
+  ASSERT_TRUE(r.io_b.bind(old_fd, 8080).ok());
+  int old_accepts = 0;
+  ASSERT_TRUE(r.io_b.listen(old_fd, [&](int) { ++old_accepts; }).ok());
+  ASSERT_TRUE(r.io_b.close(old_fd).ok());
+
+  // The port is free again: a new socket listens there and gets the next
+  // connection; the closed listener's handler never runs.
+  auto new_fd = *r.io_b.socket(SockType::kStream);
+  ASSERT_TRUE(r.io_b.bind(new_fd, 8080).ok());
+  int new_accepts = 0;
+  ASSERT_TRUE(r.io_b.listen(new_fd, [&](int) { ++new_accepts; }).ok());
+  auto cfd = *r.io_a.socket(SockType::kStream);
+  bool connected = false;
+  ASSERT_TRUE(r.io_a
+                  .connect(cfd, r.b.endpoint(8080),
+                           [&](Status st) { connected = st.ok(); })
+                  .ok());
+  r.topo.sim().run_while_pending(
+      [&] { return connected && new_accepts == 1; },
+      r.topo.sim().now() + kSecond);
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(new_accepts, 1);
+  EXPECT_EQ(old_accepts, 0);
 }
 
 }  // namespace
