@@ -119,7 +119,7 @@ void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
       return;
     }
     build_frame(frame_buf_, next_seq_++);
-    mux->insert(mux->end(), frame_buf_.begin(), frame_buf_.end());
+    append(*mux, ConstByteSpan{frame_buf_});
     if (mux->size() >= kHttpMuxChunk) {
       (void)io_.send(fd, ConstByteSpan{*mux});
       mux->clear();

@@ -11,10 +11,11 @@ cmake_minimum_required(VERSION 3.16)
 
 # Two patterns, each matched within one line: a range insert at the end,
 # `.insert(<name>.end(), ...`, or a range construction,
-# `Bytes[ <name>](... .begin() ...`.
+# `Bytes[ <name>](... .begin() ...`. Either member access may be `->`, as
+# in `p->insert(p->end(), ...`.
 string(CONCAT copy_re
-  "\\.insert\\([ \t]*[A-Za-z_.]+\\.end\\(\\)"
-  "|Bytes([ \t]+[A-Za-z_]+)?[({][^;\n]*\\.begin\\(\\)")
+  "(\\.|->)insert\\([ \t]*[A-Za-z_.>-]+(\\.|->)end\\(\\)"
+  "|Bytes([ \t]+[A-Za-z_]+)?[({][^;\n]*(\\.|->)begin\\(\\)")
 
 file(GLOB_RECURSE files RELATIVE "${SRC}" "${SRC}/*.hpp" "${SRC}/*.cpp")
 list(FILTER files EXCLUDE REGEX "^telemetry/")
