@@ -92,10 +92,7 @@ void SipServer::on_main_datagram(host::Endpoint src, ConstByteSpan data) {
     fd = it->second->fd;
   }
 
-  CallRecord scratch;
-  CallRecord& record = it != calls_.end() ? it->second->record : scratch;
   handle_request(req, fd, src);
-  (void)record;
 }
 
 void SipServer::on_call_datagram(const std::string& call_id,
