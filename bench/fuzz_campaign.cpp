@@ -2,9 +2,9 @@
 //
 // Two layers of checking on every wire format the stack parses:
 //   1. Survival — seeded structure-aware mutations must never crash a
-//      parser (run this binary under ASan/UBSan via the verify-fuzz target
-//      to turn "never over-read" into an enforced invariant), and every
-//      accept must produce a self-consistent object.
+//      parser (it is the ctest fuzz_campaign, so verify-asan runs it under
+//      ASan/UBSan and turns "never over-read" into an enforced invariant),
+//      and every accept must produce a self-consistent object.
 //   2. Round-trip stability — anything a parser ACCEPTS must survive
 //      serialize -> parse with every field intact. A parser that "repairs"
 //      hostile input into something its own serializer disagrees with is a

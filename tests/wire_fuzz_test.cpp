@@ -5,7 +5,7 @@
 // Terminate messages, MPA FPDU streams, RD packets, the IP/UDP/TCP stack
 // (fed whole frames through IpLayer::on_frame) and SIP messages. The
 // invariants are uniform: never crash, never read out of bounds (enforced
-// by the verify-fuzz ASan/UBSan build of this same binary), and either
+// by the verify-asan ASan/UBSan build of this same binary), and either
 // return a well-formed object or a clean Status. The corpus is a pure
 // function of the seed — see FuzzCorpusIsDeterministic.
 #include <gtest/gtest.h>
