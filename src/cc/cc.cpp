@@ -53,7 +53,8 @@ void RateController::set_rate(u64 key, Flow& f, double r) {
   if (r < f.rate) ++rate_decreases_;
   f.rate = r;
   auto& reg = sim_.telemetry();
-  reg.gauge("cc.rate_bps").set(r);
+  if (!rate_gauge_) rate_gauge_ = &reg.gauge("cc.rate_bps");
+  rate_gauge_->set(r);
   reg.trace().record(telemetry::TraceKind::kCcRateChange, key,
                      static_cast<u64>(r));
 }

@@ -1,10 +1,9 @@
-// Byte buffers, scatter/gather views and big-endian wire (de)serialization.
+// Byte buffers, span views and big-endian wire (de)serialization.
 //
-// The software iWARP stack of the paper "takes advantage of I/O vectors to
-// minimize data copying"; GatherList/ScatterList are the equivalents here.
+// A payload travels as one contiguous buffer per layer, not as an I/O
+// vector (DESIGN.md §10).
 #pragma once
 
-#include <cassert>
 #include <cstring>
 #include <span>
 #include <string>
@@ -38,96 +37,6 @@ inline Bytes to_bytes(ConstByteSpan s) {
   append(out, s);
   return out;
 }
-
-/// A gather list: ordered non-owning views of source data to transmit.
-class GatherList {
- public:
-  GatherList() = default;
-  explicit GatherList(ConstByteSpan one) { add(one); }
-
-  void add(ConstByteSpan s) {
-    if (s.empty()) return;
-    segs_.push_back(s);
-    total_ += s.size();
-  }
-
-  std::size_t total_size() const { return total_; }
-  bool empty() const { return total_ == 0; }
-  const std::vector<ConstByteSpan>& segments() const { return segs_; }
-
-  /// Copy `len` bytes starting at logical offset `off` into `dst`.
-  /// Returns bytes actually copied (clamped at the gather list's end).
-  std::size_t copy_out(std::size_t off, ByteSpan dst) const {
-    std::size_t copied = 0;
-    std::size_t pos = 0;
-    for (const auto& s : segs_) {
-      if (copied == dst.size()) break;
-      const std::size_t seg_end = pos + s.size();
-      if (seg_end > off) {
-        const std::size_t start = off > pos ? off - pos : 0;
-        const std::size_t n =
-            std::min(s.size() - start, dst.size() - copied);
-        std::memcpy(dst.data() + copied, s.data() + start, n);
-        copied += n;
-        off += n;
-      }
-      pos = seg_end;
-    }
-    return copied;
-  }
-
-  /// Flatten the whole gather list into a single owned buffer.
-  Bytes flatten() const {
-    Bytes out(total_);
-    copy_out(0, ByteSpan{out});
-    return out;
-  }
-
- private:
-  std::vector<ConstByteSpan> segs_;
-  std::size_t total_ = 0;
-};
-
-/// A scatter list: ordered non-owning views of sink buffers to receive into.
-class ScatterList {
- public:
-  ScatterList() = default;
-  explicit ScatterList(ByteSpan one) { add(one); }
-
-  void add(ByteSpan s) {
-    if (s.empty()) return;
-    segs_.push_back(s);
-    total_ += s.size();
-  }
-
-  std::size_t total_size() const { return total_; }
-  const std::vector<ByteSpan>& segments() const { return segs_; }
-
-  /// Copy `src` into the scatter list starting at logical offset `off`.
-  /// Returns bytes actually placed (clamped at the scatter list's end).
-  std::size_t copy_in(std::size_t off, ConstByteSpan src) const {
-    std::size_t copied = 0;
-    std::size_t pos = 0;
-    for (const auto& s : segs_) {
-      if (copied == src.size()) break;
-      const std::size_t seg_end = pos + s.size();
-      if (seg_end > off) {
-        const std::size_t start = off > pos ? off - pos : 0;
-        const std::size_t n =
-            std::min(s.size() - start, src.size() - copied);
-        std::memcpy(s.data() + start, src.data() + copied, n);
-        copied += n;
-        off += n;
-      }
-      pos = seg_end;
-    }
-    return copied;
-  }
-
- private:
-  std::vector<ByteSpan> segs_;
-  std::size_t total_ = 0;
-};
 
 /// Appends big-endian fields to an owned byte vector (network byte order,
 /// as all iWARP wire headers are defined big-endian).

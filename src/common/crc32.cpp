@@ -150,8 +150,4 @@ void Crc32::update(ConstByteSpan data) {
   state_ = crc_update(state_, data.data(), data.size());
 }
 
-void Crc32::update(const GatherList& gl) {
-  for (const auto& s : gl.segments()) update(s);
-}
-
 }  // namespace dgiwarp

@@ -15,11 +15,10 @@ namespace dgiwarp {
 /// XOR — the standard Ethernet/MPA polynomial 0x04C11DB7).
 u32 crc32_ieee(ConstByteSpan data);
 
-/// Incremental form for gather lists / streamed FPDUs.
+/// Incremental form for a CRC over several spans (streamed FPDUs).
 class Crc32 {
  public:
   void update(ConstByteSpan data);
-  void update(const GatherList& gl);
   u32 final() const { return ~state_; }
   void reset() { state_ = 0xFFFFFFFFu; }
 

@@ -44,8 +44,8 @@ UdpSocket::UdpSocket(UdpLayer& layer, u16 port)
   rx_dropped_full_.bind(reg.counter("hoststack.udp.rx_dropped_full"));
 }
 
-Status UdpSocket::send_to(Endpoint dst, const GatherList& data) {
-  if (data.total_size() > kMaxUdpPayload)
+Status UdpSocket::send_to(Endpoint dst, ConstByteSpan data) {
+  if (data.size() > kMaxUdpPayload)
     return Status(Errc::kInvalidArgument, "datagram exceeds 64KB limit");
 
   HostCtx& ctx = layer_.ctx();
@@ -56,20 +56,18 @@ Status UdpSocket::send_to(Endpoint dst, const GatherList& data) {
                          telemetry::CostActivity::kSyscall, 0});
   ctx.cpu.charge_kernel(
       static_cast<TimeNs>(ctx.costs.kernel_copy_ns_per_byte *
-                          static_cast<double>(data.total_size())),
+                          static_cast<double>(data.size())),
       {telemetry::CostLayer::kUdp, telemetry::CostActivity::kCopy,
-       data.total_size()});
+       data.size()});
 
   Bytes dgram;
-  dgram.reserve(kUdpHeaderBytes + data.total_size());
+  dgram.reserve(kUdpHeaderBytes + data.size());
   UdpHeader h;
   h.src_port = port_;
   h.dst_port = dst.port;
-  h.length = static_cast<u16>(kUdpHeaderBytes + data.total_size());
+  h.length = static_cast<u16>(kUdpHeaderBytes + data.size());
   h.serialize(dgram);
-  const std::size_t payload_at = dgram.size();
-  dgram.resize(payload_at + data.total_size());
-  data.copy_out(0, ByteSpan{dgram}.subspan(payload_at));
+  append(dgram, data);
 
   ++tx_count_;
   return layer_.ip().send(kIpProtoUdp, dst.ip, std::move(dgram));

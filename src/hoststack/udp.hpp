@@ -33,10 +33,7 @@ class UdpSocket {
   std::optional<std::pair<Endpoint, Bytes>> recv();
 
   /// Send one datagram (payload <= 65507 B). Charges the kernel sendto path.
-  Status send_to(Endpoint dst, const GatherList& data);
-  Status send_to(Endpoint dst, ConstByteSpan data) {
-    return send_to(dst, GatherList(data));
-  }
+  Status send_to(Endpoint dst, ConstByteSpan data);
 
   u64 datagrams_received() const { return rx_count_; }
 

@@ -23,7 +23,23 @@ constexpr u8 kStreamCredit = 0x11;
 ISockStack::ISockStack(verbs::Device& device, ISockConfig config)
     : dev_(device), cfg_(config), pd_(device.create_pd()) {}
 
-ISockStack::~ISockStack() = default;
+// Withdraws every callback that could still reach the stack, sending
+// nothing: no FIN leaves and no counter moves. Completions already on their
+// way land on CQs without a handler, and a pending credit flush or a
+// passive QP that finishes its handshake later finds `alive_` expired.
+ISockStack::~ISockStack() {
+  for (auto& [fd, s] : socks_) {
+    if (s.native) dev_.host().udp().close(s.native);
+    if (s.listening) dev_.rc_stop_listening(s.listen_port);
+    if (s.send_cq) s.send_cq->set_event_handler(nullptr);
+    if (s.recv_cq) s.recv_cq->set_event_handler(nullptr);
+  }
+}
+
+std::weak_ptr<const bool> ISockStack::alive_token() {
+  if (!alive_) alive_ = std::make_shared<const bool>(true);
+  return alive_;
+}
 
 ISockStack::Sock* ISockStack::find(int fd) {
   auto it = socks_.find(fd);
@@ -209,8 +225,9 @@ void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
     return;
   }
   s.rx_queue.emplace_back(src, to_bytes(data));
-  reg.gauge("isock.pool.rx_queue_depth")
-      .set(static_cast<double>(s.rx_queue.size()));
+  if (!rx_depth_gauge_)
+    rx_depth_gauge_ = &reg.gauge("isock.pool.rx_queue_depth");
+  rx_depth_gauge_->set(static_cast<double>(s.rx_queue.size()));
 }
 
 void ISockStack::handle_control(Sock& s, Endpoint src, ConstByteSpan data) {
@@ -422,12 +439,14 @@ void ISockStack::pump_stream_recv(verbs::CompletionQueue& cq) {
     } else if (!sk->credit_flush_scheduled) {
       sk->credit_flush_scheduled = true;
       const int fd = fit->second;
-      dev_.host().sim().after(500 * kMicrosecond, [this, fd] {
-        if (Sock* s2 = find(fd)) {
-          s2->credit_flush_scheduled = false;
-          send_stream_credits(*s2);
-        }
-      });
+      dev_.host().sim().after(
+          500 * kMicrosecond, [this, fd, alive = alive_token()] {
+            if (alive.expired()) return;
+            if (Sock* s2 = find(fd)) {
+              s2->credit_flush_scheduled = false;
+              send_stream_credits(*s2);
+            }
+          });
     }
     if (sk->on_stream) sk->on_stream(ConstByteSpan{payload});
   }
@@ -497,8 +516,9 @@ Status ISockStack::listen(int fd, AcceptHandler on_accept) {
   // outlives the CQs it completes into, even after the listener closes.
   Status st = dev_.rc_listen(
       s->listen_port, {&pd_, s->send_cq.get(), s->recv_cq.get()},
-      [this, listen_fd = fd, send_cq = s->send_cq, recv_cq = s->recv_cq](
-          std::shared_ptr<verbs::RcQueuePair> qp) {
+      [this, listen_fd = fd, send_cq = s->send_cq, recv_cq = s->recv_cq,
+       alive = alive_token()](std::shared_ptr<verbs::RcQueuePair> qp) {
+        if (alive.expired()) return;
         Sock* ls = find(listen_fd);
         if (!ls) return;
         const int newfd = next_fd_++;

@@ -70,6 +70,9 @@ class ISockStack {
 
   explicit ISockStack(verbs::Device& device, ISockConfig config = {});
   ~ISockStack();
+  // Callbacks on the host and the Device hold the stack's address.
+  ISockStack(const ISockStack&) = delete;
+  ISockStack& operator=(const ISockStack&) = delete;
 
   /// socket(): allocate an fd of the given type. For datagram sockets the
   /// underlying UD QP (or native UDP socket) is created at bind() time.
@@ -189,6 +192,9 @@ class ISockStack {
   void pump_stream_recv(verbs::CompletionQueue& cq);
   void pump_stream_send(verbs::CompletionQueue& cq);
   void send_stream_credits(Sock& s);
+  /// Expires with the stack, for callbacks that can run after it is gone.
+  /// Made on first use, so a stack without stream sockets allocates none.
+  std::weak_ptr<const bool> alive_token();
 
   verbs::Device& dev_;
   ISockConfig cfg_;
@@ -196,6 +202,9 @@ class ISockStack {
   int next_fd_ = 3;
   std::map<int, Sock> socks_;
   std::map<u32, int> qpn_fd_;  // stream QP -> fd (CQs are shared on accept)
+  // isock.pool.rx_queue_depth, fetched on the first queued datagram.
+  telemetry::Gauge* rx_depth_gauge_ = nullptr;
+  std::shared_ptr<const bool> alive_;
 };
 
 }  // namespace dgiwarp::isock

@@ -114,23 +114,21 @@ ReliableDatagram::~ReliableDatagram() {
   }
 }
 
-Status ReliableDatagram::send_to(Endpoint dst, const GatherList& payload) {
-  if (payload.total_size() + kHeaderBytes > host::kMaxUdpPayload)
+Status ReliableDatagram::send_to(Endpoint dst, ConstByteSpan payload) {
+  if (payload.size() + kHeaderBytes > host::kMaxUdpPayload)
     return Status(Errc::kInvalidArgument, "RD datagram too large");
 
   PeerTx& tx = tx_[dst];
   const u64 seq = tx.next_seq++;
 
   Bytes wire;
-  wire.reserve(kHeaderBytes + payload.total_size());
+  wire.reserve(kHeaderBytes + payload.size());
   WireWriter w(wire);
   w.u8be(kTypeData);
   w.u64be(seq);
   w.u32be(0);  // cumulative-ack piggyback; patched at transmit time
   w.u32be(0);  // CRC32; patched at transmit time (depends on the cum field)
-  const std::size_t at = wire.size();
-  wire.resize(at + payload.total_size());
-  payload.copy_out(0, ByteSpan{wire}.subspan(at));
+  w.bytes(payload);
 
   // Capture the ambient lifecycle span: it must survive window queueing and
   // retransmission, both of which outlive the caller's SpanScope.
@@ -279,7 +277,8 @@ void ReliableDatagram::on_timeout(Endpoint dst, u64 seq, u64 gen) {
     // Karn/RFC 6298 backoff: the estimator is not updated from
     // retransmitted packets, but the timeout itself doubles up to the cap.
     tx.rto = std::min(2 * peer_rto(tx), config_.max_rto);
-    ctx_.sim.telemetry().gauge("rd.rto_ns").set(static_cast<double>(tx.rto));
+    if (!rto_gauge_) rto_gauge_ = &ctx_.sim.telemetry().gauge("rd.rto_ns");
+    rto_gauge_->set(static_cast<double>(tx.rto));
   }
   transmit(dst, seq, tx);
 }
@@ -296,7 +295,8 @@ void ReliableDatagram::update_rtt(PeerTx& tx, TimeNs sample) {
     tx.srtt = (7 * tx.srtt + sample) / 8;
   }
   tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, kMinRto, config_.max_rto);
-  ctx_.sim.telemetry().gauge("rd.rto_ns").set(static_cast<double>(tx.rto));
+  if (!rto_gauge_) rto_gauge_ = &ctx_.sim.telemetry().gauge("rd.rto_ns");
+  rto_gauge_->set(static_cast<double>(tx.rto));
 }
 
 void ReliableDatagram::ack_one(Endpoint src, PeerTx& tx, u64 seq,
@@ -635,8 +635,9 @@ void ReliableDatagram::account_ooo(PeerRx& rx, i64 delta) {
   if (ctx_.ledger) ctx_.ledger->add("rd.rx_ooo", delta);
   // One gauge per Simulation: every endpoint adds its own delta, as it does
   // to its host's ledger, so the gauge sums all of them.
-  ctx_.sim.telemetry().gauge("rd.rx_ooo_bytes").add(
-      static_cast<double>(delta));
+  if (!ooo_gauge_)
+    ooo_gauge_ = &ctx_.sim.telemetry().gauge("rd.rx_ooo_bytes");
+  ooo_gauge_->add(static_cast<double>(delta));
 }
 
 std::size_t ReliableDatagram::unacked() const {

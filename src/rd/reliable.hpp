@@ -120,10 +120,7 @@ class ReliableDatagram {
 
   /// Send one datagram reliably. Queues beyond the window; fails only if
   /// the payload exceeds the UDP limit (minus the RD header).
-  Status send_to(Endpoint dst, const GatherList& payload);
-  Status send_to(Endpoint dst, ConstByteSpan payload) {
-    return send_to(dst, GatherList(payload));
-  }
+  Status send_to(Endpoint dst, ConstByteSpan payload);
 
   /// Datagrams accepted but not yet acknowledged (all peers).
   std::size_t unacked() const;
@@ -253,6 +250,9 @@ class ReliableDatagram {
   std::map<Endpoint, PeerRx> rx_;
   RdStats stats_;
   u64 timer_counter_ = 0;
+  // rd.rto_ns and rd.rx_ooo_bytes, fetched on first use.
+  telemetry::Gauge* rto_gauge_ = nullptr;
+  telemetry::Gauge* ooo_gauge_ = nullptr;
 };
 
 }  // namespace dgiwarp::rd

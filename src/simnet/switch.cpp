@@ -1,5 +1,6 @@
 #include "simnet/switch.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace dgiwarp::sim {

@@ -282,7 +282,10 @@ void RcQueuePair::drain_tx() {
   while (!tx_marks_.empty() && tx_marks_.front().first <= tx_accepted_abs_) {
     const TxCompletion& done = tx_marks_.front().second;
     // WR tx latency: post_send until the LLP accepted the last byte.
-    dev_.host().sim().telemetry().histogram("verbs.wr.tx_latency_us").add(
+    if (!tx_latency_hist_)
+      tx_latency_hist_ =
+          &dev_.host().sim().telemetry().histogram("verbs.wr.tx_latency_us");
+    tx_latency_hist_->add(
         static_cast<double>(dev_.host().sim().now() - done.posted_at) /
         1000.0);
     // "Passed to the LLP": the last byte was accepted by the TCP socket.

@@ -99,6 +99,8 @@ class RcQueuePair final : public QueuePair,
   u64 tx_total_abs_ = 0;          // absolute stream bytes ever enqueued
   std::deque<std::pair<u64, TxCompletion>> tx_marks_;
   bool drain_scheduled_ = false;
+  // verbs.wr.tx_latency_us, fetched on the first completed send.
+  telemetry::Histogram* tx_latency_hist_ = nullptr;
 
   // Untagged receive stream state (single peer, in-order).
   struct ActiveRecv {

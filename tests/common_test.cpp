@@ -39,18 +39,6 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   }
 }
 
-TEST(Crc32, GatherListMatchesFlat) {
-  const Bytes a = make_pattern(100, 1);
-  const Bytes b = make_pattern(311, 2);
-  GatherList gl;
-  gl.add(ConstByteSpan{a});
-  gl.add(ConstByteSpan{b});
-  Crc32 inc;
-  inc.update(gl);
-  const Bytes flat = gl.flatten();
-  EXPECT_EQ(inc.final(), crc32_ieee(ConstByteSpan{flat}));
-}
-
 TEST(Crc32, DetectsSingleBitFlips) {
   Bytes data = make_pattern(512, 9);
   const u32 good = crc32_ieee(ConstByteSpan{data});
@@ -297,35 +285,6 @@ TEST(LazyDeque, MatchesStdDeque) {
     }
     ASSERT_TRUE(same()) << "step " << step;
   }
-}
-
-TEST(GatherList, CopyOutAtOffsets) {
-  const Bytes a = {1, 2, 3};
-  const Bytes b = {4, 5, 6, 7};
-  GatherList gl;
-  gl.add(ConstByteSpan{a});
-  gl.add(ConstByteSpan{b});
-  EXPECT_EQ(gl.total_size(), 7u);
-
-  Bytes out(4, 0);
-  EXPECT_EQ(gl.copy_out(2, ByteSpan{out}), 4u);
-  EXPECT_EQ(out, (Bytes{3, 4, 5, 6}));
-
-  Bytes tail(10, 0);
-  EXPECT_EQ(gl.copy_out(5, ByteSpan{tail}), 2u);  // clamped at end
-  EXPECT_EQ(tail[0], 6);
-  EXPECT_EQ(tail[1], 7);
-}
-
-TEST(ScatterList, CopyInAcrossSegments) {
-  Bytes a(3, 0), b(4, 0);
-  ScatterList sl;
-  sl.add(ByteSpan{a});
-  sl.add(ByteSpan{b});
-  const Bytes src = {9, 8, 7, 6};
-  EXPECT_EQ(sl.copy_in(2, ConstByteSpan{src}), 4u);
-  EXPECT_EQ(a, (Bytes{0, 0, 9}));
-  EXPECT_EQ(b, (Bytes{8, 7, 6, 0}));
 }
 
 TEST(WireCodec, RoundtripAllWidths) {

@@ -1,5 +1,5 @@
-// Deterministic structure-aware fuzzing utilities shared by
-// tests/wire_fuzz_test.cpp and bench/fuzz_campaign.cpp.
+// Deterministic structure-aware mutator behind the wire fuzzer,
+// tests/wire_fuzz_test.cpp.
 //
 // The mutator is seeded with the repo's own Rng (xoshiro256**), so a given
 // (seed, base frame) pair always yields the same mutation sequence — corpus

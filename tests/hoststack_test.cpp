@@ -22,14 +22,16 @@ TEST(Udp, SmallDatagramRoundtrip) {
   Net n;
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
-  Bytes msg = make_pattern(100, 1);
-  ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
-  n.topo.sim().run();
-  auto got = sb->recv();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->second, msg);
-  EXPECT_EQ(got->first.ip, n.a.addr());
-  EXPECT_EQ(got->first.port, sa->local_port());
+  for (std::size_t size : {100, 0}) {
+    Bytes msg = make_pattern(size, 1);
+    ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
+    n.topo.sim().run();
+    auto got = sb->recv();
+    ASSERT_TRUE(got.has_value()) << size;
+    EXPECT_EQ(got->second, msg);
+    EXPECT_EQ(got->first.ip, n.a.addr());
+    EXPECT_EQ(got->first.port, sa->local_port());
+  }
 }
 
 TEST(Udp, MaxSizeDatagramFragmentsAndReassembles) {

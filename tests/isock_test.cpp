@@ -342,5 +342,82 @@ TEST(ISock, ClosingAListenerStopsListening) {
   EXPECT_EQ(old_accepts, 0);
 }
 
+// Destroying a stack withdraws what its sockets hold on the host: the
+// listener's TCP port, the native socket's UDP port, the CQ handlers and a
+// pending credit flush. New stacks then own both ports.
+TEST(ISock, DestroyingAStackReleasesItsPorts) {
+  Rig r;
+  ISockConfig native;
+  native.use_iwarp = false;
+  int old_accepts = 0;
+  int old_fd = -1;
+  auto cfd = *r.io_a.socket(SockType::kStream);
+  {
+    ISockStack old_io(r.dev_b);
+    ISockStack old_native(r.dev_b, native);
+    auto lfd = *old_io.socket(SockType::kStream);
+    ASSERT_TRUE(old_io.bind(lfd, 8080).ok());
+    ASSERT_TRUE(old_io
+                    .listen(lfd,
+                            [&](int fd) {
+                              ++old_accepts;
+                              old_fd = fd;
+                            })
+                    .ok());
+    auto ufd = *old_native.socket(SockType::kDatagram);
+    ASSERT_TRUE(old_native.bind(ufd, 9000).ok());
+
+    // One message on an accepted connection leaves a credit flush pending.
+    bool connected = false;
+    ASSERT_TRUE(r.io_a
+                    .connect(cfd, r.b.endpoint(8080),
+                             [&](Status st) { connected = st.ok(); })
+                    .ok());
+    r.topo.sim().run_while_pending(
+        [&] { return connected && old_accepts == 1; },
+        r.topo.sim().now() + kSecond);
+    ASSERT_EQ(old_accepts, 1);
+    std::size_t got = 0;
+    old_io.set_stream_handler(old_fd,
+                              [&](ConstByteSpan d) { got += d.size(); });
+    const Bytes msg = make_pattern(100, 3);
+    ASSERT_EQ(r.io_a.send(cfd, ConstByteSpan{msg}), msg.size());
+    r.topo.sim().run_while_pending([&] { return got == msg.size(); },
+                                   r.topo.sim().now() + kSecond);
+    ASSERT_EQ(got, msg.size());
+  }
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
+
+  ISockStack new_io(r.dev_b);
+  ISockStack new_native(r.dev_b, native);
+  auto lfd = *new_io.socket(SockType::kStream);
+  ASSERT_TRUE(new_io.bind(lfd, 8080).ok());
+  int new_accepts = 0;
+  ASSERT_TRUE(new_io.listen(lfd, [&](int) { ++new_accepts; }).ok());
+  auto ufd = *new_native.socket(SockType::kDatagram);
+  ASSERT_TRUE(new_native.bind(ufd, 9000).ok());
+
+  auto cfd2 = *r.io_a.socket(SockType::kStream);
+  bool connected = false;
+  ASSERT_TRUE(r.io_a
+                  .connect(cfd2, r.b.endpoint(8080),
+                           [&](Status st) { connected = st.ok(); })
+                  .ok());
+  r.topo.sim().run_while_pending(
+      [&] { return connected && new_accepts == 1; },
+      r.topo.sim().now() + kSecond);
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(new_accepts, 1);
+  EXPECT_EQ(old_accepts, 1);
+
+  const Bytes dgram = make_pattern(300, 4);
+  host::UdpSocket* peer = *r.a.udp().open(0);
+  ASSERT_TRUE(peer->send_to(r.b.endpoint(9000), ConstByteSpan{dgram}).ok());
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
+  auto got = new_native.recvfrom(ufd);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->second, dgram);
+}
+
 }  // namespace
 }  // namespace dgiwarp

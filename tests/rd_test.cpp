@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "hoststack/host.hpp"
 #include "rd/reliable.hpp"
@@ -44,12 +45,17 @@ Bytes forge(u8 type, u64 seq, std::size_t payload_len) {
 TEST(Rd, BasicDelivery) {
   RdNet n;
   n.init();
-  Bytes got;
-  n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) { got = std::move(d); });
-  const Bytes msg = make_pattern(500, 1);
-  ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
-  n.topo.sim().run();
-  EXPECT_EQ(got, msg);
+  std::vector<Bytes> got;
+  n.rdb->on_datagram(
+      [&](rd::Endpoint, Bytes d, bool) { got.push_back(std::move(d)); });
+  for (std::size_t size : {500, 0}) {
+    const Bytes msg = make_pattern(size, 1);
+    ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
+    n.topo.sim().run();
+    ASSERT_EQ(got.size(), 1u) << size;
+    EXPECT_EQ(got.back(), msg);
+    got.clear();
+  }
   EXPECT_EQ(n.rda->stats().retransmits, 0u);
   EXPECT_EQ(n.rda->unacked(), 0u);
 }
@@ -205,9 +211,21 @@ TEST(Rd, WindowQueuesExcessAndDrains) {
 TEST(Rd, OversizePayloadRejected) {
   RdNet n;
   n.init();
-  Bytes big(host::kMaxUdpPayload, 0);  // leaves no room for the RD header
+  // The RD header and the payload must fit one UDP datagram: one byte more
+  // is refused, and the largest payload that fits arrives byte-exact.
+  const std::size_t fits =
+      host::kMaxUdpPayload - rd::ReliableDatagram::kHeaderBytes;
+  Bytes big(fits + 1, 0);
   EXPECT_EQ(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{big}).code(),
             Errc::kInvalidArgument);
+  std::vector<Bytes> got;
+  n.rdb->on_datagram(
+      [&](rd::Endpoint, Bytes d, bool) { got.push_back(std::move(d)); });
+  const Bytes msg = make_pattern(fits, 4);
+  ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
+  n.topo.sim().run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.front(), msg);
 }
 
 // Every datagram arrives twice: each is still delivered exactly once, and
