@@ -52,11 +52,8 @@ void RateController::set_rate(u64 key, Flow& f, double r) {
   r = std::clamp(r, kMinRateBps, kLineRateBps);
   if (r < f.rate) ++rate_decreases_;
   f.rate = r;
-  auto& reg = sim_.telemetry();
-  if (!rate_gauge_) rate_gauge_ = &reg.gauge("cc.rate_bps");
-  rate_gauge_->set(r);
-  reg.trace().record(telemetry::TraceKind::kCcRateChange, key,
-                     static_cast<u64>(r));
+  sim_.telemetry().trace().record(telemetry::TraceKind::kCcRateChange, key,
+                                  static_cast<u64>(r));
 }
 
 TimeNs RateController::reserve_send(u64 key, std::size_t packet_bytes) {

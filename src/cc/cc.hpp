@@ -139,7 +139,6 @@ class RateController {
   CcParams params_;
   std::map<u64, Flow> flows_;
   telemetry::Metric cnps_;  // mirrors into cc.cnps
-  telemetry::Gauge* rate_gauge_ = nullptr;  // cc.rate_bps, on first use
   u64 rate_decreases_ = 0;
 };
 

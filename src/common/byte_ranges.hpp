@@ -1,5 +1,6 @@
 // Sorted, coalesced sets of byte ranges within one message: which bytes of
-// a UD untagged message have arrived (ddp::UntaggedReassembler) and which
+// a fragmented IP datagram have arrived (host::IpLayer), which bytes of a
+// UD untagged message have arrived (ddp::UntaggedReassembler) and which
 // bytes of a Write-Record are valid (rdmap::ValidityMap).
 #pragma once
 

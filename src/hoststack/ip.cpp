@@ -168,7 +168,8 @@ void IpLayer::on_frame(sim::Frame f) {
   if (f.span && p.span == 0) p.span = f.span;
   if (!body.empty())
     std::memcpy(p.data.data() + h.offset, body.data(), body.size());
-  p.received += cover_range(p, h.offset, h.offset + body.size());
+  p.received +=
+      merge_range(p.ranges, h.offset, static_cast<u32>(body.size()));
 
   if (p.received >= p.total) {
     Bytes whole = std::move(p.data);
@@ -181,26 +182,6 @@ void IpLayer::on_frame(sim::Frame f) {
     EcnScope ecn_scope(ctx_, ecn);
     deliver(f.src, h.proto, std::move(whole), tainted);
   }
-}
-
-std::size_t IpLayer::cover_range(Partial& p, std::size_t begin,
-                                 std::size_t end) {
-  if (begin >= end) return 0;
-  std::size_t fresh = end - begin;  // input bytes not previously covered
-  std::size_t nb = begin, ne = end;  // bounds of the merged range
-  // Absorb every existing range overlapping or abutting [begin, end).
-  auto it = p.ranges.upper_bound(begin);
-  if (it != p.ranges.begin() && std::prev(it)->second >= begin) --it;
-  while (it != p.ranges.end() && it->first <= end) {
-    const std::size_t lo = std::max(begin, it->first);
-    const std::size_t hi = std::min(end, it->second);
-    if (hi > lo) fresh -= hi - lo;  // existing ranges are disjoint
-    nb = std::min(nb, it->first);
-    ne = std::max(ne, it->second);
-    it = p.ranges.erase(it);
-  }
-  p.ranges[nb] = ne;
-  return fresh;
 }
 
 void IpLayer::deliver(u32 src_ip, u8 proto, Bytes datagram, bool tainted) {

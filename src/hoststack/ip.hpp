@@ -10,6 +10,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "common/byte_ranges.hpp"
 #include "common/memledger.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -139,17 +140,13 @@ class IpLayer {
     bool tainted = false;        // any contributing frame was corrupted
     bool ecn = false;            // any contributing frame was CE-marked
     u64 span = 0;                // lifecycle span from contributing frames
-    // Disjoint covered [begin, end) ranges. Duplicate or overlapping
-    // fragments (duplicating links, retransmitting middleboxes) must not
-    // count twice, or reassembly completes early with a hole.
-    std::map<std::size_t, std::size_t> ranges;
+    // Covered byte ranges. Duplicate or overlapping fragments (duplicating
+    // links, retransmitting middleboxes) must not count twice, or
+    // reassembly completes early with a hole.
+    std::vector<ByteRange> ranges;
     TimeNs deadline = 0;
     u64 generation = 0;
   };
-
-  /// Merge [begin, end) into `p.ranges`, returning the newly covered bytes.
-  static std::size_t cover_range(Partial& p, std::size_t begin,
-                                 std::size_t end);
 
   void deliver(u32 src_ip, u8 proto, Bytes datagram, bool tainted);
 

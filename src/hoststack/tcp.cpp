@@ -560,8 +560,6 @@ void TcpSocket::send_segment(u64 seq, ConstByteSpan payload, u8 flags,
     reg.spans().stage(span, telemetry::Stage::kTransportTx, seq,
                       payload.size());
   }
-  if (!cwnd_gauge_) cwnd_gauge_ = &reg.gauge("hoststack.tcp.cwnd_bytes");
-  cwnd_gauge_->set(cwnd_);
   SpanScope scope(c, span);
   (void)layer_.ip().send(kIpProtoTcp, remote_.ip, std::move(dgram));
 }

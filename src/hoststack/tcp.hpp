@@ -186,8 +186,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   telemetry::Metric seg_rx_;
   telemetry::Metric retx_;
   telemetry::Metric delivered_bytes_;
-  // hoststack.tcp.cwnd_bytes, fetched on the first segment sent.
-  telemetry::Gauge* cwnd_gauge_ = nullptr;
 
   MemCharge mem_;
 };

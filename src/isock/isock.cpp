@@ -23,13 +23,15 @@ constexpr u8 kStreamCredit = 0x11;
 ISockStack::ISockStack(verbs::Device& device, ISockConfig config)
     : dev_(device), cfg_(config), pd_(device.create_pd()) {}
 
-// Withdraws every callback that could still reach the stack, sending
-// nothing: no FIN leaves and no counter moves. Completions already on their
-// way land on CQs without a handler, and a pending credit flush or a
-// passive QP that finishes its handshake later finds `alive_` expired.
+// Withdraws every callback that could still reach the stack, and every
+// receive pool's STag from the Device-owned PD, sending nothing: no FIN
+// leaves and no counter moves. Completions already on their way land on
+// CQs without a handler, and a pending credit flush or a passive QP that
+// finishes its handshake later finds `alive_` expired.
 ISockStack::~ISockStack() {
   for (auto& [fd, s] : socks_) {
     if (s.native) dev_.host().udp().close(s.native);
+    if (s.ud) (void)pd_.deregister(s.pool_mr.stag);
     if (s.listening) dev_.rc_stop_listening(s.listen_port);
     if (s.send_cq) s.send_cq->set_event_handler(nullptr);
     if (s.recv_cq) s.recv_cq->set_event_handler(nullptr);
@@ -50,25 +52,22 @@ const ISockStack::Sock* ISockStack::find(int fd) const {
   return it == socks_.end() ? nullptr : &it->second;
 }
 
-void ISockStack::bind_sock_telemetry(Sock& s) {
-  auto& reg = dev_.host().sim().telemetry();
-  s.stats.datagrams_tx.bind(reg.counter("isock.dgram.tx"));
-  s.stats.datagrams_rx.bind(reg.counter("isock.dgram.rx"));
-  s.stats.bytes_tx.bind(reg.counter("isock.bytes.tx"));
-  s.stats.bytes_rx.bind(reg.counter("isock.bytes.rx"));
-  s.stats.rx_dropped_no_slot.bind(
-      reg.counter("isock.pool.rx_dropped_no_slot"));
-}
-
 Result<int> ISockStack::socket(SockType type, std::size_t pool_slots,
                                std::size_t slot_bytes) {
+  if (!dgrams_tx_) {
+    auto& reg = dev_.host().sim().telemetry();
+    dgrams_tx_ = &reg.counter("isock.dgram.tx");
+    dgrams_rx_ = &reg.counter("isock.dgram.rx");
+    bytes_tx_ = &reg.counter("isock.bytes.tx");
+    bytes_rx_ = &reg.counter("isock.bytes.rx");
+    rx_dropped_no_slot_ = &reg.counter("isock.pool.rx_dropped_no_slot");
+  }
   const int fd = next_fd_++;
   Sock s;
   s.type = type;
   s.pool_slots = pool_slots ? pool_slots : cfg_.pool_slots;
   s.slot_bytes = slot_bytes ? slot_bytes : cfg_.slot_bytes;
-  auto [it, _] = socks_.emplace(fd, std::move(s));
-  bind_sock_telemetry(it->second);
+  socks_.emplace(fd, std::move(s));
   return fd;
 }
 
@@ -156,8 +155,9 @@ void ISockStack::post_pool_recvs(Sock& s) {
   }
 }
 
-// Wire a socket's receive CQ to the interface's dispatcher. Called lazily
-// the first time delivery matters (handler installed or data flowing).
+// Drain a datagram socket's receive CQ: deliver data, handle control
+// traffic and repost buffers. Runs from the CQ's event handler, which bind()
+// wires, and from recvfrom() and set_datagram_handler().
 void ISockStack::pump_recv_cq(Sock& s) {
   if (!s.ud) return;
   auto& cq = s.ud->recv_cq();
@@ -203,8 +203,8 @@ void ISockStack::pump_recv_cq(Sock& s) {
 }
 
 void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
-  ++s.stats.datagrams_rx;
-  s.stats.bytes_rx += data.size();
+  dgrams_rx_->inc();
+  bytes_rx_->inc(data.size());
   // Buffered copy: the interface copies from the registered pool into an
   // application-visible buffer (paper §VI.B.1 — this copy is why WR and
   // S/R perform almost identically through the socket interface).
@@ -217,17 +217,14 @@ void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
     s.on_datagram(src, data);
     return;
   }
-  auto& reg = dev_.host().sim().telemetry();
   if (s.rx_queue.size() >= s.rx_queue_limit) {
-    ++s.stats.rx_dropped_no_slot;
-    reg.trace().record(telemetry::TraceKind::kIsockDropNoSlot,
-                       static_cast<u64>(src.port), data.size());
+    rx_dropped_no_slot_->inc();
+    dev_.host().sim().telemetry().trace().record(
+        telemetry::TraceKind::kIsockDropNoSlot, static_cast<u64>(src.port),
+        data.size());
     return;
   }
   s.rx_queue.emplace_back(src, to_bytes(data));
-  if (!rx_depth_gauge_)
-    rx_depth_gauge_ = &reg.gauge("isock.pool.rx_queue_depth");
-  rx_depth_gauge_->set(static_cast<double>(s.rx_queue.size()));
 }
 
 void ISockStack::handle_control(Sock& s, Endpoint src, ConstByteSpan data) {
@@ -298,8 +295,8 @@ Status ISockStack::sendto(int fd, Endpoint dst, ConstByteSpan data) {
     if (Status st = bind(fd, 0); !st.ok()) return st;
     s = find(fd);
   }
-  ++s->stats.datagrams_tx;
-  s->stats.bytes_tx += data.size();
+  dgrams_tx_->inc();
+  bytes_tx_->inc(data.size());
 
   // The socket interface is the outermost layer: the message lifecycle span
   // begins here (the verbs post below inherits it instead of opening its
@@ -367,8 +364,8 @@ void ISockStack::set_datagram_handler(int fd, DatagramHandler h) {
   if (s->native) {
     Sock* sp = s;
     s->native->set_handler([this, sp](Endpoint src, Bytes data, bool) {
-      ++sp->stats.datagrams_rx;
-      sp->stats.bytes_rx += data.size();
+      dgrams_rx_->inc();
+      bytes_rx_->inc(data.size());
       if (sp->on_datagram) sp->on_datagram(src, ConstByteSpan{data});
     });
     return;
@@ -425,7 +422,7 @@ void ISockStack::pump_stream_recv(verbs::CompletionQueue& cq) {
     }
     Bytes payload = to_bytes(msg.subspan(1));
     repost();
-    sk->stats.bytes_rx += payload.size();
+    bytes_rx_->inc(payload.size());
     dev_.host().cpu().charge(
         static_cast<TimeNs>(dev_.host().costs().touch_ns_per_byte *
                             static_cast<double>(payload.size())),
@@ -531,7 +528,6 @@ Status ISockStack::listen(int fd, AcceptHandler on_accept) {
         ns.recv_cq = recv_cq;
         ns.rc = std::move(qp);
         auto [it, _] = socks_.emplace(newfd, std::move(ns));
-        bind_sock_telemetry(it->second);
         wire_stream_qp(newfd, it->second);
         if (ls->on_accept) ls->on_accept(newfd);
       });
@@ -576,7 +572,7 @@ std::size_t ISockStack::send(int fd, ConstByteSpan data) {
     ++s->tx_credits;
     return 0;
   }
-  s->stats.bytes_tx += data.size();
+  bytes_tx_->inc(data.size());
   return data.size();
 }
 
@@ -598,12 +594,6 @@ Status ISockStack::close(int fd) {
   }
   socks_.erase(fd);
   return Status::Ok();
-}
-
-Result<const ISockStats*> ISockStack::stats(int fd) const {
-  const Sock* s = find(fd);
-  if (!s) return Status(Errc::kInvalidArgument, "bad fd");
-  return &s->stats;
 }
 
 }  // namespace dgiwarp::isock

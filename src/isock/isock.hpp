@@ -49,16 +49,6 @@ struct ISockConfig {
   std::size_t slot_bytes = 64 * 1024;
 };
 
-/// Per-socket counters, also aggregated into the Simulation registry under
-/// isock.* (drops feed the acceptance metric isock.pool.rx_dropped_no_slot).
-struct ISockStats {
-  telemetry::Metric datagrams_tx;
-  telemetry::Metric datagrams_rx;
-  telemetry::Metric bytes_tx;
-  telemetry::Metric bytes_rx;
-  telemetry::Metric rx_dropped_no_slot;
-};
-
 /// Per-host socket interface instance. All calls are nonblocking; receive
 /// delivery is push (handler) or pull (recvfrom/read on the internal queue).
 class ISockStack {
@@ -104,9 +94,6 @@ class ISockStack {
 
   Status close(int fd);
 
-  /// Per-socket counters. Fails with kInvalidArgument for an unknown fd
-  /// (previously an all-zero sentinel was returned, silently masking typos).
-  Result<const ISockStats*> stats(int fd) const;
   verbs::Device& device() { return dev_; }
   /// The protection domain the sockets' receive pools are registered in.
   const verbs::ProtectionDomain& pd() const { return pd_; }
@@ -132,7 +119,6 @@ class ISockStack {
     std::size_t pool_slots = 0;  // effective pool geometry
     std::size_t slot_bytes = 0;
     bool credit_flush_scheduled = false;
-    ISockStats stats;
 
     // The socket owns its QP's two CQs, declared before `ud` and `rc` so
     // that they outlive the QP, which holds references to them. A listener
@@ -177,7 +163,6 @@ class ISockStack {
 
   Sock* find(int fd);
   const Sock* find(int fd) const;
-  void bind_sock_telemetry(Sock& s);
   std::shared_ptr<verbs::CompletionQueue> make_cq();
   Status setup_datagram(int fd, Sock& s, u16 port);
   void pump_recv_cq(Sock& s);
@@ -202,8 +187,14 @@ class ISockStack {
   int next_fd_ = 3;
   std::map<int, Sock> socks_;
   std::map<u32, int> qpn_fd_;  // stream QP -> fd (CQs are shared on accept)
-  // isock.pool.rx_queue_depth, fetched on the first queued datagram.
-  telemetry::Gauge* rx_depth_gauge_ = nullptr;
+  // isock.{dgram,bytes}.{tx,rx} and isock.pool.rx_dropped_no_slot, which
+  // every socket of the stack counts into. Fetched at the stack's first
+  // socket(), so each key enters the registry there.
+  telemetry::Counter* dgrams_tx_ = nullptr;
+  telemetry::Counter* dgrams_rx_ = nullptr;
+  telemetry::Counter* bytes_tx_ = nullptr;
+  telemetry::Counter* bytes_rx_ = nullptr;
+  telemetry::Counter* rx_dropped_no_slot_ = nullptr;
   std::shared_ptr<const bool> alive_;
 };
 

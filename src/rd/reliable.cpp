@@ -265,7 +265,6 @@ void ReliableDatagram::on_timeout(Endpoint dst, u64 seq, u64 gen) {
     tx.unacked.erase(p);
     DGI_WARN("rd", "giving up on seq %llu to %u:%u",
              static_cast<unsigned long long>(seq), dst.ip, dst.port);
-    if (on_failure_) on_failure_(dst, seq);
     // Tell the receiver to stop waiting for the abandoned sequence(s); its
     // own gap timeout is the fallback if this advertisement is lost too.
     send_gap_skip(dst, tx);
@@ -277,8 +276,6 @@ void ReliableDatagram::on_timeout(Endpoint dst, u64 seq, u64 gen) {
     // Karn/RFC 6298 backoff: the estimator is not updated from
     // retransmitted packets, but the timeout itself doubles up to the cap.
     tx.rto = std::min(2 * peer_rto(tx), config_.max_rto);
-    if (!rto_gauge_) rto_gauge_ = &ctx_.sim.telemetry().gauge("rd.rto_ns");
-    rto_gauge_->set(static_cast<double>(tx.rto));
   }
   transmit(dst, seq, tx);
 }
@@ -295,8 +292,6 @@ void ReliableDatagram::update_rtt(PeerTx& tx, TimeNs sample) {
     tx.srtt = (7 * tx.srtt + sample) / 8;
   }
   tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, kMinRto, config_.max_rto);
-  if (!rto_gauge_) rto_gauge_ = &ctx_.sim.telemetry().gauge("rd.rto_ns");
-  rto_gauge_->set(static_cast<double>(tx.rto));
 }
 
 void ReliableDatagram::ack_one(Endpoint src, PeerTx& tx, u64 seq,
@@ -606,7 +601,6 @@ void ReliableDatagram::skip_to(Endpoint src, PeerRx& rx, u64 base) {
     DGI_WARN("rd", "skipping %llu lost datagram(s) from %u:%u at seq %llu",
              static_cast<unsigned long long>(missing), src.ip, src.port,
              static_cast<unsigned long long>(first_missing));
-    if (on_gap_) on_gap_(src, first_missing, missing);
   }
 }
 

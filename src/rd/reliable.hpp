@@ -18,8 +18,8 @@
 //  * give-up propagation: after max_retries the sender advertises a
 //    GAP-SKIP so the receiver stops waiting for the abandoned sequence;
 //    a receiver-side gap timeout covers the case where even the GAP-SKIP
-//    is lost. Holes are surfaced via on_failure()/on_gap() + telemetry,
-//    never silently.
+//    is lost. Give-ups and holes are surfaced via rd.give_ups/rd.rx_gaps,
+//    the kRdGiveUp/kRdRxGap trace events and a warning, never silently.
 // Receiver memory is bounded: the reorder buffer is capped (rx_ooo_limit)
 // and accounted against the host MemLedger ("rd.rx_ooo"), and a sequence
 // more than kMaxSeqAhead past the receive frontier is refused outright.
@@ -104,19 +104,12 @@ class ReliableDatagram {
   /// oracle (see host::IpLayer::ProtocolHandler); with RD CRC on it can only
   /// be true for a CRC32 collision.
   using DatagramHandler = std::function<void(Endpoint, Bytes, bool tainted)>;
-  /// Notified when a datagram is abandoned after max_retries (sender side).
-  using FailureHandler = std::function<void(Endpoint, u64 seq)>;
-  /// Notified when the receiver skips a hole: `first_seq` is the first
-  /// missing sequence, `count` how many consecutive sequences were lost.
-  using GapHandler = std::function<void(Endpoint, u64 first_seq, u64 count)>;
 
   ReliableDatagram(host::HostCtx& ctx, host::UdpSocket& socket,
                    RdConfig config = {});
   ~ReliableDatagram();
 
   void on_datagram(DatagramHandler h) { handler_ = std::move(h); }
-  void on_failure(FailureHandler h) { on_failure_ = std::move(h); }
-  void on_gap(GapHandler h) { on_gap_ = std::move(h); }
 
   /// Send one datagram reliably. Queues beyond the window; fails only if
   /// the payload exceeds the UDP limit (minus the RD header).
@@ -244,14 +237,11 @@ class ReliableDatagram {
   RdConfig config_;
   std::unique_ptr<cc::RateController> cc_;  // null when cc_mode == kOff
   DatagramHandler handler_;
-  FailureHandler on_failure_;
-  GapHandler on_gap_;
   std::map<Endpoint, PeerTx> tx_;
   std::map<Endpoint, PeerRx> rx_;
   RdStats stats_;
   u64 timer_counter_ = 0;
-  // rd.rto_ns and rd.rx_ooo_bytes, fetched on first use.
-  telemetry::Gauge* rto_gauge_ = nullptr;
+  // rd.rx_ooo_bytes, fetched on first use.
   telemetry::Gauge* ooo_gauge_ = nullptr;
 };
 

@@ -42,18 +42,12 @@ TimeNs Link::serialization_delay(std::size_t wire_bytes) const {
 std::size_t Link::queue_depth() const {
   while (!departures_.empty() && departures_.front() <= sim_.now())
     departures_.pop_front();
-  // Refresh the registry gauge after pruning: it is otherwise only set at
-  // enqueue time, so on an idle link it would keep reporting the depth as
-  // of the last transmit — phantom standing queue to anything sampling the
-  // gauge between frames. A never-used link has no handle yet and does not
-  // materialize the key (enqueue is what first creates it).
-  if (depth_gauge_) depth_gauge_->set(static_cast<double>(departures_.size()));
   return departures_.size();
 }
 
 void Link::transmit(Frame f) {
   ++stats_.frames_offered;
-  auto& telem = sim_.telemetry();
+  auto& reg = sim_.telemetry();
 
   // Per-port output-queue state first: the admission decisions below look
   // at the depth the frame finds on arrival. Pruned lazily against now()
@@ -67,11 +61,10 @@ void Link::transmit(Frame f) {
   if (queue_capacity_ > 0 && departures_.size() >= queue_capacity_) {
     ++stats_.frames_dropped;
     ++stats_.queue_drops;
-    telem.trace().record(telemetry::TraceKind::kLinkDrop, f.id,
-                         f.wire_bytes());
+    reg.trace().record(telemetry::TraceKind::kLinkDrop, f.id, f.wire_bytes());
     if (f.span)
-      telem.spans().stage_at(f.span, telemetry::Stage::kDropped, sim_.now(),
-                             f.id);
+      reg.spans().stage_at(f.span, telemetry::Stage::kDropped, sim_.now(),
+                           f.id);
     return;
   }
 
@@ -83,8 +76,8 @@ void Link::transmit(Frame f) {
   if (ecn_threshold_ > 0 && departures_.size() >= ecn_threshold_) {
     f.ecn = true;
     ++stats_.frames_marked;
-    telem.trace().record(telemetry::TraceKind::kEcnMark, f.id,
-                         departures_.size());
+    reg.trace().record(telemetry::TraceKind::kEcnMark, f.id,
+                       departures_.size());
   }
 
   // Output queueing: serialization starts when the link frees up.
@@ -94,15 +87,10 @@ void Link::transmit(Frame f) {
 
   departures_.push_back(tx_done);
   if (departures_.size() > max_depth_) max_depth_ = departures_.size();
-  if (!depth_gauge_) depth_gauge_ = &telem.gauge("simnet.link.queue_depth");
-  depth_gauge_->set(static_cast<double>(departures_.size()));
 
-  auto& reg = sim_.telemetry();
   auto& spans = reg.spans();
   if (start > sim_.now()) {
     ++stats_.frames_queued;
-    if (!wait_gauge_) wait_gauge_ = &reg.gauge("simnet.link.queue_wait_ns");
-    wait_gauge_->set(static_cast<double>(start - sim_.now()));
     // Queue-depth sampling rides the span switch: per-frame histogram
     // samples only accumulate while someone is watching lifecycles.
     if (spans.enabled()) {

@@ -104,10 +104,8 @@ class Link {
   std::size_t ecn_threshold_ = 0;   // 0 = no marking
   std::size_t queue_capacity_ = 0;  // 0 = unbounded
   bool cc_counters_bound_ = false;
-  // Per-frame registry handles, fetched on first use so each key enters the
-  // registry when the first frame needs it, as a by-name lookup would.
-  telemetry::Gauge* depth_gauge_ = nullptr;
-  telemetry::Gauge* wait_gauge_ = nullptr;
+  // Fetched on the first queued frame while spans are on, so the key enters
+  // the registry when that frame needs it, as a by-name lookup would.
   telemetry::Histogram* wait_hist_ = nullptr;
 };
 

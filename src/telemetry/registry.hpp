@@ -10,10 +10,13 @@
 // same seed export byte-identical JSON.
 //
 // The legacy per-instance stats structs (LinkStats, RdStats, UdQpStats,
-// ISockStats, ...) remain the per-object view: their fields are
-// telemetry::Metric values whose increments mirror into a bound aggregate
-// Counter, so `link.stats().frames_dropped` and the registry's
-// `simnet.link.drops` are two views of the same event stream.
+// ...) remain the per-object view: their fields are telemetry::Metric
+// values whose increments mirror into a bound aggregate Counter, so
+// `link.stats().frames_dropped` and the registry's `simnet.link.drops` are
+// two views of the same event stream. Each event is counted once, under
+// one name: a layer does not re-count what a layer below it already
+// reports, and a gauge exists only where one value means something for the
+// whole Simulation (`rd.rx_ooo_bytes` sums every endpoint's delta).
 #pragma once
 
 #include <map>
@@ -41,8 +44,8 @@ class Counter {
   u64 v_ = 0;
 };
 
-/// Last-value gauge that also remembers its high-water mark (queue depths,
-/// cwnd, pool occupancy).
+/// Last-value gauge that also remembers its high-water mark. Several writers
+/// must add deltas (`rd.rx_ooo_bytes`), or the value is whichever wrote last.
 class Gauge {
  public:
   void set(double v) {

@@ -101,8 +101,8 @@ QueuePair::ControlMessage QueuePair::terminate_message(
           std::move(payload)};
 }
 
-rdmap::WriteRecordLog::ChunkResult QueuePair::record_write_chunk(
-    host::Endpoint src, const ddp::ParsedSegment& seg) {
+void QueuePair::record_write_chunk(host::Endpoint src,
+                                   const ddp::ParsedSegment& seg) {
   const auto res = wr_log_.record_chunk(
       src.ip, seg.header.src_qpn, seg.header.msn, seg.header.stag,
       seg.header.to, seg.header.mo, static_cast<u32>(seg.payload.size()),
@@ -123,7 +123,6 @@ rdmap::WriteRecordLog::ChunkResult QueuePair::record_write_chunk(
     done.ends_span = true;
     complete_recv(std::move(done));
   }
-  return res;
 }
 
 Status QueuePair::post_recv(RecvWr wr) {

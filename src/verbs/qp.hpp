@@ -87,8 +87,7 @@ class QueuePair {
   /// Log one placed Write-Record chunk from `src`. The chunk that carries
   /// its message's LAST segment raises the target-side record completion,
   /// which ends the message's lifecycle span.
-  rdmap::WriteRecordLog::ChunkResult record_write_chunk(
-      host::Endpoint src, const ddp::ParsedSegment& seg);
+  void record_write_chunk(host::Endpoint src, const ddp::ParsedSegment& seg);
 
   /// Pop the next posted receive WR (FIFO, like hardware RQs).
   std::optional<RecvWr> take_recv();

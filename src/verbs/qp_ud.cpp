@@ -18,25 +18,14 @@ UdQueuePair::UdQueuePair(Device& dev, const UdQpAttr& attr,
   stats_.parse_rejects.bind(reg.counter("verbs.ud.parse_rejects"));
   stats_.no_buffer_drops.bind(reg.counter("verbs.ud.no_buffer_drops"));
   stats_.expired_messages.bind(reg.counter("verbs.ud.expired_messages"));
-  stats_.expired_records.bind(reg.counter("verbs.ud.expired_records"));
-  stats_.late_chunks.bind(reg.counter("verbs.ud.late_chunks"));
   stats_.placement_errors.bind(reg.counter("verbs.ud.placement_errors"));
   stats_.terminates_rx.bind(reg.counter("verbs.ud.terminates_rx"));
-  stats_.rd_failures.bind(reg.counter("verbs.ud.rd_failures"));
-  stats_.rd_rx_gaps.bind(reg.counter("verbs.ud.rd_rx_gaps"));
 
   if (attr.reliable) {
     rd_ = std::make_unique<rd::ReliableDatagram>(dev.host().ctx(), *socket_,
                                                  dev.config().rd);
     rd_->on_datagram([this](host::Endpoint src, Bytes data, bool tainted) {
       on_datagram(src, std::move(data), tainted);
-    });
-    rd_->on_failure([this](host::Endpoint, u64) { ++stats_.rd_failures; });
-    // Receiver-side holes (peer gave up / gap timeout): lost datagrams are
-    // absorbed by the DDP reassembly timeouts above this layer — count them
-    // so the loss is never silent (paper §IV.B: report, don't tear down).
-    rd_->on_gap([this](host::Endpoint, u64, u64 count) {
-      stats_.rd_rx_gaps += count;
     });
   } else {
     socket_->set_handler([this](host::Endpoint src, Bytes data, bool tainted) {
@@ -344,7 +333,7 @@ void UdQueuePair::handle_write_record(host::Endpoint src,
       seg.header.to, seg.payload.size());
 
   ensure_gc();
-  if (record_write_chunk(src, seg).late) ++stats_.late_chunks;
+  record_write_chunk(src, seg);
 }
 
 void UdQueuePair::handle_read_request(host::Endpoint src,
@@ -450,8 +439,7 @@ void UdQueuePair::run_gc() {
 
   // Write-Records whose LAST segment was lost: "loss of this final packet
   // results in the loss of the entire message" — dropped, counted.
-  const auto dead = wr_log_.expire_before(now);
-  stats_.expired_records += dead.size();
+  wr_log_.expire_before(now);
 
   // Expired UD reads (extension): complete with error so the WR unblocks.
   for (auto it = pending_reads_.begin(); it != pending_reads_.end();) {

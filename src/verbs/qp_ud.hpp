@@ -27,12 +27,8 @@ struct UdQpStats {
   telemetry::Metric parse_rejects; // malformed segments (non-CRC parse failure)
   telemetry::Metric no_buffer_drops;
   telemetry::Metric expired_messages;   // send/recv messages that timed out
-  telemetry::Metric expired_records;    // Write-Records whose LAST never arrived
-  telemetry::Metric late_chunks;
   telemetry::Metric placement_errors;
   telemetry::Metric terminates_rx;
-  telemetry::Metric rd_failures;        // RD layer gave up on a datagram
-  telemetry::Metric rd_rx_gaps;         // RD receiver skipped lost datagrams
   // Segments that arrived on a CE-marked (ECN) frame. Plain UD has no ACK
   // channel to echo them, so this is the victim-side visibility: bound into
   // the registry (verbs.ud.ecn_rx) lazily at the first mark, so fabrics

@@ -96,6 +96,61 @@ TEST(Udp, DuplicatedFragmentsDoNotCorruptReassembly) {
   EXPECT_FALSE(sb->recv().has_value());       // and exactly once
 }
 
+// Hand-built IP fragments, fed straight to a host's IP layer so that their
+// offsets need not follow the MTU: a 2,000 B datagram of protocol
+// kTestProto from host a, cut at [begin, end).
+struct Fragments {
+  static constexpr u8 kTestProto = 253;  // reserved for experiments
+  static constexpr u32 kTotal = 2'000;
+  Net n;
+  Bytes dgram = make_pattern(kTotal, 9);
+  std::vector<Bytes> got;
+
+  Fragments() {
+    n.b.ip().register_protocol(kTestProto, [this](u32, Bytes d, bool) {
+      got.push_back(std::move(d));
+    });
+  }
+  // The header layout of the IpHeader comment in ip.cpp: proto(1) flags(1)
+  // ident(2) offset(4) total(4) reserved(8).
+  void feed(u32 begin, u32 end) {
+    sim::Frame f;
+    f.src = n.a.addr();
+    f.proto = sim::kProtoIpv4;
+    WireWriter w(f.payload);
+    w.u8be(kTestProto);
+    w.u8be(end < kTotal ? 0x01 : 0x00);  // more fragments
+    w.u16be(7);                          // ident
+    w.u32be(begin);
+    w.u32be(kTotal);
+    w.u64be(0);
+    w.bytes(ConstByteSpan{dgram}.subspan(begin, end - begin));
+    n.b.ip().on_frame(std::move(f));
+  }
+};
+
+TEST(Ip, PartiallyOverlappingFragmentsDeliverOnceByteExact) {
+  Fragments fr;
+  fr.feed(0, 1'000);
+  fr.feed(500, 1'500);  // 500 B already covered, 500 B new
+  EXPECT_TRUE(fr.got.empty());  // 1,500 of 2,000 B: still a hole
+  fr.feed(1'500, 2'000);
+  ASSERT_EQ(fr.got.size(), 1u);
+  EXPECT_EQ(fr.got[0], fr.dgram);
+  fr.n.topo.sim().run();  // the reassembly timer finds nothing left
+  EXPECT_EQ(fr.got.size(), 1u);
+  EXPECT_EQ(fr.n.b.ip().reassembly_expired(), 0u);
+}
+
+TEST(Ip, OverlappingFragmentsThatLeaveAHoleExpire) {
+  Fragments fr;
+  fr.feed(0, 1'000);
+  fr.feed(500, 1'000);  // wholly inside the first
+  fr.n.topo.sim().run();
+  EXPECT_TRUE(fr.got.empty());
+  EXPECT_EQ(fr.n.b.ip().reassembly_expired(), 1u);
+}
+
 TEST(Udp, PortDemultiplexing) {
   Net n;
   auto* s1 = *n.b.udp().open(700);

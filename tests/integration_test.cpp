@@ -104,7 +104,9 @@ TEST(Integration, WriteRecordUnderBurstLoss) {
   }
   // Some records complete (possibly partial); some lose their final
   // segment entirely. Both outcomes are legal; silence on all 8 is not.
-  EXPECT_GT(records + static_cast<int>(qb->stats().expired_records), 0);
+  const u64 expired =
+      r.topo.sim().telemetry().counter("rdmap.write_record.expired").value();
+  EXPECT_GT(records + static_cast<int>(expired), 0);
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);
 }
 

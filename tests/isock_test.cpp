@@ -3,6 +3,7 @@
 // advert handshake.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "isock/isock.hpp"
@@ -195,15 +196,11 @@ TEST(ISock, StatsTrackTraffic) {
   ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
   r.topo.sim().run_until(r.topo.sim().now() + 5 * kMillisecond);
   (void)r.io_b.recvfrom(sfd);
-  auto tx_stats = r.io_a.stats(cfd);
-  ASSERT_TRUE(tx_stats.ok());
-  EXPECT_EQ((*tx_stats)->datagrams_tx, 1u);
-  EXPECT_EQ((*tx_stats)->bytes_tx, 256u);
-  auto rx_stats = r.io_b.stats(sfd);
-  ASSERT_TRUE(rx_stats.ok());
-  EXPECT_EQ((*rx_stats)->datagrams_rx, 1u);
-  // Unknown fds now fail loudly instead of returning a zero sentinel.
-  EXPECT_FALSE(r.io_a.stats(9999).ok());
+  auto& reg = r.topo.sim().telemetry();
+  EXPECT_EQ(reg.counter("isock.dgram.tx").value(), 1u);
+  EXPECT_EQ(reg.counter("isock.bytes.tx").value(), 256u);
+  EXPECT_EQ(reg.counter("isock.dgram.rx").value(), 1u);
+  EXPECT_EQ(reg.counter("isock.bytes.rx").value(), 256u);
 }
 
 TEST(ISock, CloseReleasesPort) {
@@ -235,6 +232,21 @@ TEST(ISock, CloseDeregistersTheReceivePool) {
   auto stale = pd.stags().check(stag, 0, 1, verbs::kLocalWrite);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), Errc::kAccessDenied);
+
+  // Destroying the stack deregisters a pool that was never closed: the PD
+  // belongs to the Device and outlives the stack, the pool does not.
+  auto io = std::make_unique<ISockStack>(r.dev_b);
+  const verbs::ProtectionDomain& old_pd = io->pd();
+  auto old_fd = *io->socket(SockType::kDatagram);
+  ASSERT_TRUE(io->bind(old_fd, 9001).ok());
+  const u32 old_stag = io->pool_stag(old_fd);
+  ASSERT_TRUE(old_pd.stags().check(old_stag, 0, 1, verbs::kLocalWrite).ok());
+  io.reset();
+  EXPECT_EQ(old_pd.registered_regions(), 0u);
+  EXPECT_EQ(r.b.ledger().category("iwarp.mr"), mr_bytes);
+  auto gone = old_pd.stags().check(old_stag, 0, 1, verbs::kLocalWrite);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), Errc::kAccessDenied);
 }
 
 // A datagram socket's CQs belong to the socket, so a server that churns

@@ -28,6 +28,15 @@ struct RdNet {
   }
 };
 
+// The events of `kind` in the run's trace ring, oldest first.
+std::vector<telemetry::TraceEvent> traced(sim::Topology& topo,
+                                          telemetry::TraceKind kind) {
+  std::vector<telemetry::TraceEvent> out;
+  for (const auto& ev : topo.sim().telemetry().trace().snapshot())
+    if (ev.kind == kind) out.push_back(ev);
+  return out;
+}
+
 // A raw RD packet (1 = DATA, 3 = GAP-SKIP) with a zero CRC, accepted only
 // by an endpoint with the RD CRC off.
 Bytes forge(u8 type, u64 seq, std::size_t payload_len) {
@@ -99,17 +108,19 @@ TEST(Rd, DuplicatesSuppressed) {
   EXPECT_EQ(n.rda->stats().give_ups, 1u);  // never saw an ACK
 }
 
-TEST(Rd, GiveUpNotifiesFailureHandler) {
+TEST(Rd, GiveUpIsCountedAndTraced) {
   RdNet n;
   n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // black hole
   n.cfg.max_retries = 2;
   n.init();
-  int failures = 0;
-  n.rda->on_failure([&](rd::Endpoint, u64) { ++failures; });
+  n.topo.sim().telemetry().trace().enable();
   Bytes msg(100, 1);
   (void)n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg});
   n.topo.sim().run();
-  EXPECT_EQ(failures, 1);
+  const auto give_ups = traced(n.topo, telemetry::TraceKind::kRdGiveUp);
+  ASSERT_EQ(give_ups.size(), 1u);
+  EXPECT_EQ(give_ups[0].a, 1u);    // the abandoned seq
+  EXPECT_EQ(give_ups[0].b, 100u);  // towards the peer's port
   EXPECT_EQ(n.rda->stats().give_ups, 1u);
   EXPECT_EQ(n.rda->unacked(), 0u);
 }
@@ -268,18 +279,9 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
   }());
   n.cfg.max_retries = 3;
   n.init();
+  n.topo.sim().telemetry().trace().enable();
   std::vector<u8> got;
   n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) { got.push_back(d[0]); });
-  int failures = 0;
-  n.rda->on_failure([&](rd::Endpoint, u64 seq) {
-    ++failures;
-    EXPECT_EQ(seq, 1u);
-  });
-  u64 gap_first = 0, gap_count = 0;
-  n.rdb->on_gap([&](rd::Endpoint, u64 first, u64 count) {
-    gap_first = first;
-    gap_count = count;
-  });
   for (u8 i = 1; i <= 3; ++i) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
@@ -287,9 +289,13 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
   n.topo.sim().run();
   // Seq 1 is abandoned; 2 and 3 must still be delivered, in order.
   EXPECT_EQ(got, (std::vector<u8>{2, 3}));
-  EXPECT_EQ(failures, 1);
-  EXPECT_EQ(gap_first, 1u);
-  EXPECT_EQ(gap_count, 1u);
+  const auto give_ups = traced(n.topo, telemetry::TraceKind::kRdGiveUp);
+  ASSERT_EQ(give_ups.size(), 1u);
+  EXPECT_EQ(give_ups[0].a, 1u);
+  const auto gaps = traced(n.topo, telemetry::TraceKind::kRdRxGap);
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0].a, 1u);  // first missing seq
+  EXPECT_EQ(gaps[0].b, 1u);  // how many were skipped
   EXPECT_EQ(n.rda->stats().give_ups, 1u);
   EXPECT_EQ(n.rda->stats().gap_skips_tx, 1u);
   EXPECT_EQ(n.rdb->stats().rx_gaps, 1u);
@@ -310,17 +316,19 @@ TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
   n.cfg.max_retries = 3;
   n.cfg.gap_timeout = 5 * kMillisecond;
   n.init();
+  n.topo.sim().telemetry().trace().enable();
   std::vector<u8> got;
   n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) { got.push_back(d[0]); });
-  int gaps = 0;
-  n.rdb->on_gap([&](rd::Endpoint, u64, u64) { ++gaps; });
   for (u8 i = 1; i <= 3; ++i) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
   n.topo.sim().run();
   EXPECT_EQ(got, (std::vector<u8>{2, 3}));
-  EXPECT_EQ(gaps, 1);
+  const auto gaps = traced(n.topo, telemetry::TraceKind::kRdRxGap);
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0].a, 1u);
+  EXPECT_EQ(gaps[0].b, 1u);
   EXPECT_EQ(n.rdb->stats().rx_gaps, 1u);
   EXPECT_EQ(n.rdb->rx_buffered(), 0u);
 }

@@ -158,7 +158,9 @@ TEST(UdQp, WriteRecordLostFinalSegmentDropsRecord) {
 
   while (auto c = r.cq_b.poll())
     EXPECT_NE(c->opcode, WcOpcode::kRecvWriteRecord);
-  EXPECT_EQ(qb->stats().expired_records, 1u);
+  EXPECT_EQ(
+      r.topo.sim().telemetry().counter("rdmap.write_record.expired").value(),
+      1u);
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);
 }
 
