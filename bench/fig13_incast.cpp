@@ -28,14 +28,13 @@
 // Timely-beta parameter sweeps that EXPERIMENTS.md quotes;
 // --metrics-json <path> dumps the dcqcn registry (and per-point ablation
 // registries next to it); --timeseries-json <path> samples trunk queue
-// depth, per-sender cc rates, fleet counters and simulator self-metrics at
+// depth, per-sender cc rates, fleet counters and the simulator's event rate at
 // 250 us cadence and exports the off/dcqcn/timely trajectories as one
 // schema document; --strict-health arms the invariant watchdog over every
 // run and turns any trip into a nonzero exit plus a flight-recorder dump;
 // --inject-stall black-holes sender 0's uplink mid-run to demonstrate that
 // the stalled-flow watchdog actually fires.
 #include "bench_util.hpp"
-#include "common/memcount.hpp"
 #include "hoststack/host.hpp"
 #include "rd/reliable.hpp"
 #include "simnet/topology.hpp"
@@ -159,18 +158,10 @@ IncastResult run_incast(cc::CcMode mode, const Setup& su, const Obs& obs) {
     s.add_counter("cc.marks");
     s.add_counter("rd.retries");
     s.add_counter("rd.data_rx");
-    // Simulator self-metrics: event rate and allocation pressure on the
-    // frame/buffer paths, both per virtual second.
+    // Simulator self-metric: events executed per virtual second.
     sim::Simulation* sim = &topo.sim();
     s.add_probe("sim.events",
                 [sim] { return static_cast<double>(sim->events_executed()); },
-                /*rate=*/true);
-    const mem::AllocTally base = mem::snapshot();
-    s.add_probe("sim.alloc.count",
-                [base] { return static_cast<double>(mem::delta(base).count); },
-                /*rate=*/true);
-    s.add_probe("sim.alloc.bytes",
-                [base] { return static_cast<double>(mem::delta(base).bytes); },
                 /*rate=*/true);
     // Per-sender paced rate: the convergence trajectory EXPERIMENTS.md
     // plots. Only meaningful when a controller exists.
