@@ -1,5 +1,7 @@
 #include "apps/media/media.hpp"
 
+#include <cstring>
+
 #include "common/log.hpp"
 
 namespace dgiwarp::media {

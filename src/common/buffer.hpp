@@ -4,31 +4,22 @@
 // vector (DESIGN.md §10).
 #pragma once
 
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/memcount.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
 namespace dgiwarp {
 
-// Counting allocator so every wire buffer in the stack feeds the
-// allocs-per-event self-metric (common/memcount.hpp). Layout-compatible
-// with std::vector<u8>; the allocator is stateless.
-using Bytes = std::vector<u8, mem::CountingAllocator<u8>>;
+using Bytes = std::vector<u8>;
 using ByteSpan = std::span<u8>;
 using ConstByteSpan = std::span<const u8>;
 
-/// Appends `s` to `out`: a resize, then one memcpy. libstdc++ copies a
-/// range into a vector whose allocator is not std::allocator one byte per
-/// iteration, so src/ copies ranges into `Bytes` only through this and
-/// to_bytes (the ctest lint_bytes_copies checks). The resize grows the
-/// capacity by the same rule as a range insert at end(), so capacities and
-/// allocation counts are those of that insert.
-/// `s` must not view `out`: the resize may move `out`'s storage.
+/// Appends `s` to `out` with one range insert at end(): one memmove, and
+/// one more for the old bytes when `out` grows.
+/// `s` must not view `out`: growth may move `out`'s storage.
 void append(Bytes& out, ConstByteSpan s);
 
 /// An owned copy of `s`, sized exactly (one allocation unless empty).

@@ -1,5 +1,6 @@
 #include "hoststack/ip.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "common/log.hpp"

@@ -1,5 +1,7 @@
 #include "verbs/qp_rc.hpp"
 
+#include <cstring>
+
 #include "common/log.hpp"
 #include "ddp/placement.hpp"
 
