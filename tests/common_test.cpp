@@ -1,5 +1,6 @@
-// Unit tests for the common substrate: CRC32, buffers, zero regions, lazy
-// queues, wire codecs, RNG, statistics and the memory ledger.
+// Unit tests for the common substrate: CRC32, the Internet checksum,
+// buffers, zero regions, lazy queues, wire codecs, RNG, statistics and the
+// memory ledger.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/checksum.hpp"
 #include "common/crc32.hpp"
 #include "common/lazy_deque.hpp"
 #include "common/memledger.hpp"
@@ -92,6 +94,44 @@ TEST(Crc32, MatchesBitwiseReference) {
       EXPECT_EQ(inc.final(), crc_bitwise(s)) << "len " << len << " split "
                                              << split;
     }
+  }
+}
+
+// RFC 1071's definition a byte pair at a time: big-endian 16-bit words, an
+// odd trailing byte padded with zero, the carries folded in, complemented.
+u16 checksum_bytepair(ConstByteSpan data) {
+  u32 sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2)
+    sum += (u32{data[i]} << 8) | data[i + 1];
+  if (i < data.size()) sum += u32{data[i]} << 8;
+  while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
+  return static_cast<u16>(~sum);
+}
+
+TEST(InternetChecksum, MatchesBytePairReference) {
+  // A seeded pattern, and all ones, where every word carries.
+  const Bytes pattern = make_pattern(2'048 + 7, 17);
+  const Bytes ones(2'048 + 7, 0xFF);
+  for (const Bytes* data : {&pattern, &ones}) {
+    const ConstByteSpan all{*data};
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 2'048; ++len) {
+        const ConstByteSpan s = all.subspan(offset, len);
+        ASSERT_EQ(internet_checksum(s), checksum_bytepair(s))
+            << "offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(InternetChecksum, Rfc1071ExampleAndAllZero) {
+  // RFC 1071 §3: these words sum to 0xddf2, whose complement is 0x220d.
+  const Bytes example{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
+  EXPECT_EQ(internet_checksum(ConstByteSpan{example}), 0x220d);
+  for (std::size_t len : {0, 1, 8, 1'480}) {
+    const Bytes zeros(len, 0);
+    EXPECT_EQ(internet_checksum(ConstByteSpan{zeros}), 0xFFFF) << len;
   }
 }
 
