@@ -137,6 +137,19 @@ inline void banner(const char* title, const char* paper_ref) {
               "(see DESIGN.md)\n\n");
 }
 
+/// This process's peak resident set in MB (10^6 bytes), from VmHWM in
+/// /proc/self/status; 0 where that is not available.
+inline double peak_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (!f) return 0;
+  char line[256];
+  long kb = 0;
+  while (std::fgets(line, sizeof line, f))
+    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+  std::fclose(f);
+  return static_cast<double>(kb) * 1024.0 / 1e6;
+}
+
 inline double pct_improvement(double better, double worse) {
   if (worse <= 0.0) return 0.0;
   return (worse - better) / worse * 100.0;

@@ -6,6 +6,9 @@
 // usage comparison including kernel space memory for the sockets". The
 // "theoretical" column excludes the application's own per-call bookkeeping
 // (the paper's socket-size-only prediction of 28.1%).
+//
+// Exits 1, naming the reason on stderr, when a run brings up fewer calls
+// than it asked for or the process's peak RSS is above kMaxPeakRssMb.
 #include "apps/sip/agents.hpp"
 #include "bench_util.hpp"
 #include "simnet/topology.hpp"
@@ -13,6 +16,11 @@
 using namespace dgiwarp;
 
 namespace {
+
+// About 20 % above the peak RSS of a default run, 282 MB (VmHWM, which
+// the run prints on stderr). ASan builds skip the check, as fig12's does:
+// shadow memory and the allocator's quarantine inflate RSS several times.
+constexpr double kMaxPeakRssMb = 340.0;
 
 struct MemResult {
   i64 total = 0;   // whole-stack per the ledger
@@ -51,6 +59,7 @@ int main() {
                 "~24.1% whole-application improvement at 10000 calls; "
                 "socket-state-only prediction ~28.1%");
 
+  int exit_code = 0;
   TablePrinter t({"concurrent calls", "RC total (KB)", "UD total (KB)",
                   "improvement", "sockets-only"});
   for (std::size_t n : {std::size_t{100}, std::size_t{1000},
@@ -58,8 +67,9 @@ int main() {
     const MemResult rc = measure(sip::Transport::kRc, n);
     const MemResult ud = measure(sip::Transport::kUd, n);
     if (rc.calls < n || ud.calls < n) {
-      std::printf("WARNING: only %zu/%zu (RC) and %zu/%zu (UD) calls came "
-                  "up\n", rc.calls, n, ud.calls, n);
+      std::fprintf(stderr, "FAIL: only %zu/%zu (RC) and %zu/%zu (UD) calls "
+                   "came up\n", rc.calls, n, ud.calls, n);
+      exit_code = 1;
     }
     const double whole = bench::pct_improvement(
         static_cast<double>(ud.total), static_cast<double>(rc.total));
@@ -92,8 +102,23 @@ int main() {
     topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
     sip::SipClient client(io_c, sip::Transport::kUd,
                           server_host.endpoint(5060));
-    (void)client.establish_calls(1000, 60 * kSecond);
+    const std::size_t up = client.establish_calls(1000, 60 * kSecond);
     server_host.ledger().dump("UD server");
+    if (up < 1000) {
+      std::fprintf(stderr, "FAIL: only %zu/1000 (UD) calls came up for the "
+                   "ledger breakdown\n", up);
+      exit_code = 1;
+    }
   }
-  return 0;
+
+  const double rss_mb = bench::peak_rss_mb();
+  std::fprintf(stderr, "peak RSS (VmHWM): %.1f MB\n", rss_mb);
+#if !defined(__SANITIZE_ADDRESS__)
+  if (rss_mb > kMaxPeakRssMb) {
+    std::fprintf(stderr, "FAIL: peak RSS %.1f MB is above %.0f MB\n", rss_mb,
+                 kMaxPeakRssMb);
+    exit_code = 1;
+  }
+#endif
+  return exit_code;
 }

@@ -57,19 +57,6 @@ struct RunOutcome {
 // memory and the allocator's quarantine inflate RSS several times over.
 constexpr double kMaxPeakRssMb = 250.0;
 
-// This process's peak resident set in MB (10^6 bytes), from VmHWM in
-// /proc/self/status; 0 where that is not available.
-double peak_rss_mb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (!f) return 0;
-  char line[256];
-  long kb = 0;
-  while (std::fgets(line, sizeof line, f))
-    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
-  std::fclose(f);
-  return static_cast<double>(kb) * 1024.0 / 1e6;
-}
-
 RunOutcome run_once(telemetry::TraceCapture* trace,
                     const perf::ClusterConfig::Health& health) {
   perf::ClusterConfig cfg = scale_config();
@@ -210,7 +197,7 @@ int main(int argc, char** argv) {
         std::printf("flight recorder written to %s\n", path.c_str());
     }
   }
-  const double rss_mb = peak_rss_mb();
+  const double rss_mb = bench::peak_rss_mb();
   std::fprintf(stderr, "peak RSS (VmHWM): %.1f MB\n", rss_mb);
 #if !defined(__SANITIZE_ADDRESS__)
   if (!trace && rss_mb > kMaxPeakRssMb) {
