@@ -1,13 +1,15 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the real CPU cost of
-// the stack's data-path primitives on the build machine: CRC32, byte
-// appends, MPA framing/de-framing, DDP segment build/parse, segmentation
-// planning, validity-map maintenance and SIP message codec.
+// the stack's data-path primitives on the build machine: CRC32, the
+// Internet checksum, byte appends, MPA framing/de-framing, DDP segment
+// build/parse, segmentation planning, validity-map maintenance and SIP
+// message codec.
 //
 // These are the operations whose *modelled* costs drive the virtual-time
 // results; this binary shows what they cost for real on modern hardware.
 #include <benchmark/benchmark.h>
 
 #include "apps/sip/message.hpp"
+#include "common/checksum.hpp"
 #include "common/crc32.hpp"
 #include "ddp/header.hpp"
 #include "ddp/segmenter.hpp"
@@ -36,6 +38,16 @@ BENCHMARK(BM_Crc32)
     ->Arg(8256)
     ->Arg(64 << 10)
     ->Arg(1 << 20);
+
+void BM_InternetChecksum(benchmark::State& state) {
+  const Bytes data = make_pattern(static_cast<std::size_t>(state.range(0)), 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(internet_checksum(ConstByteSpan{data}));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_InternetChecksum)->Arg(1480)->Arg(8256);
 
 void BM_BytesAppend(benchmark::State& state) {
   const Bytes src = make_pattern(static_cast<std::size_t>(state.range(0)), 4);
