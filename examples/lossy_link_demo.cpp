@@ -44,12 +44,11 @@ int main(int argc, char** argv) {
   host::Host src(topo, "source");
   host::Host dst(topo, "target");
   verbs::Device dev_s(src), dev_d(dst);
-  auto& pd_s = dev_s.create_pd();
-  auto& pd_d = dev_d.create_pd();
-  auto& cq_s = dev_s.create_cq();
-  auto& cq_d = dev_d.create_cq();
-  auto qs = *dev_s.create_ud_qp({&pd_s, &cq_s, &cq_s, 0, false});
-  auto qd = *dev_d.create_ud_qp({&pd_d, &cq_d, &cq_d, 0, false});
+  verbs::ProtectionDomain pd_s(src), pd_d(dst);
+  auto cq_s = dev_s.create_cq();
+  auto cq_d = dev_d.create_cq();
+  auto qs = *dev_s.create_ud_qp({&pd_s, cq_s.get(), cq_s.get(), 0, false});
+  auto qd = *dev_d.create_ud_qp({&pd_d, cq_d.get(), cq_d.get(), 0, false});
 
   topo.host_uplink(0).set_faults(sim::Faults::bernoulli(loss));
 
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %zu KB across a link dropping %.1f%% of packets\n",
               kMsg / 1024, loss * 100.0);
 
-  auto rec = cq_d.wait(kSecond);
+  auto rec = cq_d->wait(kSecond);
   if (!rec) {
     std::printf("no record completion: the FINAL segment was lost, so the "
                 "whole message's record was discarded (paper §VI.A.2)\n");

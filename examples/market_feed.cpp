@@ -39,6 +39,8 @@ struct Quote {
 struct Subscriber {
   std::unique_ptr<host::Host> host;
   std::unique_ptr<verbs::Device> dev;
+  std::unique_ptr<verbs::ProtectionDomain> pd;
+  std::shared_ptr<verbs::CompletionQueue> cq;
   std::shared_ptr<verbs::UdQueuePair> qp;
   Bytes book;  // registered region: one slot per symbol
   u32 stag = 0;
@@ -59,9 +61,10 @@ int main(int argc, char** argv) {
   sim::Topology topo;
   host::Host pub_host(topo, "publisher");
   verbs::Device pub_dev(pub_host);
-  auto& pub_pd = pub_dev.create_pd();
-  auto& pub_cq = pub_dev.create_cq(1 << 16);
-  auto pub_qp = *pub_dev.create_ud_qp({&pub_pd, &pub_cq, &pub_cq, 9100, false});
+  verbs::ProtectionDomain pub_pd(pub_host);
+  auto pub_cq = pub_dev.create_cq(1 << 16);
+  auto pub_qp = *pub_dev.create_ud_qp(
+      {&pub_pd, pub_cq.get(), pub_cq.get(), 9100, false});
 
   // Lossy downlinks: market feeds tolerate gaps (latest quote wins).
   topo.host_uplink(0).set_faults(sim::Faults::bernoulli(loss));
@@ -71,17 +74,19 @@ int main(int argc, char** argv) {
     subs[i].host = std::make_unique<host::Host>(
         topo, "sub" + std::to_string(i));
     subs[i].dev = std::make_unique<verbs::Device>(*subs[i].host);
-    auto& pd = subs[i].dev->create_pd();
-    auto& cq = subs[i].dev->create_cq(1 << 16);
-    subs[i].qp = *subs[i].dev->create_ud_qp({&pd, &cq, &cq, 9200, false});
+    subs[i].pd = std::make_unique<verbs::ProtectionDomain>(*subs[i].host);
+    subs[i].cq = subs[i].dev->create_cq(1 << 16);
+    auto* cq = subs[i].cq.get();
+    subs[i].qp = *subs[i].dev->create_ud_qp(
+        {subs[i].pd.get(), cq, cq, 9200, false});
     subs[i].book.assign(kSymbols * kSlot, 0);
-    auto mr = pd.register_memory(ByteSpan{subs[i].book},
-                                 verbs::kLocalWrite | verbs::kRemoteWrite);
+    auto mr = subs[i].pd->register_memory(
+        ByteSpan{subs[i].book}, verbs::kLocalWrite | verbs::kRemoteWrite);
     subs[i].stag = mr.stag;
     // Count record completions as they arrive.
     auto* counter = &subs[i].updates_seen;
-    subs[i].qp->recv_cq().set_event_handler([&cq, counter] {
-      while (auto c = cq.poll()) {
+    subs[i].qp->recv_cq().set_event_handler([cq, counter] {
+      while (auto c = cq->poll()) {
         if (c->status.ok() &&
             c->opcode == verbs::WcOpcode::kRecvWriteRecord)
           ++*counter;

@@ -22,12 +22,14 @@ int main() {
   verbs::Device dev_b(bob);
 
   // 2. Verbs resources: protection domains, completion queues, UD QPs.
-  auto& pd_a = dev_a.create_pd();
-  auto& pd_b = dev_b.create_pd();
-  auto& cq_a = dev_a.create_cq();
-  auto& cq_b = dev_b.create_cq();
-  auto qa = *dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, /*port=*/7000, false});
-  auto qb = *dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, /*port=*/7000, false});
+  //    The program owns each one; a QP refers to its PD and CQs.
+  verbs::ProtectionDomain pd_a(alice), pd_b(bob);
+  auto cq_a = dev_a.create_cq();
+  auto cq_b = dev_b.create_cq();
+  auto qa = *dev_a.create_ud_qp(
+      {&pd_a, cq_a.get(), cq_a.get(), /*port=*/7000, false});
+  auto qb = *dev_b.create_ud_qp(
+      {&pd_b, cq_b.get(), cq_b.get(), /*port=*/7000, false});
 
   // 3. Send/recv: bob posts a receive, alice addresses a datagram to him.
   Bytes hello = bytes_of("hello, datagram-iWARP!");
@@ -41,7 +43,7 @@ int main() {
   send.remote = {qb->local_ep(), qb->qpn()};  // UD WRs carry the destination
   (void)qa->post_send(send);
 
-  if (auto wc = cq_b.wait(10 * kMillisecond)) {
+  if (auto wc = cq_b->wait(10 * kMillisecond)) {
     std::printf("bob received %zu bytes from %u:%u: \"%.*s\"\n",
                 wc->byte_len, wc->src.ip, wc->src.port,
                 static_cast<int>(wc->byte_len), inbox.data());
@@ -64,7 +66,7 @@ int main() {
   wr.remote_offset = 100;
   (void)qa->post_send(wr);
 
-  if (auto rec = cq_b.wait(10 * kMillisecond)) {
+  if (auto rec = cq_b->wait(10 * kMillisecond)) {
     std::printf("write-record: stag=%u base=%llu, %zu valid bytes in %zu "
                 "range(s): \"%.*s\"\n",
                 rec->stag, static_cast<unsigned long long>(rec->base_to),

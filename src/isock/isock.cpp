@@ -18,20 +18,21 @@ constexpr u8 kCtlAdvert = 0x02;
 constexpr u8 kStreamData = 0x10;
 constexpr u8 kStreamCredit = 0x11;
 
+constexpr std::size_t kSocketCqCapacity = 1 << 14;
+
 }  // namespace
 
 ISockStack::ISockStack(verbs::Device& device, ISockConfig config)
-    : dev_(device), cfg_(config), pd_(device.create_pd()) {}
+    : dev_(device), cfg_(config), pd_(device.host()) {}
 
-// Withdraws every callback that could still reach the stack, and every
-// receive pool's STag from the Device-owned PD, sending nothing: no FIN
-// leaves and no counter moves. Completions already on their way land on
-// CQs without a handler, and a pending credit flush or a passive QP that
-// finishes its handshake later finds `alive_` expired.
+// Withdraws every callback that could still reach the stack, sending
+// nothing: no FIN leaves and no counter moves. Completions already on their
+// way land on CQs without a handler, and a pending credit flush or a
+// passive QP that finishes its handshake later finds `alive_` expired. The
+// stack's PD then releases the pools still registered in it.
 ISockStack::~ISockStack() {
   for (auto& [fd, s] : socks_) {
     if (s.native) dev_.host().udp().close(s.native);
-    if (s.ud) (void)pd_.deregister(s.pool_mr.stag);
     if (s.listening) dev_.rc_stop_listening(s.listen_port);
     if (s.send_cq) s.send_cq->set_event_handler(nullptr);
     if (s.recv_cq) s.recv_cq->set_event_handler(nullptr);
@@ -97,10 +98,6 @@ u32 ISockStack::pool_stag(int fd) const {
   return s && s->ud ? s->pool_mr.stag : 0;
 }
 
-std::shared_ptr<verbs::CompletionQueue> ISockStack::make_cq() {
-  return std::make_shared<verbs::CompletionQueue>(dev_.host(), 1 << 14);
-}
-
 Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
   if (!cfg_.use_iwarp) {
     auto sock = dev_.host().udp().open(port);
@@ -110,9 +107,8 @@ Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
     return Status::Ok();
   }
 
-  // The socket owns its CQs (not the Device), so close() frees them.
-  s.send_cq = make_cq();
-  s.recv_cq = make_cq();
+  s.send_cq = dev_.create_cq(kSocketCqCapacity);
+  s.recv_cq = dev_.create_cq(kSocketCqCapacity);
   auto qp = dev_.create_ud_qp(
       {&pd_, s.send_cq.get(), s.recv_cq.get(), port, cfg_.reliable_dgram});
   if (!qp.ok()) return qp.status();
@@ -489,8 +485,8 @@ Status ISockStack::connect(int fd, Endpoint dst, ConnectHandler on_connected) {
   Sock* s = find(fd);
   if (!s || s->type != SockType::kStream)
     return Status(Errc::kInvalidArgument, "bad fd");
-  s->send_cq = make_cq();
-  s->recv_cq = make_cq();
+  s->send_cq = dev_.create_cq(kSocketCqCapacity);
+  s->recv_cq = dev_.create_cq(kSocketCqCapacity);
   auto qp = dev_.rc_connect({&pd_, s->send_cq.get(), s->recv_cq.get()}, dst);
   if (!qp.ok()) return qp.status();
   s->rc = *qp;
@@ -506,8 +502,8 @@ Status ISockStack::listen(int fd, AcceptHandler on_accept) {
   if (!s->bound) return Status(Errc::kInvalidArgument, "bind first");
   if (s->listening) return Status(Errc::kInvalidArgument, "already listening");
   s->on_accept = std::move(on_accept);
-  s->send_cq = make_cq();
-  s->recv_cq = make_cq();
+  s->send_cq = dev_.create_cq(kSocketCqCapacity);
+  s->recv_cq = dev_.create_cq(kSocketCqCapacity);
   // The callback holds the listener's CQs too. The port keeps it until
   // close(), and every QP it builds keeps a copy for life, so no QP
   // outlives the CQs it completes into, even after the listener closes.

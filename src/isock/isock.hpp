@@ -95,7 +95,7 @@ class ISockStack {
   Status close(int fd);
 
   verbs::Device& device() { return dev_; }
-  /// The protection domain the sockets' receive pools are registered in.
+  /// The stack's own PD, which the sockets' receive pools are registered in.
   const verbs::ProtectionDomain& pd() const { return pd_; }
   /// STag of a bound iWARP datagram socket's receive pool (what Write-Record
   /// peers are advertised); 0 for other sockets and unknown fds.
@@ -163,7 +163,6 @@ class ISockStack {
 
   Sock* find(int fd);
   const Sock* find(int fd) const;
-  std::shared_ptr<verbs::CompletionQueue> make_cq();
   Status setup_datagram(int fd, Sock& s, u16 port);
   void pump_recv_cq(Sock& s);
   void post_pool_recvs(Sock& s);
@@ -183,7 +182,7 @@ class ISockStack {
 
   verbs::Device& dev_;
   ISockConfig cfg_;
-  verbs::ProtectionDomain& pd_;
+  verbs::ProtectionDomain pd_;  // before socks_, whose QPs refer to it
   int next_fd_ = 3;
   std::map<int, Sock> socks_;
   std::map<u32, int> qpn_fd_;  // stream QP -> fd (CQs are shared on accept)

@@ -16,10 +16,10 @@
 
 namespace dgiwarp::verbs {
 
-/// A CQ that a QP completes into must be owned by a shared_ptr
-/// (Device::create_cq, or a socket's own CQs in isock): a completion
-/// already scheduled on the CPU model holds its CQ until it lands, so a CQ
-/// can be released while completions are still on their way to it.
+/// A CQ that a QP completes into comes from Device::create_cq, whose
+/// caller owns the shared_ptr it returns: a completion already scheduled
+/// on the CPU model holds its CQ until it lands, so the owner can release
+/// a CQ while completions are still on their way to it.
 class CompletionQueue : public std::enable_shared_from_this<CompletionQueue> {
  public:
   CompletionQueue(host::Host& host, std::size_t capacity);

@@ -7,16 +7,9 @@ namespace dgiwarp::verbs {
 
 Device::Device(host::Host& host, DeviceConfig cfg) : host_(host), cfg_(cfg) {}
 Device::Device(host::Host& host) : Device(host, DeviceConfig{}) {}
-Device::~Device() = default;
 
-ProtectionDomain& Device::create_pd() {
-  pds_.push_back(std::make_unique<ProtectionDomain>(host_));
-  return *pds_.back();
-}
-
-CompletionQueue& Device::create_cq(std::size_t capacity) {
-  cqs_.push_back(std::make_shared<CompletionQueue>(host_, capacity));
-  return *cqs_.back();
+std::shared_ptr<CompletionQueue> Device::create_cq(std::size_t capacity) {
+  return std::make_shared<CompletionQueue>(host_, capacity);
 }
 
 Result<std::shared_ptr<UdQueuePair>> Device::create_ud_qp(

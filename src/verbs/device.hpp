@@ -1,11 +1,11 @@
-// Device: the RNIC analogue. Owns protection domains, completion queues
-// and queue pairs for one host, and carries the stack-wide configuration
-// (MPA markers/CRC, UD CRC policy, timeouts).
+// Device: the RNIC analogue of one host. It carries the stack-wide
+// configuration (MPA markers/CRC, UD CRC policy, timeouts) and makes CQs
+// and QPs, keeping none: each belongs to its caller, as does each
+// ProtectionDomain, which the caller constructs from the host.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "mpa/mpa.hpp"
 #include "rd/reliable.hpp"
@@ -37,7 +37,8 @@ struct DeviceConfig {
   bool enable_ud_read = false;
 };
 
-/// Attributes for creating a UD QP.
+/// Attributes for creating a UD QP. A QP, UD or RC, refers to its PD and
+/// CQs for its whole life, so their owners keep them alive that long.
 struct UdQpAttr {
   ProtectionDomain* pd = nullptr;
   CompletionQueue* send_cq = nullptr;
@@ -57,13 +58,12 @@ class Device {
  public:
   explicit Device(host::Host& host, DeviceConfig cfg);
   explicit Device(host::Host& host);
-  ~Device();
 
   host::Host& host() { return host_; }
   const DeviceConfig& config() const { return cfg_; }
 
-  ProtectionDomain& create_pd();
-  CompletionQueue& create_cq(std::size_t capacity = 4096);
+  /// Owned by the caller and by each completion still on its way to it.
+  std::shared_ptr<CompletionQueue> create_cq(std::size_t capacity = 4096);
 
   /// Create a datagram QP bound to a local UDP port.
   Result<std::shared_ptr<UdQueuePair>> create_ud_qp(const UdQpAttr& attr);
@@ -82,14 +82,10 @@ class Device {
   void rc_stop_listening(u16 port);
 
   u32 alloc_qpn() { return next_qpn_++; }
-  /// CQs made by create_cq; they live as long as the Device.
-  std::size_t cq_count() const { return cqs_.size(); }
 
  private:
   host::Host& host_;
   DeviceConfig cfg_;
-  std::vector<std::unique_ptr<ProtectionDomain>> pds_;
-  std::vector<std::shared_ptr<CompletionQueue>> cqs_;
   u32 next_qpn_ = 1;
 };
 

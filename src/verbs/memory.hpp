@@ -23,6 +23,10 @@ struct MemoryRegion {
 class ProtectionDomain {
  public:
   explicit ProtectionDomain(host::Host& host);
+  /// Releases every region still registered, with its ledger charge.
+  ~ProtectionDomain();
+  ProtectionDomain(const ProtectionDomain&) = delete;
+  ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
   /// Register `region`; the memory must outlive the registration. The
   /// returned STag can be advertised to peers for tagged access.
@@ -39,6 +43,7 @@ class ProtectionDomain {
   host::Host& host_;
   ddp::StagTable stags_;
   MemCharge mem_;
+  i64 mr_bytes_ = 0;  // iwarp.mr charged for the regions in stags_
 };
 
 }  // namespace dgiwarp::verbs

@@ -38,7 +38,7 @@ class Node {
 
   host::Host& host() { return *host_; }
   Device& device() { return *device_; }
-  ProtectionDomain& pd() { return *pd_; }
+  ProtectionDomain& pd() { return pd_; }
   CompletionQueue& send_cq() { return *send_cq_; }
   CompletionQueue& recv_cq() { return *recv_cq_; }
 
@@ -56,9 +56,10 @@ class Node {
   NodeSpec spec_;
   std::unique_ptr<host::Host> host_;
   std::unique_ptr<Device> device_;
-  ProtectionDomain* pd_ = nullptr;
-  CompletionQueue* send_cq_ = nullptr;
-  CompletionQueue* recv_cq_ = nullptr;
+  // Declared before qp_, which refers to them, so they outlive it.
+  ProtectionDomain pd_;
+  std::shared_ptr<CompletionQueue> send_cq_;
+  std::shared_ptr<CompletionQueue> recv_cq_;
   std::shared_ptr<UdQueuePair> qp_;
   Status status_ = Status::Ok();
 };

@@ -267,12 +267,11 @@ TEST(VerbsCc, UdCountsEcnMarkedArrivals) {
   verbs::DeviceConfig cfg;
   cfg.rd.cc_mode = cc::CcMode::kDcqcn;  // plumbing: DeviceConfig -> RD
   verbs::Device dev_a(a, cfg), dev_b(b, cfg);
-  auto& pd_a = dev_a.create_pd();
-  auto& pd_b = dev_b.create_pd();
-  auto& cq_a = dev_a.create_cq();
-  auto& cq_b = dev_b.create_cq();
-  auto qa = *dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, 0, false});
-  auto qb = *dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 0, false});
+  verbs::ProtectionDomain pd_a(a), pd_b(b);
+  auto cq_a = dev_a.create_cq();
+  auto cq_b = dev_b.create_cq();
+  auto qa = *dev_a.create_ud_qp({&pd_a, cq_a.get(), cq_a.get(), 0, false});
+  auto qb = *dev_b.create_ud_qp({&pd_b, cq_b.get(), cq_b.get(), 0, false});
 
   // Mark aggressively: a 128 KB message is several back-to-back datagrams,
   // so later frames see a non-empty uplink queue.
@@ -288,7 +287,7 @@ TEST(VerbsCc, UdCountsEcnMarkedArrivals) {
   ASSERT_TRUE(qa->post_send(wr).ok());
   topo.sim().run();
 
-  auto wc = cq_b.poll();
+  auto wc = cq_b->poll();
   ASSERT_TRUE(wc.has_value());
   EXPECT_TRUE(wc->status.ok());
   EXPECT_GT(qb->stats().ecn_rx.value(), 0u);

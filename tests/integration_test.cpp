@@ -21,23 +21,24 @@ using verbs::WrOpcode;
 struct Rig {
   explicit Rig(verbs::DeviceConfig cfg = {})
       : a(topo, "a"), b(topo, "b"), dev_a(a, cfg), dev_b(b, cfg),
-        pd_a(dev_a.create_pd()), pd_b(dev_b.create_pd()),
-        cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
+        pd_a(a), pd_b(b), cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
   sim::Topology topo;
   host::Host a, b;
   verbs::Device dev_a, dev_b;
-  verbs::ProtectionDomain& pd_a;
-  verbs::ProtectionDomain& pd_b;
-  verbs::CompletionQueue& cq_a;
-  verbs::CompletionQueue& cq_b;
+  verbs::ProtectionDomain pd_a;
+  verbs::ProtectionDomain pd_b;
+  std::shared_ptr<verbs::CompletionQueue> cq_a;
+  std::shared_ptr<verbs::CompletionQueue> cq_b;
 };
 
 TEST(Integration, UdSurvivesFrameReordering) {
   // Jitter + reorder on the data path: untagged UD messages carry MO, so
   // out-of-order arrival within a message must still assemble correctly.
   Rig r;
-  auto qa = *r.dev_a.create_ud_qp({&r.pd_a, &r.cq_a, &r.cq_a, 0, false});
-  auto qb = *r.dev_b.create_ud_qp({&r.pd_b, &r.cq_b, &r.cq_b, 0, false});
+  auto qa = *r.dev_a.create_ud_qp(
+      {&r.pd_a, r.cq_a.get(), r.cq_a.get(), 0, false});
+  auto qb = *r.dev_b.create_ud_qp(
+      {&r.pd_b, r.cq_b.get(), r.cq_b.get(), 0, false});
   sim::Faults f;
   f.reorder_rate = 0.3;
   f.reorder_delay = 40 * kMicrosecond;
@@ -55,7 +56,7 @@ TEST(Integration, UdSurvivesFrameReordering) {
   r.topo.sim().run();
 
   bool done = false;
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv) done = true;
   // Reordered IP fragments break kernel reassembly only if delayed past
   // the reassembly timeout, which this jitter cannot do.
@@ -70,8 +71,10 @@ TEST(Integration, WriteRecordUnderBurstLoss) {
   verbs::DeviceConfig cfg;
   cfg.ud_message_timeout = 10 * kMillisecond;
   Rig r(cfg);
-  auto qa = *r.dev_a.create_ud_qp({&r.pd_a, &r.cq_a, &r.cq_a, 0, false});
-  auto qb = *r.dev_b.create_ud_qp({&r.pd_b, &r.cq_b, &r.cq_b, 0, false});
+  auto qa = *r.dev_a.create_ud_qp(
+      {&r.pd_a, r.cq_a.get(), r.cq_a.get(), 0, false});
+  auto qb = *r.dev_b.create_ud_qp(
+      {&r.pd_b, r.cq_b.get(), r.cq_b.get(), 0, false});
   sim::Faults f;
   f.loss = std::make_unique<sim::GilbertElliottLoss>(0.002, 0.1, 0.0, 0.9);
   r.topo.host_uplink(0).set_faults(std::move(f));
@@ -91,7 +94,7 @@ TEST(Integration, WriteRecordUnderBurstLoss) {
   r.topo.sim().run();
 
   int records = 0;
-  while (auto c = r.cq_b.poll()) {
+  while (auto c = r.cq_b->poll()) {
     if (c->opcode != WcOpcode::kRecvWriteRecord) continue;
     ++records;
     // Every reported range must hold exactly the sender's bytes.
@@ -114,14 +117,16 @@ TEST(Integration, MixedRcAndUdTrafficShareOneHostPair) {
   // An RC connection and a UD QP between the same two hosts, used
   // concurrently — the demux (TCP vs UDP, ports) must keep them apart.
   Rig r;
-  auto ud_a = *r.dev_a.create_ud_qp({&r.pd_a, &r.cq_a, &r.cq_a, 0, false});
-  auto ud_b = *r.dev_b.create_ud_qp({&r.pd_b, &r.cq_b, &r.cq_b, 0, false});
+  auto ud_a = *r.dev_a.create_ud_qp(
+      {&r.pd_a, r.cq_a.get(), r.cq_a.get(), 0, false});
+  auto ud_b = *r.dev_b.create_ud_qp(
+      {&r.pd_b, r.cq_b.get(), r.cq_b.get(), 0, false});
   std::shared_ptr<verbs::RcQueuePair> rc_b;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(900, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(900, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { rc_b = std::move(qp); })
                   .ok());
-  auto rc_a = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto rc_a = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                   r.b.endpoint(900));
   r.topo.sim().run_while_pending([&] { return rc_b != nullptr; }, kSecond);
   ASSERT_NE(rc_b, nullptr);
@@ -142,7 +147,7 @@ TEST(Integration, MixedRcAndUdTrafficShareOneHostPair) {
   r.topo.sim().run();
 
   int got = 0;
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv) ++got;
   EXPECT_EQ(got, 2);
   EXPECT_EQ(ud_sink, ud_msg);
@@ -155,9 +160,10 @@ TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
   sim::Topology topo;
   host::Host target_host(topo, "target");
   verbs::Device target_dev(target_host);
-  auto& pd = target_dev.create_pd();
-  auto& cq = target_dev.create_cq();
-  auto target = *target_dev.create_ud_qp({&pd, &cq, &cq, 5000, false});
+  verbs::ProtectionDomain pd(target_host);
+  auto cq = target_dev.create_cq();
+  auto target =
+      *target_dev.create_ud_qp({&pd, cq.get(), cq.get(), 5000, false});
 
   constexpr std::size_t kSources = 6;
   constexpr std::size_t kSlot = 8 * KiB;
@@ -167,15 +173,18 @@ TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
 
   std::vector<std::unique_ptr<host::Host>> hosts;
   std::vector<std::unique_ptr<verbs::Device>> devs;
+  std::vector<std::unique_ptr<verbs::ProtectionDomain>> pds;
+  std::vector<std::shared_ptr<verbs::CompletionQueue>> cqs;
   std::vector<std::shared_ptr<verbs::UdQueuePair>> qps;
   std::vector<Bytes> payloads;
   for (std::size_t i = 0; i < kSources; ++i) {
     hosts.push_back(
         std::make_unique<host::Host>(topo, "src" + std::to_string(i)));
     devs.push_back(std::make_unique<verbs::Device>(*hosts.back()));
-    auto& spd = devs.back()->create_pd();
-    auto& scq = devs.back()->create_cq();
-    qps.push_back(*devs.back()->create_ud_qp({&spd, &scq, &scq, 0, false}));
+    pds.push_back(std::make_unique<verbs::ProtectionDomain>(*hosts.back()));
+    cqs.push_back(devs.back()->create_cq());
+    qps.push_back(*devs.back()->create_ud_qp(
+        {pds.back().get(), cqs.back().get(), cqs.back().get(), 0, false}));
     payloads.push_back(make_pattern(kSlot, static_cast<u32>(i + 100)));
     SendWr wr;
     wr.opcode = WrOpcode::kWriteRecord;
@@ -188,7 +197,7 @@ TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
   topo.sim().run();
 
   std::set<u64> bases;
-  while (auto c = cq.poll())
+  while (auto c = cq->poll())
     if (c->opcode == WcOpcode::kRecvWriteRecord) bases.insert(c->base_to);
   EXPECT_EQ(bases.size(), kSources);
   for (std::size_t i = 0; i < kSources; ++i)

@@ -1,12 +1,13 @@
 // iWARP socket interface tests: datagram sockets over send/recv and
-// Write-Record data paths, stream sockets, native passthrough, and the
-// advert handshake.
+// Write-Record data paths, stream sockets, native passthrough, the advert
+// handshake, and what closing a socket or destroying a stack releases.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "isock/isock.hpp"
+#include "ledger_check.hpp"
 #include "simnet/topology.hpp"
 
 namespace dgiwarp {
@@ -233,33 +234,30 @@ TEST(ISock, CloseDeregistersTheReceivePool) {
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), Errc::kAccessDenied);
 
-  // Destroying the stack deregisters a pool that was never closed: the PD
-  // belongs to the Device and outlives the stack, the pool does not.
+  // Destroying the stack releases its PD, and with it a pool that was
+  // never closed.
+  const i64 pd_bytes = r.b.ledger().category("iwarp.pd");
   auto io = std::make_unique<ISockStack>(r.dev_b);
-  const verbs::ProtectionDomain& old_pd = io->pd();
   auto old_fd = *io->socket(SockType::kDatagram);
   ASSERT_TRUE(io->bind(old_fd, 9001).ok());
-  const u32 old_stag = io->pool_stag(old_fd);
-  ASSERT_TRUE(old_pd.stags().check(old_stag, 0, 1, verbs::kLocalWrite).ok());
+  EXPECT_GT(r.b.ledger().category("iwarp.pd"), pd_bytes);
+  EXPECT_GT(r.b.ledger().category("iwarp.mr"), mr_bytes);
   io.reset();
-  EXPECT_EQ(old_pd.registered_regions(), 0u);
+  EXPECT_EQ(r.b.ledger().category("iwarp.pd"), pd_bytes);
   EXPECT_EQ(r.b.ledger().category("iwarp.mr"), mr_bytes);
-  auto gone = old_pd.stags().check(old_stag, 0, 1, verbs::kLocalWrite);
-  ASSERT_FALSE(gone.ok());
-  EXPECT_EQ(gone.status().code(), Errc::kAccessDenied);
 }
 
-// A datagram socket's CQs belong to the socket, so a server that churns
-// per-call sockets does not grow its Device.
+// A datagram socket owns its QP, its CQs and its registered pool, so a
+// server that churns per-call sockets leaves nothing behind.
 TEST(ISock, CloseReleasesTheSocketsCqs) {
   Rig r;
-  const std::size_t cqs = r.dev_b.cq_count();
+  const auto baseline = r.b.ledger().categories();
   for (int i = 0; i < 1'000; ++i) {
     auto fd = *r.io_b.socket(SockType::kDatagram, 2, 2'048);
     ASSERT_TRUE(r.io_b.bind(fd, 9000).ok());
     ASSERT_TRUE(r.io_b.close(fd).ok());
   }
-  EXPECT_EQ(r.dev_b.cq_count(), cqs);
+  expect_ledger_at(r.b.ledger(), baseline);
 
   // A socket on the churned port still completes receives.
   auto sfd = *r.io_b.socket(SockType::kDatagram, 2, 2'048);
@@ -280,8 +278,8 @@ TEST(ISock, StreamCloseReleasesTheSocketsCqs) {
   std::vector<int> accepted;
   ASSERT_TRUE(
       r.io_b.listen(lfd, [&](int fd) { accepted.push_back(fd); }).ok());
-  const std::size_t client_cqs = r.dev_a.cq_count();
-  const std::size_t server_cqs = r.dev_b.cq_count();
+  const auto client_baseline = r.a.ledger().categories();
+  const auto server_baseline = r.b.ledger().categories();
 
   // Connect, accept, then close both ends, 50 times over.
   for (int i = 0; i < 50; ++i) {
@@ -300,8 +298,10 @@ TEST(ISock, StreamCloseReleasesTheSocketsCqs) {
     ASSERT_TRUE(r.io_b.close(accepted.back()).ok());
     r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   }
-  EXPECT_EQ(r.dev_a.cq_count(), client_cqs);
-  EXPECT_EQ(r.dev_b.cq_count(), server_cqs);
+  // A closed TCP socket keeps its charge until its cancelled timers fire.
+  r.topo.sim().run();
+  expect_ledger_at(r.a.ledger(), client_baseline);
+  expect_ledger_at(r.b.ledger(), server_baseline);
 
   // The listener still accepts, and the new connection carries data.
   auto cfd = *r.io_a.socket(SockType::kStream, 4, 2'048);
@@ -429,6 +429,52 @@ TEST(ISock, DestroyingAStackReleasesItsPorts) {
   auto got = new_native.recvfrom(ufd);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, dgram);
+}
+
+// Whole stacks churned on one Device: each binds a datagram socket and
+// listens on a stream socket, and is destroyed with both still open. Its PD,
+// the pool registered there, its QPs and ports all go with it.
+TEST(ISock, DestroyedStacksReturnTheLedgerToBaseline) {
+  Rig r;
+  const auto baseline = r.b.ledger().categories();
+  for (int i = 0; i < 1'000; ++i) {
+    ISockStack io(r.dev_b);
+    auto dfd = *io.socket(SockType::kDatagram, 2, 2'048);
+    ASSERT_TRUE(io.bind(dfd, 9000).ok());
+    auto lfd = *io.socket(SockType::kStream);
+    ASSERT_TRUE(io.bind(lfd, 8080).ok());
+    ASSERT_TRUE(io.listen(lfd, [](int) {}).ok());
+  }
+  expect_ledger_at(r.b.ledger(), baseline);
+}
+
+// A passive RC QP still in its MPA handshake refers to the PD of the stack
+// that listened for it. The stack is destroyed first; the QP then finishes
+// its handshake, finds no one to accept it and dies without touching the
+// PD (the ASan tree checks that).
+TEST(ISock, DestroyingAStackMidHandshakeIsSafe) {
+  Rig r;
+  const auto baseline = r.b.ledger().categories();
+  auto& sim = r.topo.sim();
+  auto cfd = *r.io_a.socket(SockType::kStream);
+  int accepts = 0;
+  {
+    ISockStack io(r.dev_b);
+    auto lfd = *io.socket(SockType::kStream);
+    ASSERT_TRUE(io.bind(lfd, 8080).ok());
+    ASSERT_TRUE(io.listen(lfd, [&](int) { ++accepts; }).ok());
+    ASSERT_TRUE(r.io_a.connect(cfd, r.b.endpoint(8080), [](Status) {}).ok());
+    // TCP is up and the listener has built the passive QP, which waits for
+    // the client's MPA request.
+    sim.run_while_pending(
+        [&] { return r.b.ledger().category("iwarp.rc_qp") > 0; },
+        sim.now() + kSecond);
+    ASSERT_GT(r.b.ledger().category("iwarp.rc_qp"), 0);
+    ASSERT_EQ(accepts, 0);
+  }
+  sim.run();
+  EXPECT_EQ(accepts, 0);
+  expect_ledger_at(r.b.ledger(), baseline);
 }
 
 }  // namespace

@@ -24,17 +24,18 @@ struct TwoHosts {
   host::Host b{topo, "hostB"};
   verbs::Device dev_a{a};
   verbs::Device dev_b{b};
+  verbs::ProtectionDomain pd_a{a};
+  verbs::ProtectionDomain pd_b{b};
+  std::shared_ptr<verbs::CompletionQueue> cq_a = dev_a.create_cq();
+  std::shared_ptr<verbs::CompletionQueue> cq_b = dev_b.create_cq();
 };
 
 TEST(Smoke, UdSendRecvSmallMessage) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-
-  auto qa = t.dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, 7000, false});
-  auto qb = t.dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 7000, false});
+  auto qa = t.dev_a.create_ud_qp(
+      {&t.pd_a, t.cq_a.get(), t.cq_a.get(), 7000, false});
+  auto qb = t.dev_b.create_ud_qp(
+      {&t.pd_b, t.cq_b.get(), t.cq_b.get(), 7000, false});
   ASSERT_TRUE(qa.ok()) << qa.status().to_string();
   ASSERT_TRUE(qb.ok()) << qb.status().to_string();
 
@@ -49,12 +50,12 @@ TEST(Smoke, UdSendRecvSmallMessage) {
   wr.remote = {(*qb)->local_ep(), (*qb)->qpn()};
   ASSERT_TRUE((*qa)->post_send(wr).ok());
 
-  auto send_done = cq_a.wait(10 * kMillisecond);
+  auto send_done = t.cq_a->wait(10 * kMillisecond);
   ASSERT_TRUE(send_done.has_value());
   EXPECT_EQ(send_done->wr_id, 2u);
   EXPECT_TRUE(send_done->status.ok());
 
-  auto recv_done = cq_b.wait(10 * kMillisecond);
+  auto recv_done = t.cq_b->wait(10 * kMillisecond);
   ASSERT_TRUE(recv_done.has_value());
   EXPECT_EQ(recv_done->wr_id, 1u);
   EXPECT_EQ(recv_done->byte_len, msg.size());
@@ -65,16 +66,14 @@ TEST(Smoke, UdSendRecvSmallMessage) {
 
 TEST(Smoke, UdWriteRecordSingleDatagram) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-  auto qa = *t.dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, 7000, false});
-  auto qb = *t.dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 7000, false});
+  auto qa = *t.dev_a.create_ud_qp(
+      {&t.pd_a, t.cq_a.get(), t.cq_a.get(), 7000, false});
+  auto qb = *t.dev_b.create_ud_qp(
+      {&t.pd_b, t.cq_b.get(), t.cq_b.get(), 7000, false});
 
   Bytes region(4096, 0);
-  auto mr = pd_b.register_memory(ByteSpan{region},
-                                 verbs::kLocalWrite | verbs::kRemoteWrite);
+  auto mr = t.pd_b.register_memory(ByteSpan{region},
+                                   verbs::kLocalWrite | verbs::kRemoteWrite);
 
   Bytes msg = make_pattern(1400, 7);
   SendWr wr;
@@ -86,7 +85,7 @@ TEST(Smoke, UdWriteRecordSingleDatagram) {
   wr.remote_offset = 128;
   ASSERT_TRUE(qa->post_send(wr).ok());
 
-  auto rec = cq_b.wait(10 * kMillisecond);
+  auto rec = t.cq_b->wait(10 * kMillisecond);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->opcode, WcOpcode::kRecvWriteRecord);
   EXPECT_EQ(rec->stag, mr.stag);
@@ -99,20 +98,15 @@ TEST(Smoke, UdWriteRecordSingleDatagram) {
 
 TEST(Smoke, RcConnectSendRecv) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-
   std::shared_ptr<verbs::RcQueuePair> server_qp;
   ASSERT_TRUE(t.dev_b
-                  .rc_listen(8000, {&pd_b, &cq_b, &cq_b},
+                  .rc_listen(8000, {&t.pd_b, t.cq_b.get(), t.cq_b.get()},
                              [&](std::shared_ptr<verbs::RcQueuePair> qp) {
                                server_qp = std::move(qp);
                              })
                   .ok());
 
-  auto client = *t.dev_a.rc_connect({&pd_a, &cq_a, &cq_a},
+  auto client = *t.dev_a.rc_connect({&t.pd_a, t.cq_a.get(), t.cq_a.get()},
                                     t.b.endpoint(8000));
   bool up = false;
   client->on_established([&](Status st) { up = st.ok(); });
@@ -131,37 +125,33 @@ TEST(Smoke, RcConnectSendRecv) {
   wr.local = ConstByteSpan{msg};
   ASSERT_TRUE(client->post_send(wr).ok());
 
-  auto got = cq_b.wait(100 * kMillisecond);
+  auto got = t.cq_b->wait(100 * kMillisecond);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->opcode, WcOpcode::kRecv);
   EXPECT_EQ(got->byte_len, msg.size());
   EXPECT_TRUE(std::equal(msg.begin(), msg.end(), sink.begin()));
 
-  auto sent = cq_a.wait(100 * kMillisecond);
+  auto sent = t.cq_a->wait(100 * kMillisecond);
   ASSERT_TRUE(sent.has_value());
   EXPECT_TRUE(sent->status.ok());
 }
 
 TEST(Smoke, RcRdmaWriteThenNotify) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-
   std::shared_ptr<verbs::RcQueuePair> server_qp;
   ASSERT_TRUE(t.dev_b
-                  .rc_listen(8000, {&pd_b, &cq_b, &cq_b},
+                  .rc_listen(8000, {&t.pd_b, t.cq_b.get(), t.cq_b.get()},
                              [&](auto qp) { server_qp = std::move(qp); })
                   .ok());
-  auto client = *t.dev_a.rc_connect({&pd_a, &cq_a, &cq_a}, t.b.endpoint(8000));
+  auto client = *t.dev_a.rc_connect(
+      {&t.pd_a, t.cq_a.get(), t.cq_a.get()}, t.b.endpoint(8000));
   t.topo.sim().run_while_pending([&] { return server_qp != nullptr; },
                                    100 * kMillisecond);
   ASSERT_NE(server_qp, nullptr);
 
   Bytes region(65536, 0);
-  auto mr = pd_b.register_memory(ByteSpan{region},
-                                 verbs::kLocalWrite | verbs::kRemoteWrite);
+  auto mr = t.pd_b.register_memory(ByteSpan{region},
+                                   verbs::kLocalWrite | verbs::kRemoteWrite);
 
   Bytes payload = make_pattern(40000, 11);
   SendWr write;
@@ -182,7 +172,7 @@ TEST(Smoke, RcRdmaWriteThenNotify) {
   notify.local = ConstByteSpan{note};
   ASSERT_TRUE(client->post_send(notify).ok());
 
-  auto got = cq_b.wait(200 * kMillisecond);
+  auto got = t.cq_b->wait(200 * kMillisecond);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->wr_id, 2u);
   // Tagged data was placed before the notifying send (in-order stream).
@@ -192,24 +182,20 @@ TEST(Smoke, RcRdmaWriteThenNotify) {
 
 TEST(Smoke, RcRdmaRead) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-
   std::shared_ptr<verbs::RcQueuePair> server_qp;
   ASSERT_TRUE(t.dev_b
-                  .rc_listen(8000, {&pd_b, &cq_b, &cq_b},
+                  .rc_listen(8000, {&t.pd_b, t.cq_b.get(), t.cq_b.get()},
                              [&](auto qp) { server_qp = std::move(qp); })
                   .ok());
-  auto client = *t.dev_a.rc_connect({&pd_a, &cq_a, &cq_a}, t.b.endpoint(8000));
+  auto client = *t.dev_a.rc_connect(
+      {&t.pd_a, t.cq_a.get(), t.cq_a.get()}, t.b.endpoint(8000));
   t.topo.sim().run_while_pending([&] { return server_qp != nullptr; },
                                    100 * kMillisecond);
   ASSERT_NE(server_qp, nullptr);
 
   Bytes remote_data = make_pattern(20000, 21);
-  auto mr = pd_b.register_memory(ByteSpan{remote_data},
-                                 verbs::kLocalRead | verbs::kRemoteRead);
+  auto mr = t.pd_b.register_memory(ByteSpan{remote_data},
+                                   verbs::kLocalRead | verbs::kRemoteRead);
 
   Bytes sink(20000, 0);
   SendWr read;
@@ -221,7 +207,7 @@ TEST(Smoke, RcRdmaRead) {
   read.read_len = static_cast<u32>(sink.size());
   ASSERT_TRUE(client->post_send(read).ok());
 
-  auto done = cq_a.wait(200 * kMillisecond);
+  auto done = t.cq_a->wait(200 * kMillisecond);
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->wr_id, 77u);
   EXPECT_EQ(done->opcode, WcOpcode::kRdmaRead);
@@ -231,12 +217,10 @@ TEST(Smoke, RcRdmaRead) {
 
 TEST(Smoke, UdLargeMessageMultiDatagram) {
   TwoHosts t;
-  auto& pd_a = t.dev_a.create_pd();
-  auto& pd_b = t.dev_b.create_pd();
-  auto& cq_a = t.dev_a.create_cq();
-  auto& cq_b = t.dev_b.create_cq();
-  auto qa = *t.dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, 0, false});
-  auto qb = *t.dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 0, false});
+  auto qa = *t.dev_a.create_ud_qp(
+      {&t.pd_a, t.cq_a.get(), t.cq_a.get(), 0, false});
+  auto qb = *t.dev_b.create_ud_qp(
+      {&t.pd_b, t.cq_b.get(), t.cq_b.get(), 0, false});
 
   // 256 KB: four 64 KB-class datagrams, each IP-fragmented on the wire.
   Bytes msg = make_pattern(256 * 1024, 99);
@@ -249,7 +233,7 @@ TEST(Smoke, UdLargeMessageMultiDatagram) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
 
-  auto got = cq_b.wait(100 * kMillisecond);
+  auto got = t.cq_b->wait(100 * kMillisecond);
   ASSERT_TRUE(got.has_value()) << "large UD message did not complete";
   EXPECT_EQ(got->byte_len, msg.size());
   EXPECT_EQ(sink, msg);

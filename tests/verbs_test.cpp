@@ -1,10 +1,11 @@
 // Verbs layer tests: datagram loss semantics (buffer recovery, relaxed
 // error rules), Write-Record partial placement end-to-end, CQ behaviour,
-// multi-peer UD scalability, the RD-mode QP, the UD RDMA Read extension and
-// the UD wire format.
+// multi-peer UD scalability, the RD-mode QP, the UD RDMA Read extension,
+// the UD wire format and the churn of each verbs resource.
 #include <gtest/gtest.h>
 
 #include "ddp/header.hpp"
+#include "ledger_check.hpp"
 #include "rdmap/message.hpp"
 #include "rdmap/terminate.hpp"
 #include "simnet/topology.hpp"
@@ -24,23 +25,22 @@ using verbs::WrOpcode;
 struct Rig {
   explicit Rig(verbs::DeviceConfig cfg = {})
       : a(topo, "a"), b(topo, "b"), dev_a(a, cfg), dev_b(b, cfg),
-        pd_a(dev_a.create_pd()), pd_b(dev_b.create_pd()),
-        cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
+        pd_a(a), pd_b(b), cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
 
   std::shared_ptr<verbs::UdQueuePair> ud_pair_a(bool reliable = false) {
-    return *dev_a.create_ud_qp({&pd_a, &cq_a, &cq_a, 0, reliable});
+    return *dev_a.create_ud_qp({&pd_a, cq_a.get(), cq_a.get(), 0, reliable});
   }
   std::shared_ptr<verbs::UdQueuePair> ud_pair_b(bool reliable = false) {
-    return *dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 0, reliable});
+    return *dev_b.create_ud_qp({&pd_b, cq_b.get(), cq_b.get(), 0, reliable});
   }
 
   sim::Topology topo;
   host::Host a, b;
   verbs::Device dev_a, dev_b;
-  verbs::ProtectionDomain& pd_a;
-  verbs::ProtectionDomain& pd_b;
-  verbs::CompletionQueue& cq_a;
-  verbs::CompletionQueue& cq_b;
+  verbs::ProtectionDomain pd_a;
+  verbs::ProtectionDomain pd_b;
+  std::shared_ptr<verbs::CompletionQueue> cq_a;
+  std::shared_ptr<verbs::CompletionQueue> cq_b;
 };
 
 TEST(UdQp, LostMessageRecoversReceiveBuffer) {
@@ -69,7 +69,7 @@ TEST(UdQp, LostMessageRecoversReceiveBuffer) {
   r.topo.sim().run();  // includes GC
 
   // The receive WR comes back with an error completion (buffer recovery).
-  auto wc = r.cq_b.poll();
+  auto wc = r.cq_b->poll();
   ASSERT_TRUE(wc.has_value());
   EXPECT_EQ(wc->wr_id, 77u);
   EXPECT_EQ(wc->status.code(), Errc::kMessageDropped);
@@ -83,7 +83,7 @@ TEST(UdQp, LostMessageRecoversReceiveBuffer) {
   ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
   bool delivered = false;
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     if (c->status.ok() && c->wr_id == 78) delivered = true;
   EXPECT_TRUE(delivered);
 }
@@ -116,7 +116,7 @@ TEST(UdQp, WriteRecordPartialPlacementEndToEnd) {
   r.topo.sim().run();
 
   std::optional<Completion> rec;
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     if (c->opcode == WcOpcode::kRecvWriteRecord) rec = c;
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->validity.ranges().size(), 2u);  // [seg1][gap][seg3]
@@ -156,7 +156,7 @@ TEST(UdQp, WriteRecordLostFinalSegmentDropsRecord) {
   ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
 
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     EXPECT_NE(c->opcode, WcOpcode::kRecvWriteRecord);
   EXPECT_EQ(
       r.topo.sim().telemetry().counter("rdmap.write_record.expired").value(),
@@ -242,7 +242,7 @@ TEST(UdQp, InFlightCorruptionDroppedByCrcQpStaysUsable) {
   wr.wr_id = 11;
   ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
-  auto c = r.cq_b.poll();
+  auto c = r.cq_b->poll();
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(sink, msg);
 }
@@ -273,7 +273,7 @@ TEST(UdQp, CrcOffMeasuresSilentCorruptionEscape) {
   EXPECT_EQ(r.topo.sim().telemetry().counter_value("verbs.ud.crc_escapes"),
             1u);
   // The message was delivered -- wrongly. Byte 2 carries the struck bit.
-  auto c = r.cq_b.poll();
+  auto c = r.cq_b->poll();
   ASSERT_TRUE(c.has_value());
   EXPECT_NE(sink, msg);
   EXPECT_EQ(sink[2], static_cast<u8>(msg[2] ^ 0xFF));
@@ -299,22 +299,26 @@ TEST(UdQp, OneQpServesManyPeers) {
   sim::Topology topo;
   host::Host server_host(topo, "server");
   verbs::Device server_dev(server_host);
-  auto& pd = server_dev.create_pd();
-  auto& cq = server_dev.create_cq();
-  auto server_qp = *server_dev.create_ud_qp({&pd, &cq, &cq, 4000, false});
+  verbs::ProtectionDomain pd(server_host);
+  auto cq = server_dev.create_cq();
+  auto server_qp =
+      *server_dev.create_ud_qp({&pd, cq.get(), cq.get(), 4000, false});
 
   constexpr int kPeers = 8;
   std::vector<std::unique_ptr<host::Host>> hosts;
   std::vector<std::unique_ptr<verbs::Device>> devs;
+  std::vector<std::unique_ptr<verbs::ProtectionDomain>> pds;
+  std::vector<std::shared_ptr<verbs::CompletionQueue>> cqs;
   std::vector<std::shared_ptr<verbs::UdQueuePair>> qps;
   Bytes sink(256, 0);
   for (int i = 0; i < kPeers; ++i) {
     hosts.push_back(std::make_unique<host::Host>(
         topo, "peer" + std::to_string(i)));
     devs.push_back(std::make_unique<verbs::Device>(*hosts.back()));
-    auto& ppd = devs.back()->create_pd();
-    auto& pcq = devs.back()->create_cq();
-    qps.push_back(*devs.back()->create_ud_qp({&ppd, &pcq, &pcq, 0, false}));
+    pds.push_back(std::make_unique<verbs::ProtectionDomain>(*hosts.back()));
+    cqs.push_back(devs.back()->create_cq());
+    qps.push_back(*devs.back()->create_ud_qp(
+        {pds.back().get(), cqs.back().get(), cqs.back().get(), 0, false}));
     (void)server_qp->post_recv(
         RecvWr{static_cast<u64>(i), ByteSpan{sink}});
   }
@@ -327,7 +331,7 @@ TEST(UdQp, OneQpServesManyPeers) {
   }
   topo.sim().run();
   std::set<u32> sources;
-  while (auto c = cq.poll())
+  while (auto c = cq->poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv)
       sources.insert(c->src.ip);
   EXPECT_EQ(sources.size(), static_cast<std::size_t>(kPeers));
@@ -354,7 +358,7 @@ TEST(UdQp, ReliableModeDeliversUnderLoss) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
   int delivered = 0;
-  while (auto c = r.cq_b.poll())
+  while (auto c = r.cq_b->poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv) ++delivered;
   EXPECT_EQ(delivered, 10);  // RD made an unreliable link lossless
   EXPECT_EQ(sink, msg);
@@ -390,7 +394,7 @@ TEST(UdQp, RdmaReadExtensionWorksWhenEnabled) {
   wr.read_sink = ByteSpan{sink};
   wr.read_len = static_cast<u32>(sink.size());
   ASSERT_TRUE(qa->post_send(wr).ok());
-  auto done = r.cq_a.wait(100 * kMillisecond);
+  auto done = r.cq_a->wait(100 * kMillisecond);
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->opcode, WcOpcode::kRdmaRead);
   EXPECT_TRUE(done->status.ok());
@@ -420,7 +424,7 @@ TEST(UdQp, RdmaReadExtensionTimesOutOnLoss) {
   wr.read_len = 1024;
   ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
-  auto done = r.cq_a.poll();
+  auto done = r.cq_a->poll();
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->status.code(), Errc::kMessageDropped);
 }
@@ -436,7 +440,7 @@ TEST(UdQp, SendSeMarksCompletionSolicited) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  auto wc = r.cq_b.wait(10 * kMillisecond);
+  auto wc = r.cq_b->wait(10 * kMillisecond);
   ASSERT_TRUE(wc.has_value());
   EXPECT_TRUE(wc->solicited);
 }
@@ -454,8 +458,8 @@ TEST(UdQp, UnsignaledSendsProduceNoCompletion) {
   ASSERT_TRUE(qa->post_send(wr).ok());
   r.topo.sim().run();
   // Receiver saw it; sender CQ stays empty.
-  EXPECT_TRUE(r.cq_b.poll().has_value());
-  EXPECT_FALSE(r.cq_a.poll().has_value());
+  EXPECT_TRUE(r.cq_b->poll().has_value());
+  EXPECT_FALSE(r.cq_a->poll().has_value());
 }
 
 // Every field of a DDP header parsed off the wire against the expected one.
@@ -627,7 +631,7 @@ TEST(UdQp, WireFormatSeenByRawSocket) {
 TEST(Cq, WaitTimesOutWhenNothingArrives) {
   Rig r;
   const TimeNs t0 = r.topo.sim().now();
-  auto wc = r.cq_a.wait(3 * kMillisecond);
+  auto wc = r.cq_a->wait(3 * kMillisecond);
   EXPECT_FALSE(wc.has_value());
   EXPECT_GE(r.topo.sim().now() - t0, 3 * kMillisecond);
 }
@@ -661,10 +665,10 @@ TEST(RcQp, NoReceiveBufferIsFatalOnRc) {
   Rig r;
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
@@ -682,10 +686,10 @@ TEST(RcQp, WriteRecordOverReliableTransport) {
   Rig r;
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
@@ -699,7 +703,7 @@ TEST(RcQp, WriteRecordOverReliableTransport) {
   wr.local = ConstByteSpan{msg};
   wr.remote_stag = mr.stag;
   ASSERT_TRUE(client->post_send(wr).ok());
-  auto rec = r.cq_b.wait(100 * kMillisecond);
+  auto rec = r.cq_b->wait(100 * kMillisecond);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->opcode, WcOpcode::kRecvWriteRecord);
   EXPECT_TRUE(rec->validity.complete(40'000));
@@ -717,10 +721,10 @@ TEST(RcQp, LargeMessagesUnderFaultsArriveByteExact) {
   r.b.tcp().set_min_rto(5 * kMillisecond);
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
@@ -761,7 +765,7 @@ TEST(RcQp, LargeMessagesUnderFaultsArriveByteExact) {
   std::vector<Completion> recvs;
   const bool done = r.topo.sim().run_while_pending(
       [&] {
-        while (auto c = r.cq_b.poll()) recvs.push_back(std::move(*c));
+        while (auto c = r.cq_b->poll()) recvs.push_back(std::move(*c));
         return recvs.size() == kMessages;
       },
       60 * kSecond);
@@ -791,10 +795,10 @@ TEST(RcQp, CorruptedFpduFailsCrcAndTerminates) {
   r.b.tcp().set_validate_checksum(false);
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run();  // quiesce the handshake completely
   ASSERT_NE(server, nullptr);
@@ -836,10 +840,10 @@ TEST(RcQp, CorruptedTerminateTearsDownWithoutLoop) {
   r.b.tcp().set_validate_checksum(false);
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run();
   ASSERT_NE(server, nullptr);
@@ -873,10 +877,10 @@ TEST(RcQp, DisconnectMovesPeerToError) {
   Rig r;
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
-                  .rc_listen(800, {&r.pd_b, &r.cq_b, &r.cq_b},
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
                              [&](auto qp) { server = std::move(qp); })
                   .ok());
-  auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
+  auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
                                     r.b.endpoint(800));
   r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
@@ -903,7 +907,7 @@ TEST(QueuePair, ErrorStateFlushesPostedReceives) {
   ASSERT_TRUE(qa->post_recv(RecvWr{12, ByteSpan{buf}}).ok());
   qa->set_error(Status(Errc::kProtocolError, "test"));
   int flushed = 0;
-  while (auto c = r.cq_a.poll()) {
+  while (auto c = r.cq_a->poll()) {
     EXPECT_FALSE(c->status.ok());
     ++flushed;
   }
@@ -918,6 +922,96 @@ TEST(Device, LedgerChargesQpState) {
   const i64 with_qp = r.a.ledger().category("iwarp.ud_qp");
   qa.reset();
   EXPECT_LT(r.a.ledger().category("iwarp.ud_qp"), with_qp);
+}
+
+// Churn: each resource is built and destroyed 1,000 times on one Device (50
+// times for RC, where each cycle is a connection), and every ledger
+// category must return to its baseline. A resource belongs to its caller,
+// so nothing may pile up on the Device or the host.
+constexpr int kChurn = 1'000;
+
+TEST(Churn, ProtectionDomainReleasesWhatIsStillRegistered) {
+  Rig r;
+  const auto baseline = r.a.ledger().categories();
+  Bytes region(8 * KiB, 0);
+  for (int i = 0; i < kChurn; ++i) {
+    verbs::ProtectionDomain pd(r.a);
+    const auto kept = pd.register_memory(ByteSpan{region}, verbs::kLocalWrite);
+    const auto gone = pd.register_memory(ByteSpan{region}, verbs::kLocalRead);
+    ASSERT_TRUE(pd.deregister(gone.stag).ok());
+    ASSERT_TRUE(pd.stags().contains(kept.stag));
+    ASSERT_GT(r.a.ledger().category("iwarp.mr"), 0);
+  }
+  expect_ledger_at(r.a.ledger(), baseline);
+}
+
+TEST(Churn, CompletionQueueDiesWithItsLastOwner) {
+  Rig r;
+  const auto baseline = r.a.ledger().categories();
+  const Bytes msg(64, 1);
+  for (int i = 0; i < kChurn; ++i) {
+    std::weak_ptr<verbs::CompletionQueue> weak;
+    {
+      auto cq = r.dev_a.create_cq();
+      weak = cq;
+      auto qp = *r.dev_a.create_ud_qp({&r.pd_a, cq.get(), cq.get(), 0, false});
+      SendWr wr;
+      wr.local = ConstByteSpan{msg};
+      wr.remote = {r.b.endpoint(7000), 0};
+      ASSERT_TRUE(qp->post_send(wr).ok());
+    }
+    // Its send completion is still on the way, and holds the CQ until it
+    // lands.
+    ASSERT_FALSE(weak.expired());
+    r.topo.sim().run();
+    ASSERT_TRUE(weak.expired());
+  }
+  expect_ledger_at(r.a.ledger(), baseline);
+}
+
+TEST(Churn, UdQueuePairReleasesItsPortAndState) {
+  Rig r;
+  const auto baseline = r.a.ledger().categories();
+  Bytes buf(64, 0);
+  for (int i = 0; i < kChurn; ++i) {
+    auto qp = r.dev_a.create_ud_qp(
+        {&r.pd_a, r.cq_a.get(), r.cq_a.get(), 7000, /*reliable=*/i % 2 == 1});
+    ASSERT_TRUE(qp.ok()) << qp.status().to_string();
+    ASSERT_TRUE((*qp)->post_recv(RecvWr{1, ByteSpan{buf}}).ok());
+  }
+  expect_ledger_at(r.a.ledger(), baseline);
+}
+
+TEST(Churn, RcQueuePairsActiveAndPassive) {
+  Rig r;
+  std::shared_ptr<verbs::RcQueuePair> server;
+  ASSERT_TRUE(r.dev_b
+                  .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
+                             [&](auto qp) { server = std::move(qp); })
+                  .ok());
+  const auto baseline_a = r.a.ledger().categories();
+  const auto baseline_b = r.b.ledger().categories();
+  auto& sim = r.topo.sim();
+  for (int i = 0; i < 50; ++i) {
+    auto client = *r.dev_a.rc_connect({&r.pd_a, r.cq_a.get(), r.cq_a.get()},
+                                      r.b.endpoint(800));
+    sim.run_while_pending([&] { return server && client->connected(); },
+                          sim.now() + kSecond);
+    ASSERT_TRUE(client->connected());
+    ASSERT_NE(server, nullptr);
+    client->disconnect();
+    sim.run_while_pending(
+        [&] { return server->state() == verbs::QpState::kError; },
+        sim.now() + kSecond);
+    ASSERT_EQ(server->state(), verbs::QpState::kError);
+    client.reset();
+    server.reset();
+    sim.run_until(sim.now() + 10 * kMillisecond);
+  }
+  // A closed TCP socket keeps its charge until its cancelled timers fire.
+  sim.run();
+  expect_ledger_at(r.a.ledger(), baseline_a);
+  expect_ledger_at(r.b.ledger(), baseline_b);
 }
 
 }  // namespace
