@@ -31,12 +31,6 @@ class LossModel {
   virtual bool should_drop(Rng& rng, TimeNs now) = 0;
 };
 
-/// Never drops (default).
-class NoLoss final : public LossModel {
- public:
-  bool should_drop(Rng&, TimeNs) override { return false; }
-};
-
 /// Independent drop with probability `p` — equivalent of `tc ... loss p%`.
 class BernoulliLoss final : public LossModel {
  public:
@@ -138,12 +132,6 @@ class CorruptionModel {
   virtual bool corrupt(Rng& rng, TimeNs now, Bytes& payload) = 0;
 };
 
-/// Never corrupts (default).
-class NoCorruption final : public CorruptionModel {
- public:
-  bool corrupt(Rng&, TimeNs, Bytes&) override { return false; }
-};
-
 /// Independent per-byte bit errors: each payload byte is hit with
 /// probability `byte_error_rate`; a hit flips one random bit. This is the
 /// classic memoryless BER channel.
@@ -152,17 +140,7 @@ class BernoulliCorruption final : public CorruptionModel {
   explicit BernoulliCorruption(double byte_error_rate)
       : rate_(byte_error_rate) {}
 
-  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override {
-    if (rate_ <= 0.0) return false;
-    bool changed = false;
-    for (auto& b : payload) {
-      if (rng.chance(rate_)) {
-        b ^= static_cast<u8>(1u << rng.below(8));
-        changed = true;
-      }
-    }
-    return changed;
-  }
+  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override;
 
  private:
   double rate_;
@@ -179,23 +157,7 @@ class GilbertElliottCorruption final : public CorruptionModel {
       : p_g2b_(p_g2b), p_b2g_(p_b2g), rate_good_(rate_good),
         rate_bad_(rate_bad) {}
 
-  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override {
-    if (bad_) {
-      if (rng.chance(p_b2g_)) bad_ = false;
-    } else {
-      if (rng.chance(p_g2b_)) bad_ = true;
-    }
-    const double rate = bad_ ? rate_bad_ : rate_good_;
-    if (rate <= 0.0) return false;
-    bool changed = false;
-    for (auto& b : payload) {
-      if (rng.chance(rate)) {
-        b ^= static_cast<u8>(1u << rng.below(8));
-        changed = true;
-      }
-    }
-    return changed;
-  }
+  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override;
 
  private:
   double p_g2b_, p_b2g_, rate_good_, rate_bad_;

@@ -29,11 +29,6 @@ u64 Registry::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second.value();
 }
 
-const Gauge* Registry::find_gauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* Registry::find_histogram(const std::string& name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

@@ -134,7 +134,6 @@ class Registry {
 
   /// Read-only lookup without creating (0 / nullptr when absent).
   u64 counter_value(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
   bool has(const std::string& name) const;
   /// Read-only iteration over the stored maps (flight recorder, tests).
