@@ -16,13 +16,13 @@ namespace dgiwarp {
 
 class ZeroRegion {
  public:
-  /// Regions at least this large are mapped. Below it a mapping costs more
-  /// than it saves: fig11's 20,000 per-call 4 KiB rings are written anyway,
-  /// and mapping every ring (one VMA each) took its peak RSS from 305 to
-  /// 380 MiB. calloc is no substitute for mmap: once large blocks are
-  /// freed, glibc raises its dynamic mmap threshold, later rings come from
-  /// the heap and calloc zero-fills them (it saved fig12 41 MiB, against
-  /// 233 MiB for mmap).
+  /// Regions at least this large are mapped. A smaller ring is written
+  /// anyway, and a mapping of its own costs an mmap and a munmap: mapping
+  /// every ring cut fig11's, fig12's and sip_fleet's peak RSS by under 1 %
+  /// and raised sip_fleet's system time by half (DESIGN.md §5). calloc is
+  /// no substitute for mmap: once large blocks are freed, glibc raises its
+  /// dynamic mmap threshold, later rings come from the heap and calloc
+  /// zero-fills them (it saved fig12 41 MiB, against 233 MiB for mmap).
   static constexpr std::size_t kMapThreshold = 64 * 1024;
 
   ZeroRegion() = default;
