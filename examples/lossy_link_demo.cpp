@@ -73,9 +73,12 @@ int main(int argc, char** argv) {
   if (!rec) {
     std::printf("no record completion: the FINAL segment was lost, so the "
                 "whole message's record was discarded (paper §VI.A.2)\n");
+    // Only the target receives, so the registry's UD count is its own.
     std::printf("(the target still placed %llu segments, but cannot declare "
                 "them valid)\n",
-                static_cast<unsigned long long>(qd->stats().segments_rx));
+                static_cast<unsigned long long>(
+                    topo.sim().telemetry().counter_value(
+                        "verbs.ud.segments_rx")));
     dump_metrics(topo, argc, argv);
     return 0;
   }

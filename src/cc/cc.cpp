@@ -27,12 +27,13 @@ const char* cc_mode_name(CcMode m) {
 
 RateController::RateController(sim::Simulation& sim, CcMode mode,
                                CcParams params)
-    : sim_(sim), mode_(mode), params_(params) {
-  // Constructed only for cc_mode != kOff, so binding here adds cc.* keys
-  // exactly to the runs that opted into congestion control (default-config
-  // metrics JSON stays byte-identical).
-  cnps_.bind(sim_.telemetry().counter("cc.cnps"));
-}
+    : sim_(sim),
+      mode_(mode),
+      params_(params),
+      // Constructed only for cc_mode != kOff, so this adds cc.* keys exactly
+      // to the runs that opted into congestion control (default-config
+      // metrics JSON stays byte-identical).
+      cnps_(sim.telemetry().counter("cc.cnps")) {}
 
 RateController::Flow& RateController::flow(u64 key) {
   auto [it, inserted] = flows_.try_emplace(key);
@@ -68,7 +69,7 @@ TimeNs RateController::reserve_send(u64 key, std::size_t packet_bytes) {
 void RateController::on_cnp(u64 key) {
   if (mode_ != CcMode::kDcqcn) return;
   Flow& f = flow(key);
-  ++cnps_;
+  cnps_.inc();
   sim_.telemetry().trace().record(telemetry::TraceKind::kCcCnp, key,
                                   static_cast<u64>(f.rate));
   // DCQCN reaction point: bump the congestion estimate, snapshot the

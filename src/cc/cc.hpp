@@ -111,7 +111,6 @@ class RateController {
   /// Current sending rate of `flow` (line rate for unknown flows).
   double rate_bps(u64 flow) const;
 
-  u64 cnps() const { return cnps_.value(); }
   u64 rate_decreases() const { return rate_decreases_; }
 
  private:
@@ -138,7 +137,7 @@ class RateController {
   CcMode mode_;
   CcParams params_;
   std::map<u64, Flow> flows_;
-  telemetry::Metric cnps_;  // mirrors into cc.cnps
+  telemetry::Counter& cnps_;  // cc.cnps
   u64 rate_decreases_ = 0;
 };
 

@@ -32,7 +32,8 @@ class MemLedger {
 
 /// RAII charge: credits the ledger on construction, refunds on destruction.
 /// Holds shared ownership of the ledger: charged objects can legitimately
-/// outlive their host (e.g. sockets kept alive by pending timer events).
+/// outlive their host (e.g. a TCP socket whose receive wakeup is still
+/// scheduled).
 class MemCharge {
  public:
   MemCharge() = default;

@@ -44,14 +44,16 @@ struct IpHeader {
 
 }  // namespace
 
-IpLayer::IpLayer(HostCtx& ctx) : ctx_(ctx) {
+IpLayer::IpLayer(HostCtx& ctx)
+    : ctx_(ctx),
+      dgrams_tx_(ctx.sim.telemetry().counter("hoststack.ip.datagrams_tx")),
+      dgrams_rx_(ctx.sim.telemetry().counter("hoststack.ip.datagrams_rx")),
+      reassembly_expired_(
+          ctx.sim.telemetry().counter("hoststack.ip.reassembly_expired")),
+      frags_tx_(ctx.sim.telemetry().counter("hoststack.ip.fragments_tx")),
+      parse_rejects_(
+          ctx.sim.telemetry().counter("hoststack.ip.parse_rejects")) {
   ctx_.nic.set_rx_handler([this](sim::Frame f) { on_frame(std::move(f)); });
-  auto& reg = ctx_.sim.telemetry();
-  dgrams_tx_.bind(reg.counter("hoststack.ip.datagrams_tx"));
-  dgrams_rx_.bind(reg.counter("hoststack.ip.datagrams_rx"));
-  reassembly_expired_.bind(reg.counter("hoststack.ip.reassembly_expired"));
-  frags_tx_.bind(reg.counter("hoststack.ip.fragments_tx"));
-  parse_rejects_.bind(reg.counter("hoststack.ip.parse_rejects"));
 }
 
 void IpLayer::register_protocol(u8 proto, ProtocolHandler handler) {
@@ -67,7 +69,7 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
   const std::size_t total = payload.size();
   const std::size_t frag_payload = kIpPayloadMtu;  // 1480
   std::size_t off = 0;
-  ++dgrams_tx_;
+  dgrams_tx_.inc();
 
   do {
     const std::size_t n = std::min(frag_payload, total - off);
@@ -91,7 +93,7 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
     const TimeNs ready = ctx_.cpu.charge_kernel(
         ctx_.costs.ip_frag_tx,
         {telemetry::CostLayer::kIp, telemetry::CostActivity::kSegment, n});
-    ++frags_tx_;
+    frags_tx_.inc();
     ctx_.sim.at(ready, [this, fr = std::move(f)]() mutable {
       ctx_.nic.send(std::move(fr));
     });
@@ -105,7 +107,7 @@ void IpLayer::on_frame(sim::Frame f) {
   WireReader r(ConstByteSpan{f.payload});
   auto hr = IpHeader::parse(r);
   if (!hr.ok()) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     DGI_WARN("ip", "malformed frame dropped (%zu B)", f.payload.size());
     return;
   }
@@ -120,7 +122,7 @@ void IpLayer::on_frame(sim::Frame f) {
   const bool single_fragment =
       h.offset == 0 && (h.flags & kFlagMoreFragments) == 0;
   if (single_fragment) {
-    ++dgrams_rx_;
+    dgrams_rx_.inc();
     SpanScope scope(ctx_, f.span);
     EcnScope ecn_scope(ctx_, f.ecn);
     deliver(f.src, h.proto, to_bytes(body), f.corrupted);
@@ -133,7 +135,7 @@ void IpLayer::on_frame(sim::Frame f) {
   // sizes anything.
   constexpr std::size_t kMaxIpPayload = 65'535 - kIpHeaderBytes;
   if (h.total == 0 || h.total > kMaxIpPayload) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     DGI_WARN("ip", "fragment with bogus total=%u; dropped", h.total);
     return;
   }
@@ -149,7 +151,7 @@ void IpLayer::on_frame(sim::Frame f) {
     ctx_.sim.at(p.deadline, [this, key, gen] {
       auto pit = partials_.find(key);
       if (pit != partials_.end() && pit->second.generation == gen) {
-        ++reassembly_expired_;
+        reassembly_expired_.inc();
         ctx_.sim.telemetry().trace().record(
             telemetry::TraceKind::kIpReassemblyExpired, key.ident,
             pit->second.received);
@@ -160,7 +162,7 @@ void IpLayer::on_frame(sim::Frame f) {
     });
   }
   if (u64{h.offset} + body.size() > p.data.size()) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     DGI_WARN("ip", "fragment beyond datagram bounds; dropped");
     return;
   }
@@ -178,7 +180,7 @@ void IpLayer::on_frame(sim::Frame f) {
     const bool ecn = p.ecn;
     const u64 span = p.span;
     partials_.erase(it);
-    ++dgrams_rx_;
+    dgrams_rx_.inc();
     SpanScope scope(ctx_, span);
     EcnScope ecn_scope(ctx_, ecn);
     deliver(f.src, h.proto, std::move(whole), tainted);

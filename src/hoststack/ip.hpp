@@ -121,8 +121,6 @@ class IpLayer {
   /// Entry point for frames delivered by the NIC.
   void on_frame(sim::Frame f);
 
-  u64 reassembly_expired() const { return reassembly_expired_; }
-
  private:
   struct FragKey {
     u32 src;
@@ -156,11 +154,11 @@ class IpLayer {
   TimeNs reassembly_timeout_ = 30 * kMillisecond;
   u16 next_ident_ = 1;
   u64 next_generation_ = 1;
-  telemetry::Metric dgrams_tx_;
-  telemetry::Metric dgrams_rx_;
-  telemetry::Metric reassembly_expired_;
-  telemetry::Metric frags_tx_;
-  telemetry::Metric parse_rejects_;
+  telemetry::Counter& dgrams_tx_;
+  telemetry::Counter& dgrams_rx_;
+  telemetry::Counter& reassembly_expired_;
+  telemetry::Counter& frags_tx_;
+  telemetry::Counter& parse_rejects_;
 };
 
 }  // namespace dgiwarp::host

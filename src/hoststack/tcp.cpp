@@ -101,7 +101,10 @@ TcpSocket::TcpSocket(TcpLayer& layer, Endpoint local, Endpoint remote)
       remote_(remote),
       mem_(layer.ctx().ledger, "tcp.sock",
            static_cast<i64>(layer.ctx().costs.tcp_sock_bytes +
-                            layer.ctx().costs.tcp_buf_bytes)) {
+                            layer.ctx().costs.tcp_buf_bytes)),
+      seg_rx_(layer.ctx().sim.telemetry().counter("hoststack.tcp.segments_rx")),
+      delivered_bytes_(
+          layer.ctx().sim.telemetry().counter("hoststack.tcp.bytes_delivered")) {
   cwnd_ = 10.0 * kTcpMss;  // IW10
   ssthresh_ = 1e12;
   rto_ = std::max<TimeNs>(layer_.min_rto(), 200 * kMicrosecond);
@@ -110,9 +113,7 @@ TcpSocket::TcpSocket(TcpLayer& layer, Endpoint local, Endpoint remote)
 
   auto& reg = layer_.ctx().sim.telemetry();
   seg_tx_.bind(reg.counter("hoststack.tcp.segments_tx"));
-  seg_rx_.bind(reg.counter("hoststack.tcp.segments_rx"));
   retx_.bind(reg.counter("hoststack.tcp.retransmits"));
-  delivered_bytes_.bind(reg.counter("hoststack.tcp.bytes_delivered"));
 }
 
 TcpSocket::~TcpSocket() = default;
@@ -188,7 +189,7 @@ void TcpSocket::abort() {
 }
 
 void TcpSocket::on_segment(const SegmentView& seg, bool tainted) {
-  ++seg_rx_;
+  seg_rx_.inc();
   HostCtx& c = layer_.ctx();
   c.cpu.charge_kernel(
       seg.pure_ack() ? c.costs.tcp_ack_rx : c.costs.tcp_segment_rx,
@@ -387,7 +388,7 @@ void TcpSocket::deliver_in_order(ConstByteSpan in_order, bool tainted,
   }
 
   if (appended > 0) {
-    delivered_bytes_ += appended;
+    delivered_bytes_.inc(appended);
     // Coalesced delivery: in-order data accumulates until the (already
     // scheduled) application wakeup fires; one wakeup drains everything
     // queued by then — like a real kernel, where a single recv() returns
@@ -583,9 +584,12 @@ void TcpSocket::send_ack() {
 void TcpSocket::arm_retransmit_timer() {
   timer_armed_ = true;
   const u64 gen = ++timer_generation_;
-  auto self = shared_from_this();
-  layer_.ctx().sim.at(layer_.ctx().sim.now() + rto_,
-                      [self, gen] { self->on_retransmit_timeout(gen); });
+  // The timer does not keep the socket alive: one closed before it fires is
+  // freed, and its tcp.sock charge refunded, at close.
+  auto weak = weak_from_this();
+  layer_.ctx().sim.at(layer_.ctx().sim.now() + rto_, [weak, gen] {
+    if (auto self = weak.lock()) self->on_retransmit_timeout(gen);
+  });
 }
 
 void TcpSocket::on_retransmit_timeout(u64 generation) {
@@ -674,14 +678,17 @@ void TcpSocket::destroy() {
 // TcpLayer
 // ---------------------------------------------------------------------------
 
-TcpLayer::TcpLayer(HostCtx& ctx, IpLayer& ip) : ctx_(ctx), ip_(ip) {
+TcpLayer::TcpLayer(HostCtx& ctx, IpLayer& ip)
+    : ctx_(ctx),
+      ip_(ip),
+      checksum_drops_(
+          ctx.sim.telemetry().counter("hoststack.tcp.checksum_drops")),
+      parse_rejects_(
+          ctx.sim.telemetry().counter("hoststack.tcp.parse_rejects")) {
   ip_.register_protocol(kIpProtoTcp,
                         [this](u32 src_ip, Bytes dgram, bool tainted) {
                           on_datagram(src_ip, std::move(dgram), tainted);
                         });
-  auto& reg = ctx_.sim.telemetry();
-  checksum_drops_.bind(reg.counter("hoststack.tcp.checksum_drops"));
-  parse_rejects_.bind(reg.counter("hoststack.tcp.parse_rejects"));
 }
 
 Result<TcpSocket::Ptr> TcpLayer::connect(Endpoint dst) {
@@ -706,7 +713,7 @@ void TcpLayer::stop_listening(u16 port) { listeners_.erase(port); }
 void TcpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
   auto sr = TcpSocket::SegmentView::parse(ConstByteSpan{dgram});
   if (!sr.ok()) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     return;
   }
   const TcpSocket::SegmentView& seg = *sr;
@@ -719,7 +726,7 @@ void TcpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
     if (internet_checksum(ConstByteSpan{dgram}) != seg.checksum) {
       // Silent drop, like a real stack: the sender's RTO/fast-retransmit
       // resends the damaged segment. No RST — the header itself may lie.
-      ++checksum_drops_;
+      checksum_drops_.inc();
       DGI_DEBUG("tcp", "checksum mismatch on :%u; segment dropped",
                 seg.dst_port);
       return;

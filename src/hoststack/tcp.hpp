@@ -181,13 +181,13 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   WritableHandler on_writable_;
   bool close_notified_ = false;
 
-  // Stats (mirrored into the Simulation's registry, hoststack.tcp.*).
-  telemetry::Metric seg_tx_;
-  telemetry::Metric seg_rx_;
-  telemetry::Metric retx_;
-  telemetry::Metric delivered_bytes_;
-
   MemCharge mem_;
+
+  // hoststack.tcp.*; the Metrics feed segments_sent() and retransmissions().
+  telemetry::Metric seg_tx_;
+  telemetry::Counter& seg_rx_;
+  telemetry::Metric retx_;
+  telemetry::Counter& delivered_bytes_;
 };
 
 class TcpLayer {
@@ -246,8 +246,8 @@ class TcpLayer {
   u16 next_ephemeral_ = 49'152;
   TimeNs min_rto_ = 200 * kMillisecond;  // Linux default
   bool validate_checksum_ = true;
-  telemetry::Metric checksum_drops_;
-  telemetry::Metric parse_rejects_;
+  telemetry::Counter& checksum_drops_;
+  telemetry::Counter& parse_rejects_;
 };
 
 }  // namespace dgiwarp::host

@@ -37,11 +37,13 @@ UdpSocket::UdpSocket(UdpLayer& layer, u16 port)
       port_(port),
       mem_(layer.ctx().ledger, "udp.sock",
            static_cast<i64>(layer.ctx().costs.udp_sock_bytes +
-                            layer.ctx().costs.udp_buf_bytes)) {
-  auto& reg = layer_.ctx().sim.telemetry();
-  tx_count_.bind(reg.counter("hoststack.udp.datagrams_tx"));
-  rx_count_.bind(reg.counter("hoststack.udp.datagrams_rx"));
-  rx_dropped_full_.bind(reg.counter("hoststack.udp.rx_dropped_full"));
+                            layer.ctx().costs.udp_buf_bytes)),
+      tx_count_(
+          layer.ctx().sim.telemetry().counter("hoststack.udp.datagrams_tx")),
+      rx_dropped_full_(
+          layer.ctx().sim.telemetry().counter("hoststack.udp.rx_dropped_full")) {
+  rx_count_.bind(
+      layer_.ctx().sim.telemetry().counter("hoststack.udp.datagrams_rx"));
 }
 
 Status UdpSocket::send_to(Endpoint dst, ConstByteSpan data) {
@@ -69,7 +71,7 @@ Status UdpSocket::send_to(Endpoint dst, ConstByteSpan data) {
   h.serialize(dgram);
   append(dgram, data);
 
-  ++tx_count_;
+  tx_count_.inc();
   return layer_.ip().send(kIpProtoUdp, dst.ip, std::move(dgram));
 }
 
@@ -87,19 +89,22 @@ void UdpSocket::deliver(Endpoint src, Bytes data, bool tainted) {
     return;
   }
   if (rx_queue_.size() >= rx_queue_limit_) {
-    ++rx_dropped_full_;
+    rx_dropped_full_.inc();
     DGI_DEBUG("udp", "rx queue overflow on port %u; datagram dropped", port_);
     return;
   }
   rx_queue_.emplace_back(src, std::move(data));
 }
 
-UdpLayer::UdpLayer(HostCtx& ctx, IpLayer& ip) : ctx_(ctx), ip_(ip) {
+UdpLayer::UdpLayer(HostCtx& ctx, IpLayer& ip)
+    : ctx_(ctx),
+      ip_(ip),
+      parse_rejects_(
+          ctx.sim.telemetry().counter("hoststack.udp.parse_rejects")) {
   ip_.register_protocol(kIpProtoUdp,
                         [this](u32 src_ip, Bytes dgram, bool tainted) {
                           on_datagram(src_ip, std::move(dgram), tainted);
                         });
-  parse_rejects_.bind(ctx_.sim.telemetry().counter("hoststack.udp.parse_rejects"));
 }
 
 Result<UdpSocket*> UdpLayer::open(u16 port) {
@@ -133,7 +138,7 @@ void UdpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
   WireReader r(ConstByteSpan{dgram});
   auto hr = UdpHeader::parse(r);
   if (!hr.ok()) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     return;
   }
   const UdpHeader& h = *hr;
@@ -143,7 +148,7 @@ void UdpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
   ConstByteSpan body = r.rest();
   if (h.length < kUdpHeaderBytes ||
       std::size_t{h.length} - kUdpHeaderBytes > body.size()) {
-    ++parse_rejects_;
+    parse_rejects_.inc();
     DGI_DEBUG("udp", "length field %u disagrees with %zu B datagram; dropped",
               h.length, dgram.size());
     return;

@@ -48,10 +48,11 @@ class UdpSocket {
   DatagramHandler handler_;
   LazyDeque<std::pair<Endpoint, Bytes>> rx_queue_;
   std::size_t rx_queue_limit_ = 256;  // datagrams; overflow drops (like SO_RCVBUF)
-  telemetry::Metric tx_count_;
-  telemetry::Metric rx_count_;
-  telemetry::Metric rx_dropped_full_;
   MemCharge mem_;
+  // hoststack.udp.*; the Metric feeds datagrams_received().
+  telemetry::Counter& tx_count_;
+  telemetry::Metric rx_count_;
+  telemetry::Counter& rx_dropped_full_;
 };
 
 class UdpLayer {
@@ -72,7 +73,7 @@ class UdpLayer {
   IpLayer& ip_;
   std::unordered_map<u16, std::unique_ptr<UdpSocket>> sockets_;
   u16 next_ephemeral_ = 49'152;
-  telemetry::Metric parse_rejects_;
+  telemetry::Counter& parse_rejects_;
 };
 
 }  // namespace dgiwarp::host

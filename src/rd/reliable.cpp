@@ -74,14 +74,19 @@ Result<ReliableDatagram::PacketView> ReliableDatagram::parse_packet(
 
 ReliableDatagram::ReliableDatagram(host::HostCtx& ctx,
                                    host::UdpSocket& socket, RdConfig config)
-    : ctx_(ctx), socket_(socket), config_(config) {
+    : ctx_(ctx),
+      socket_(socket),
+      config_(config),
+      data_tx_(ctx.sim.telemetry().counter("rd.data_tx")),
+      data_rx_(ctx.sim.telemetry().counter("rd.data_rx")),
+      crc_drops_(ctx.sim.telemetry().counter("rd.crc_drops")),
+      crc_escapes_(ctx.sim.telemetry().counter("rd.crc_escapes")),
+      parse_rejects_(ctx.sim.telemetry().counter("rd.parse_rejects")) {
   socket_.set_handler([this](Endpoint src, Bytes data, bool tainted) {
     on_raw(src, std::move(data), tainted);
   });
 
   auto& reg = ctx_.sim.telemetry();
-  stats_.data_tx.bind(reg.counter("rd.data_tx"));
-  stats_.data_rx.bind(reg.counter("rd.data_rx"));
   stats_.retransmits.bind(reg.counter("rd.retries"));
   stats_.fast_retransmits.bind(reg.counter("rd.fast_retransmits"));
   stats_.duplicates.bind(reg.counter("rd.duplicates"));
@@ -91,9 +96,6 @@ ReliableDatagram::ReliableDatagram(host::HostCtx& ctx,
   stats_.gap_skips_tx.bind(reg.counter("rd.gap_skips_tx"));
   stats_.rx_gaps.bind(reg.counter("rd.rx_gaps"));
   stats_.rx_ooo_drops.bind(reg.counter("rd.rx_ooo_drops"));
-  stats_.crc_drops.bind(reg.counter("rd.crc_drops"));
-  stats_.crc_escapes.bind(reg.counter("rd.crc_escapes"));
-  stats_.parse_rejects.bind(reg.counter("rd.parse_rejects"));
   stats_.wild_rejects.bind(reg.counter("rd.wild_rejects"));
 
   if (config_.cc_mode != cc::CcMode::kOff) {
@@ -179,7 +181,7 @@ void ReliableDatagram::transmit_now(Endpoint dst, u64 seq, PeerTx& tx) {
   ctx_.cpu.charge(ctx_.costs.rd_tx_fixed,
                   {telemetry::CostLayer::kRd,
                    telemetry::CostActivity::kSegment, p.wire.size()});
-  ++stats_.data_tx;
+  data_tx_.inc();
   if (p.retries > 0) {
     ++stats_.retransmits;
     ctx_.sim.telemetry().trace().record(
@@ -440,7 +442,7 @@ void ReliableDatagram::on_raw(Endpoint src, Bytes data, bool tainted) {
       // Validate-and-drop: no ACK is sent, so the sender's RTO (or dup-ACK
       // fast retransmit) resends the damaged packet — the same machinery
       // that recovers loss recovers corruption.
-      ++stats_.crc_drops;
+      crc_drops_.inc();
       if (config_.crc)
         ctx_.cpu.charge(
             static_cast<TimeNs>(ctx_.costs.crc_ns_per_byte *
@@ -448,7 +450,7 @@ void ReliableDatagram::on_raw(Endpoint src, Bytes data, bool tainted) {
             {telemetry::CostLayer::kRd, telemetry::CostActivity::kCrc,
              data.size()});
     } else {
-      ++stats_.parse_rejects;
+      parse_rejects_.inc();
     }
     return;
   }
@@ -460,7 +462,7 @@ void ReliableDatagram::on_raw(Endpoint src, Bytes data, bool tainted) {
   // Taint accepted with no CRC vouching for the packet: with CRC off every
   // corrupted packet lands here. With CRC on a passing check proves the
   // packet bytes are intact, so the taint is not an escape.
-  if (tainted && !config_.crc) ++stats_.crc_escapes;
+  if (tainted && !config_.crc) crc_escapes_.inc();
 
   const u8 type = parsed->type;
   const u64 seq = parsed->seq;
@@ -497,7 +499,7 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
   ctx_.cpu.charge(ctx_.costs.rd_rx_fixed,
                   {telemetry::CostLayer::kRd,
                    telemetry::CostActivity::kDeliver, body.size()});
-  ++stats_.data_rx;
+  data_rx_.inc();
   // The ambient span was re-established from the carrying frame by the UDP
   // delivery closure; record RD receive processing against it.
   ctx_.sim.telemetry().spans().stage(

@@ -72,11 +72,10 @@ struct RdConfig {
   cc::CcParams cc;  // controller tuning, used when cc_mode != kOff
 };
 
-/// Per-endpoint RD counters. Each field also feeds the owning Simulation's
-/// telemetry registry under rd.* (retransmits maps to "rd.retries").
+/// Per-endpoint RD view, read where one flow is compared with the others
+/// (fig13's per-flow series, tests); each field also counts into the owning
+/// Simulation's registry under rd.* (retransmits maps to "rd.retries").
 struct RdStats {
-  telemetry::Metric data_tx;
-  telemetry::Metric data_rx;
   telemetry::Metric retransmits;
   telemetry::Metric fast_retransmits;  // dup-ACK-triggered (subset of retries)
   telemetry::Metric duplicates;
@@ -86,9 +85,6 @@ struct RdStats {
   telemetry::Metric gap_skips_tx;  // GAP-SKIP advertisements sent
   telemetry::Metric rx_gaps;    // sequences the receiver skipped (holes)
   telemetry::Metric rx_ooo_drops;  // datagrams refused by the reorder cap
-  telemetry::Metric crc_drops;     // packets failing the RD CRC (no ACK sent)
-  telemetry::Metric crc_escapes;   // corrupted packets accepted (CRC off)
-  telemetry::Metric parse_rejects;  // malformed packets (bad type / short)
   telemetry::Metric wild_rejects;   // seqs/skips beyond the plausible horizon
   // Congestion-control plumbing; bound into the registry (rd.ecn_rx /
   // rd.cnps_tx) only when cc_mode != kOff so default runs add no keys.
@@ -240,6 +236,11 @@ class ReliableDatagram {
   std::map<Endpoint, PeerTx> tx_;
   std::map<Endpoint, PeerRx> rx_;
   RdStats stats_;
+  telemetry::Counter& data_tx_;
+  telemetry::Counter& data_rx_;
+  telemetry::Counter& crc_drops_;    // packets failing the RD CRC (no ACK sent)
+  telemetry::Counter& crc_escapes_;  // corrupted packets accepted (CRC off)
+  telemetry::Counter& parse_rejects_;  // malformed packets (bad type / short)
   u64 timer_counter_ = 0;
   // rd.rx_ooo_bytes, fetched on first use.
   telemetry::Gauge* ooo_gauge_ = nullptr;

@@ -22,14 +22,13 @@ double ValidityMap::coverage(u32 msg_len) const {
   return static_cast<double>(valid_bytes()) / static_cast<double>(msg_len);
 }
 
-void WriteRecordLog::bind_telemetry(telemetry::Registry& reg) {
-  reg_ = &reg;
-  chunks_.bind(reg.counter("rdmap.write_record.chunks"));
-  completed_msgs_.bind(reg.counter("rdmap.write_record.completed"));
-  out_of_order_.bind(reg.counter("rdmap.write_record.out_of_order"));
-  expired_.bind(reg.counter("rdmap.write_record.expired"));
-  late_chunks_.bind(reg.counter("rdmap.write_record.late_chunks"));
-}
+WriteRecordLog::WriteRecordLog(telemetry::Registry& reg)
+    : reg_(reg),
+      chunks_(reg.counter("rdmap.write_record.chunks")),
+      completed_msgs_(reg.counter("rdmap.write_record.completed")),
+      out_of_order_(reg.counter("rdmap.write_record.out_of_order")),
+      expired_(reg.counter("rdmap.write_record.expired")),
+      late_chunks_(reg.counter("rdmap.write_record.late_chunks")) {}
 
 WriteRecordLog::ChunkResult WriteRecordLog::record_chunk(
     u32 src_ip, u32 src_qpn, u32 msg_id, u32 stag, u64 to, u32 mo, u32 len,
@@ -38,7 +37,7 @@ WriteRecordLog::ChunkResult WriteRecordLog::record_chunk(
   ChunkResult res;
 
   if (recently_completed_.contains(key)) {
-    ++late_chunks_;
+    late_chunks_.inc();
     res.late = true;
     return res;
   }
@@ -54,24 +53,22 @@ WriteRecordLog::ChunkResult WriteRecordLog::record_chunk(
     rec.deadline = deadline;
   }
 
-  ++chunks_;
+  chunks_.inc();
   // A chunk whose message offset does not extend the contiguously covered
   // prefix was placed out of order (an earlier sibling is missing or late).
   const auto& ranges = rec.c.validity.ranges();
   const u32 contiguous_end =
       ranges.empty() ? 0 : ranges.back().offset + ranges.back().length;
-  if (mo != contiguous_end) ++out_of_order_;
-  if (reg_)
-    reg_->trace().record(telemetry::TraceKind::kWriteRecordChunk, msg_id, len);
+  if (mo != contiguous_end) out_of_order_.inc();
+  reg_.trace().record(telemetry::TraceKind::kWriteRecordChunk, msg_id, len);
 
   rec.c.validity.add(mo, len);
 
   if (last) {
     rec.c.last_seen = true;
-    ++completed_msgs_;
-    if (reg_)
-      reg_->trace().record(telemetry::TraceKind::kWriteRecordComplete, msg_id,
-                           rec.c.validity.valid_bytes());
+    completed_msgs_.inc();
+    reg_.trace().record(telemetry::TraceKind::kWriteRecordComplete, msg_id,
+                        rec.c.validity.valid_bytes());
     completed_.push_back(std::move(rec.c));
     recently_completed_.emplace(key, rec.deadline);
     records_.erase(it);
@@ -92,11 +89,10 @@ std::vector<WriteRecordCompletion> WriteRecordLog::expire_before(TimeNs now) {
   std::vector<WriteRecordCompletion> out;
   for (auto it = records_.begin(); it != records_.end();) {
     if (it->second.deadline <= now) {
-      ++expired_;
-      if (reg_)
-        reg_->trace().record(telemetry::TraceKind::kWriteRecordExpired,
-                             it->first.msg_id,
-                             it->second.c.validity.valid_bytes());
+      expired_.inc();
+      reg_.trace().record(telemetry::TraceKind::kWriteRecordExpired,
+                          it->first.msg_id,
+                          it->second.c.validity.valid_bytes());
       out.push_back(std::move(it->second.c));
       it = records_.erase(it);
     } else {

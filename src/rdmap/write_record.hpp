@@ -67,10 +67,10 @@ class WriteRecordLog {
     bool late = false;               // chunk for an already-completed message
   };
 
-  /// Attach this log to the owning Simulation's registry (rdmap.write_record
-  /// metrics + trace events). The log sits below the simnet layer and has no
-  /// Simulation handle of its own, so the owning QP wires it up.
-  void bind_telemetry(telemetry::Registry& reg);
+  /// Counts into, and traces to, the owning Simulation's registry
+  /// (rdmap.write_record.*). The log sits below the simnet layer and has no
+  /// Simulation handle of its own, so the owning QP passes it in.
+  explicit WriteRecordLog(telemetry::Registry& reg);
 
   /// Record an arriving chunk (already placed by the DDP layer).
   /// `to` is the chunk's target offset; `base` = to - mo identifies the
@@ -86,7 +86,6 @@ class WriteRecordLog {
   std::vector<WriteRecordCompletion> expire_before(TimeNs now);
 
   std::size_t inflight() const { return records_.size(); }
-  u64 late_chunks() const { return late_chunks_; }
 
  private:
   struct Key {
@@ -103,12 +102,12 @@ class WriteRecordLog {
   std::map<Key, Record> records_;
   std::vector<WriteRecordCompletion> completed_;
   std::map<Key, TimeNs> recently_completed_;  // late-chunk detection
-  telemetry::Registry* reg_ = nullptr;
-  telemetry::Metric chunks_;
-  telemetry::Metric completed_msgs_;
-  telemetry::Metric out_of_order_;
-  telemetry::Metric expired_;
-  telemetry::Metric late_chunks_;
+  telemetry::Registry& reg_;
+  telemetry::Counter& chunks_;
+  telemetry::Counter& completed_msgs_;
+  telemetry::Counter& out_of_order_;
+  telemetry::Counter& expired_;
+  telemetry::Counter& late_chunks_;
 };
 
 }  // namespace dgiwarp::rdmap

@@ -2,7 +2,7 @@
 //
 // The paper used Linux `tc` to drop packets at fixed rates (Figures 7-8);
 // BernoulliLoss reproduces that. GilbertElliott adds bursty WAN-style loss,
-// PeriodicLoss gives tests deterministic drop positions, and LinkFlapLoss
+// TargetedLoss gives tests deterministic drop positions, and LinkFlapLoss
 // models an interface that goes dark for whole windows of virtual time.
 // Beyond loss, a Faults config can also reorder, jitter and *duplicate*
 // frames — the adversarial inputs the RD layer's recovery is tested under.
@@ -60,19 +60,6 @@ class GilbertElliottLoss final : public LossModel {
  private:
   double p_g2b_, p_b2g_, p_good_, p_bad_;
   bool bad_ = false;
-};
-
-/// Drops every `n`-th frame (1-indexed): deterministic for unit tests.
-class PeriodicLoss final : public LossModel {
- public:
-  explicit PeriodicLoss(u64 n) : n_(n) {}
-  bool should_drop(Rng&, TimeNs) override {
-    return n_ != 0 && (++count_ % n_) == 0;
-  }
-
- private:
-  u64 n_;
-  u64 count_ = 0;
 };
 
 /// Drops exactly the frames whose (1-indexed) ordinal is in `ordinals`.

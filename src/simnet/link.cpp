@@ -5,13 +5,16 @@
 namespace dgiwarp::sim {
 
 Link::Link(Simulation& sim, Rng& rng, LinkParams params, std::string name)
-    : sim_(sim), rng_(rng), params_(params), name_(std::move(name)) {
+    : sim_(sim),
+      rng_(rng),
+      params_(params),
+      name_(std::move(name)),
+      bytes_delivered_(sim.telemetry().counter("simnet.link.bytes_delivered")),
+      frames_queued_(sim.telemetry().counter("simnet.link.frames_queued")) {
   auto& reg = sim_.telemetry();
   stats_.frames_offered.bind(reg.counter("simnet.link.frames_offered"));
   stats_.frames_dropped.bind(reg.counter("simnet.link.drops"));
   stats_.frames_delivered.bind(reg.counter("simnet.link.frames_delivered"));
-  stats_.bytes_delivered.bind(reg.counter("simnet.link.bytes_delivered"));
-  stats_.frames_queued.bind(reg.counter("simnet.link.frames_queued"));
   stats_.frames_duplicated.bind(reg.counter("simnet.link.frames_duplicated"));
   stats_.frames_corrupted.bind(reg.counter("simnet.link.frames_corrupted"));
 }
@@ -90,7 +93,7 @@ void Link::transmit(Frame f) {
 
   auto& spans = reg.spans();
   if (start > sim_.now()) {
-    ++stats_.frames_queued;
+    frames_queued_.inc();
     // Queue-depth sampling rides the span switch: per-frame histogram
     // samples only accumulate while someone is watching lifecycles.
     if (spans.enabled()) {
@@ -134,14 +137,14 @@ void Link::transmit(Frame f) {
     ++stats_.frames_duplicated;
     sim_.at(arrive + faults_.dup_delay, [this, fr = f]() mutable {
       ++stats_.frames_delivered;
-      stats_.bytes_delivered += fr.payload.size();
+      bytes_delivered_.inc(fr.payload.size());
       if (rx_) rx_(std::move(fr));
     });
   }
 
   sim_.at(arrive, [this, fr = std::move(f)]() mutable {
     ++stats_.frames_delivered;
-    stats_.bytes_delivered += fr.payload.size();
+    bytes_delivered_.inc(fr.payload.size());
     if (fr.span)
       sim_.telemetry().spans().stage(fr.span, telemetry::Stage::kWireRx,
                                      fr.id);

@@ -18,14 +18,13 @@ struct LinkParams {
   TimeNs propagation = 300;     // ~60 m of fibre + PHY
 };
 
-/// Per-link view; every field mirrors into the owning Simulation's
-/// telemetry registry under simnet.link.* (aggregated across links).
+/// Per-link view, read where one link is compared with its siblings (LAG
+/// members, a trunk against its hosts); every field also counts into the
+/// owning Simulation's registry under simnet.link.* (all links summed).
 struct LinkStats {
   telemetry::Metric frames_offered;
   telemetry::Metric frames_dropped;
   telemetry::Metric frames_delivered;
-  telemetry::Metric bytes_delivered;
-  telemetry::Metric frames_queued;  // frames that waited for the wire
   telemetry::Metric frames_duplicated;  // extra copies injected by faults
   telemetry::Metric frames_corrupted;   // payloads damaged in flight
   // Congestion instrumentation. These two only mirror into the registry
@@ -99,6 +98,8 @@ class Link {
   Faults faults_;
   TimeNs busy_until_ = 0;
   LinkStats stats_;
+  telemetry::Counter& bytes_delivered_;
+  telemetry::Counter& frames_queued_;  // frames that waited for the wire
   mutable std::deque<TimeNs> departures_;  // tx_done of queued frames
   std::size_t max_depth_ = 0;
   std::size_t ecn_threshold_ = 0;   // 0 = no marking

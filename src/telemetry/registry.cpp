@@ -95,14 +95,15 @@ std::string Registry::to_json() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     append_key(out, name);
+    const RunningStat st = h.stat();
     out += "{\"count\":";
-    append_u64(out, h.count());
+    append_u64(out, st.count());
     out += ",\"mean\":";
-    append_double(out, h.mean());
+    append_double(out, st.mean());
     out += ",\"min\":";
-    append_double(out, h.stat().min());
+    append_double(out, st.min());
     out += ",\"max\":";
-    append_double(out, h.stat().max());
+    append_double(out, st.max());
     out += ",\"p50\":";
     append_double(out, h.percentile(50.0));
     out += ",\"p90\":";

@@ -5,16 +5,15 @@
 namespace dgiwarp::verbs {
 
 CompletionQueue::CompletionQueue(host::Host& host, std::size_t capacity)
-    : host_(host), capacity_(capacity) {
-  auto& reg = host_.sim().telemetry();
-  completions_.bind(reg.counter("verbs.cq.completions"));
-  overruns_.bind(reg.counter("verbs.cq.overruns"));
-}
+    : host_(host),
+      capacity_(capacity),
+      completions_(host.sim().telemetry().counter("verbs.cq.completions")),
+      overruns_(host.sim().telemetry().counter("verbs.cq.overruns")) {}
 
 void CompletionQueue::push(Completion c) {
   auto& reg = host_.sim().telemetry();
   if (q_.size() >= capacity_) {
-    ++overruns_;
+    overruns_.inc();
     reg.trace().record(telemetry::TraceKind::kCqOverrun, c.wr_id,
                        static_cast<u64>(capacity_));
     // The message's lifecycle ends here even though the application never
@@ -26,7 +25,7 @@ void CompletionQueue::push(Completion c) {
   q_.push_back(std::move(c));
   if (!depth_hist_) depth_hist_ = &reg.histogram("verbs.cq.depth");
   depth_hist_->add(static_cast<double>(q_.size()));
-  ++completions_;
+  completions_.inc();
   reg.trace().record(telemetry::TraceKind::kCqCompletion, q_.back().wr_id,
                      static_cast<u64>(q_.back().byte_len));
   // Terminal hop of the message lifecycle: the completion reaching the CQ.

@@ -47,15 +47,14 @@ class CompletionQueue : public std::enable_shared_from_this<CompletionQueue> {
   bool empty() const { return q_.empty(); }
   std::size_t depth() const { return q_.size(); }
   std::size_t capacity() const { return capacity_; }
-  u64 overruns() const { return overruns_; }
 
  private:
   host::Host& host_;
   std::size_t capacity_;
   LazyDeque<Completion> q_;
   std::function<void()> on_event_;
-  telemetry::Metric completions_;
-  telemetry::Metric overruns_;
+  telemetry::Counter& completions_;
+  telemetry::Counter& overruns_;
   // verbs.cq.depth, fetched on the first completion (the key's first use).
   telemetry::Histogram* depth_hist_ = nullptr;
 };

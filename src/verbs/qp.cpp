@@ -15,9 +15,8 @@ QueuePair::QueuePair(Device& dev, ProtectionDomain& pd,
       recv_cq_(recv_cq),
       qpn_(qpn),
       mem_(dev.host().ledger_ptr(), mem_category,
-           static_cast<i64>(mem_bytes)) {
-  wr_log_.bind_telemetry(dev.host().sim().telemetry());
-}
+           static_cast<i64>(mem_bytes)),
+      wr_log_(dev.host().sim().telemetry()) {}
 
 QueuePair::~QueuePair() = default;
 

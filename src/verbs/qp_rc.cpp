@@ -30,15 +30,18 @@ RcQueuePair::RcQueuePair(Device& dev, const RcQpAttr& attr)
     : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, dev.alloc_qpn(),
                 "iwarp.rc_qp", dev.host().costs().rc_qp_bytes),
       mpa_tx_(dev.config().mpa),
-      mpa_rx_(dev.config().mpa) {
+      mpa_rx_(dev.config().mpa),
+      segments_tx_(
+          dev.host().sim().telemetry().counter("verbs.rc.segments_tx")),
+      segments_rx_(
+          dev.host().sim().telemetry().counter("verbs.rc.segments_rx")),
+      parse_rejects_(
+          dev.host().sim().telemetry().counter("verbs.rc.parse_rejects")) {
   mpa_rx_.on_ulpdu(
       [this](ConstByteSpan ulpdu, bool tainted) { on_ulpdu(ulpdu, tainted); });
   auto& reg = dev_.host().sim().telemetry();
-  stats_.segments_tx.bind(reg.counter("verbs.rc.segments_tx"));
-  stats_.segments_rx.bind(reg.counter("verbs.rc.segments_rx"));
   stats_.fpdu_crc_failures.bind(reg.counter("verbs.rc.fpdu_crc_failures"));
   stats_.crc_escapes.bind(reg.counter("verbs.rc.crc_escapes"));
-  stats_.parse_rejects.bind(reg.counter("verbs.rc.parse_rejects"));
   stats_.terminates_rx.bind(reg.counter("verbs.rc.terminates_rx"));
 }
 
@@ -240,7 +243,7 @@ void RcQueuePair::enqueue_segment(const ddp::SegmentHeader& h,
         {telemetry::CostLayer::kMpa, telemetry::CostActivity::kCrc,
          ulpdu_len});
 
-  ++stats_.segments_tx;
+  segments_tx_.inc();
   ddp_header_.clear();
   h.serialize(ddp_header_);
   const std::size_t framed =
@@ -313,12 +316,12 @@ void RcQueuePair::on_ulpdu(ConstByteSpan ulpdu, bool tainted) {
 
   auto parsed = ddp::parse_segment(ulpdu, /*with_crc=*/false);
   if (!parsed.ok()) {
-    ++stats_.parse_rejects;
+    parse_rejects_.inc();
     send_terminate(rdmap::TermError::kCatastrophic, 0);
     fatal(parsed.status());
     return;
   }
-  ++stats_.segments_rx;
+  segments_rx_.inc();
   // Mark DDP segment acceptance against the span re-established from the
   // TCP delivery (the span of the last frame contributing to this chunk).
   dev_.host().sim().telemetry().spans().stage(

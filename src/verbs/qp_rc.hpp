@@ -15,13 +15,11 @@
 
 namespace dgiwarp::verbs {
 
-/// Per-QP counters, also aggregated into the Simulation registry (verbs.rc.*).
+/// Per-QP view, read where a test tells a connection's two ends apart; each
+/// field also counts into the Simulation registry (verbs.rc.*).
 struct RcQpStats {
-  telemetry::Metric segments_tx;
-  telemetry::Metric segments_rx;
   telemetry::Metric fpdu_crc_failures;
   telemetry::Metric crc_escapes;   // corrupted ULPDUs accepted (taint oracle)
-  telemetry::Metric parse_rejects; // malformed DDP segments off the stream
   telemetry::Metric terminates_rx;
 };
 
@@ -127,6 +125,9 @@ class RcQueuePair final : public QueuePair,
   std::map<u32, PendingRead> pending_reads_;
 
   RcQpStats stats_;
+  telemetry::Counter& segments_tx_;
+  telemetry::Counter& segments_rx_;
+  telemetry::Counter& parse_rejects_;  // malformed DDP segments off the stream
 };
 
 }  // namespace dgiwarp::verbs

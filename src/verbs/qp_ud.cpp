@@ -11,18 +11,24 @@ UdQueuePair::UdQueuePair(Device& dev, const UdQpAttr& attr,
                          host::UdpSocket* socket)
     : QueuePair(dev, *attr.pd, *attr.send_cq, *attr.recv_cq, dev.alloc_qpn(),
                 "iwarp.ud_qp", dev.host().costs().ud_qp_bytes),
-      socket_(socket) {
-  auto& reg = dev_.host().sim().telemetry();
-  stats_.segments_tx.bind(reg.counter("verbs.ud.segments_tx"));
-  stats_.segments_rx.bind(reg.counter("verbs.ud.segments_rx"));
-  stats_.crc_drops.bind(reg.counter("verbs.ud.crc_drops"));
-  stats_.crc_escapes.bind(reg.counter("verbs.ud.crc_escapes"));
-  stats_.parse_rejects.bind(reg.counter("verbs.ud.parse_rejects"));
-  stats_.no_buffer_drops.bind(reg.counter("verbs.ud.no_buffer_drops"));
-  stats_.expired_messages.bind(reg.counter("verbs.ud.expired_messages"));
-  stats_.placement_errors.bind(reg.counter("verbs.ud.placement_errors"));
-  stats_.terminates_rx.bind(reg.counter("verbs.ud.terminates_rx"));
-
+      socket_(socket),
+      segments_tx_(
+          dev.host().sim().telemetry().counter("verbs.ud.segments_tx")),
+      segments_rx_(
+          dev.host().sim().telemetry().counter("verbs.ud.segments_rx")),
+      crc_drops_(dev.host().sim().telemetry().counter("verbs.ud.crc_drops")),
+      crc_escapes_(
+          dev.host().sim().telemetry().counter("verbs.ud.crc_escapes")),
+      parse_rejects_(
+          dev.host().sim().telemetry().counter("verbs.ud.parse_rejects")),
+      no_buffer_drops_(
+          dev.host().sim().telemetry().counter("verbs.ud.no_buffer_drops")),
+      expired_messages_(
+          dev.host().sim().telemetry().counter("verbs.ud.expired_messages")),
+      placement_errors_(
+          dev.host().sim().telemetry().counter("verbs.ud.placement_errors")),
+      terminates_rx_(
+          dev.host().sim().telemetry().counter("verbs.ud.terminates_rx")) {
   if (attr.reliable) {
     rd_ = std::make_unique<rd::ReliableDatagram>(dev.host().ctx(), *socket_,
                                                  dev.config().rd);
@@ -58,7 +64,7 @@ void UdQueuePair::transmit_segment(const host::Endpoint& dst,
                                    const ddp::SegmentHeader& h,
                                    ConstByteSpan payload) {
   const Bytes segment = ddp::build_segment(h, payload, dev_.config().ud_crc);
-  ++stats_.segments_tx;
+  segments_tx_.inc();
   if (rd_) {
     (void)rd_->send_to(dst, ConstByteSpan{segment});
   } else {
@@ -169,31 +175,26 @@ void UdQueuePair::on_datagram(host::Endpoint src, Bytes data, bool tainted) {
   auto parsed = ddp::parse_segment(ConstByteSpan{data}, dev_.config().ud_crc);
   if (!parsed.ok()) {
     if (parsed.code() == Errc::kCrcError)
-      ++stats_.crc_drops;
+      crc_drops_.inc();
     else
-      ++stats_.parse_rejects;
+      parse_rejects_.inc();
     DGI_DEBUG("ud_qp", "segment dropped: %s",
               parsed.status().to_string().c_str());
     return;  // reported, QP stays up (paper §IV.B item 2)
   }
-  ++stats_.segments_rx;
+  segments_rx_.inc();
   // Congestion-experienced mark from the carrying frame (ambient, see
-  // HostCtx::rx_ecn). Lazy binding keeps verbs.ud.ecn_rx out of the
-  // registry until a mark actually occurs (Metric::bind is additive, and
-  // binding happens before the first increment).
+  // HostCtx::rx_ecn). verbs.ud.ecn_rx enters the registry at the first mark.
   if (dev_.host().ctx().rx_ecn) {
-    if (!ecn_counter_bound_) {
-      ecn_counter_bound_ = true;
-      stats_.ecn_rx.bind(
-          dev_.host().sim().telemetry().counter("verbs.ud.ecn_rx"));
-    }
-    ++stats_.ecn_rx;
+    if (!ecn_rx_)
+      ecn_rx_ = &dev_.host().sim().telemetry().counter("verbs.ud.ecn_rx");
+    ecn_rx_->inc();
   }
   // Accepted despite riding a corrupted frame, with no CRC to vouch for the
   // payload: the silent escape the corruption campaign measures. With the
   // CRC on, a passing check proves the segment bytes are intact (the damage
   // hit ignorable header bytes en route), so it is not an escape.
-  if (tainted && !dev_.config().ud_crc) ++stats_.crc_escapes;
+  if (tainted && !dev_.config().ud_crc) crc_escapes_.inc();
   const ddp::ParsedSegment& seg = *parsed;
   // The delivery scope (UDP/RD) re-established the span the segment's frame
   // carried; mark DDP segment acceptance against it.
@@ -231,7 +232,7 @@ void UdQueuePair::on_datagram(host::Endpoint src, Bytes data, bool tainted) {
       handle_read_request(src, seg);
       return;
     case rdmap::Opcode::kTerminate: {
-      ++stats_.terminates_rx;
+      terminates_rx_.inc();
       auto term = rdmap::TerminateMessage::parse(seg.payload);
       if (term.ok())
         DGI_DEBUG("ud_qp", "terminate from peer: layer=%u code=%u ctx=%u",
@@ -255,12 +256,12 @@ void UdQueuePair::handle_untagged(host::Endpoint src,
   if (!reasm_.tracking(key)) {
     auto wr = take_recv();
     if (!wr) {
-      ++stats_.no_buffer_drops;
+      no_buffer_drops_.inc();
       DGI_DEBUG("ud_qp", "no receive buffer; datagram dropped");
       return;
     }
     if (seg.header.msg_len > wr->buffer.size()) {
-      ++stats_.placement_errors;
+      placement_errors_.inc();
       Completion fail;
       fail.wr_id = wr->wr_id;
       fail.status = Status(Errc::kInvalidArgument, "receive buffer too small");
@@ -284,7 +285,7 @@ void UdQueuePair::handle_untagged(host::Endpoint src,
        seg.payload.size()});
   auto offer = reasm_.offer(key, seg.header.mo, seg.payload);
   if (!offer.ok()) {
-    ++stats_.placement_errors;
+    placement_errors_.inc();
     return;
   }
   dev_.host().sim().telemetry().spans().stage(
@@ -322,7 +323,7 @@ void UdQueuePair::handle_write_record(host::Endpoint src,
   auto placed = ddp::place_tagged(pd_.stags(), seg.header.stag, seg.header.to,
                                   seg.payload);
   if (!placed.ok()) {
-    ++stats_.placement_errors;
+    placement_errors_.inc();
     const auto err = placed.code() == Errc::kAccessDenied
                          ? rdmap::TermError::kInvalidStag
                          : rdmap::TermError::kBaseBoundsViolation;
@@ -352,7 +353,7 @@ void UdQueuePair::handle_read_request(host::Endpoint src,
   auto data = ddp::read_tagged(pd_.stags(), req->src_stag, req->src_to,
                                req->length);
   if (!data.ok()) {
-    ++stats_.placement_errors;
+    placement_errors_.inc();
     send_terminate(src, rdmap::TermError::kInvalidStag, req->src_stag);
     return;
   }
@@ -374,7 +375,7 @@ void UdQueuePair::handle_read_response(host::Endpoint src,
   if (it == pending_reads_.end()) return;  // expired or duplicate
   PendingRead& pr = it->second;
   if (seg.header.mo + seg.payload.size() > pr.sink.size()) {
-    ++stats_.placement_errors;
+    placement_errors_.inc();
     return;
   }
   auto& c = dev_.host().costs();
@@ -430,7 +431,7 @@ void UdQueuePair::run_gc() {
   // Send/recv messages that never completed: recover the posted buffers
   // with an error completion ("recover buffers", Figure 2).
   for (const auto& ex : reasm_.expire_before(now)) {
-    ++stats_.expired_messages;
+    expired_messages_.inc();
     Completion c;
     c.wr_id = ex.cookie;
     c.status = Status(Errc::kMessageDropped, "message incomplete after timeout");

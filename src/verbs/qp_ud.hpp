@@ -18,24 +18,6 @@
 
 namespace dgiwarp::verbs {
 
-/// Per-QP counters, also aggregated into the Simulation registry (verbs.ud.*).
-struct UdQpStats {
-  telemetry::Metric segments_tx;
-  telemetry::Metric segments_rx;
-  telemetry::Metric crc_drops;
-  telemetry::Metric crc_escapes;   // corrupted segments accepted (taint oracle)
-  telemetry::Metric parse_rejects; // malformed segments (non-CRC parse failure)
-  telemetry::Metric no_buffer_drops;
-  telemetry::Metric expired_messages;   // send/recv messages that timed out
-  telemetry::Metric placement_errors;
-  telemetry::Metric terminates_rx;
-  // Segments that arrived on a CE-marked (ECN) frame. Plain UD has no ACK
-  // channel to echo them, so this is the victim-side visibility: bound into
-  // the registry (verbs.ud.ecn_rx) lazily at the first mark, so fabrics
-  // without marking thresholds add no key.
-  telemetry::Metric ecn_rx;
-};
-
 class UdQueuePair final : public QueuePair,
                           public std::enable_shared_from_this<UdQueuePair> {
  public:
@@ -47,7 +29,6 @@ class UdQueuePair final : public QueuePair,
 
   u16 local_port() const;
   host::Endpoint local_ep() const;
-  const UdQpStats& stats() const { return stats_; }
 
   /// Largest message this QP accepts in one WR (stack-level segmentation
   /// bounds it only by header arithmetic; effectively 4 GB).
@@ -91,8 +72,20 @@ class UdQueuePair final : public QueuePair,
   };
   std::map<u32, PendingRead> pending_reads_;
   bool gc_armed_ = false;
-  bool ecn_counter_bound_ = false;
-  UdQpStats stats_;
+  // verbs.ud.* counters, summed over every UD QP of the Simulation.
+  telemetry::Counter& segments_tx_;
+  telemetry::Counter& segments_rx_;
+  telemetry::Counter& crc_drops_;
+  telemetry::Counter& crc_escapes_;  // corrupted segments accepted (taint)
+  telemetry::Counter& parse_rejects_;  // malformed segments (non-CRC failure)
+  telemetry::Counter& no_buffer_drops_;
+  telemetry::Counter& expired_messages_;  // send/recv messages that timed out
+  telemetry::Counter& placement_errors_;
+  telemetry::Counter& terminates_rx_;
+  // Segments that arrived on a CE-marked (ECN) frame. Plain UD has no ACK
+  // channel to echo them, so this is the victim-side visibility. Fetched at
+  // the first mark, so fabrics without marking thresholds add no key.
+  telemetry::Counter* ecn_rx_ = nullptr;
 };
 
 }  // namespace dgiwarp::verbs

@@ -297,9 +297,11 @@ TEST(ISock, StreamCloseReleasesTheSocketsCqs) {
     ASSERT_TRUE(r.io_a.close(cfd).ok());
     ASSERT_TRUE(r.io_b.close(accepted.back()).ok());
     r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
+    // A closed TCP socket is freed at close, not when its voided
+    // retransmit timer fires (at least 200 ms later).
+    ASSERT_EQ(r.a.ledger().category("tcp.sock"), 0) << "cycle " << i;
+    ASSERT_EQ(r.b.ledger().category("tcp.sock"), 0) << "cycle " << i;
   }
-  // A closed TCP socket keeps its charge until its cancelled timers fire.
-  r.topo.sim().run();
   expect_ledger_at(r.a.ledger(), client_baseline);
   expect_ledger_at(r.b.ledger(), server_baseline);
 

@@ -98,7 +98,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValidityPermutation,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(WriteRecordLog, SingleChunkMessageCompletesImmediately) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   auto res = log.record_chunk(/*src_ip=*/1, /*src_qpn=*/2, /*msg_id=*/10,
                               /*stag=*/5, /*to=*/200, /*mo=*/0, /*len=*/100,
                               /*msg_len=*/100, /*last=*/true,
@@ -113,7 +114,8 @@ TEST(WriteRecordLog, SingleChunkMessageCompletesImmediately) {
 }
 
 TEST(WriteRecordLog, MultiChunkCompletesOnLast) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   EXPECT_FALSE(log.record_chunk(1, 2, 10, 5, 0, 0, 100, 300, false, 1000)
                    .message_completed);
   EXPECT_FALSE(log.record_chunk(1, 2, 10, 5, 100, 100, 100, 300, false, 1000)
@@ -126,7 +128,8 @@ TEST(WriteRecordLog, MultiChunkCompletesOnLast) {
 }
 
 TEST(WriteRecordLog, PartialValidityOnLoss) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   // Middle chunk never arrives.
   (void)log.record_chunk(1, 2, 11, 5, 0, 0, 100, 300, false, 1000);
   auto res = log.record_chunk(1, 2, 11, 5, 200, 200, 100, 300, true, 1000);
@@ -139,7 +142,8 @@ TEST(WriteRecordLog, PartialValidityOnLoss) {
 }
 
 TEST(WriteRecordLog, LostFinalSegmentExpiresSilently) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   (void)log.record_chunk(1, 2, 12, 5, 0, 0, 100, 200, false, 1000);
   EXPECT_EQ(log.inflight(), 1u);
   auto dead = log.expire_before(2000);
@@ -151,16 +155,18 @@ TEST(WriteRecordLog, LostFinalSegmentExpiresSilently) {
 }
 
 TEST(WriteRecordLog, LateChunksAfterCompletionAreCounted) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   (void)log.record_chunk(1, 2, 13, 5, 0, 0, 50, 50, true, 1000);
   (void)log.take_completed();
   auto res = log.record_chunk(1, 2, 13, 5, 0, 0, 50, 50, false, 1000);
   EXPECT_TRUE(res.late);
-  EXPECT_EQ(log.late_chunks(), 1u);
+  EXPECT_EQ(reg.counter_value("rdmap.write_record.late_chunks"), 1u);
 }
 
 TEST(WriteRecordLog, ConcurrentMessagesFromDifferentSources) {
-  WriteRecordLog log;
+  telemetry::Registry reg;
+  WriteRecordLog log(reg);
   (void)log.record_chunk(1, 2, 20, 5, 0, 0, 10, 20, false, 1000);
   (void)log.record_chunk(9, 9, 20, 6, 0, 0, 10, 20, false, 1000);  // other src
   EXPECT_EQ(log.inflight(), 2u);

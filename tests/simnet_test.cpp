@@ -231,14 +231,6 @@ TEST(Link, BackToBackFramesQueue) {
   EXPECT_EQ(arrivals[2], 24000);
 }
 
-TEST(Faults, PeriodicLossDropsEveryNth) {
-  sim::PeriodicLoss loss(3);
-  Rng rng(1);
-  int drops = 0;
-  for (int i = 0; i < 9; ++i) drops += loss.should_drop(rng, 0) ? 1 : 0;
-  EXPECT_EQ(drops, 3);
-}
-
 TEST(Faults, TargetedLossHitsExactOrdinals) {
   sim::TargetedLoss loss({2, 5});
   Rng rng(1);
