@@ -73,61 +73,68 @@ inline std::string suffixed_path(const std::string& path,
   return path.substr(0, dot) + "." + suffix + path.substr(dot);
 }
 
-/// Write `body` to `path`; reports a failure on stderr like dump_metrics.
-inline bool write_text_file(const std::string& path, const std::string& body,
+/// Write `body` to `path`. A requested export that cannot be written fails
+/// the run: exit 1, naming the path.
+inline void write_text_file(const std::string& path, const std::string& body,
                             const char* what) {
-  if (telemetry::write_file(path, body).ok()) return true;
+  if (telemetry::write_file(path, body).ok()) return;
   std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
-  return false;
+  std::exit(1);
 }
 
-/// Validate + write a timeseries document; exits 1 on schema violation —
-/// an exported-but-broken document is a bug, exactly like dump_capture's
-/// trace handling, and the fig13_incast_strict_health ctest leans on this
-/// exit code.
+/// Exit 1 on a schema violation: an exported-but-broken document is a bug.
+inline void require_valid(const Status& v, const char* what) {
+  if (v.ok()) return;
+  std::fprintf(stderr, "%s failed schema validation: %s\n", what,
+               v.to_string().c_str());
+  std::exit(1);
+}
+
+/// Validate + write a timeseries document; the fig13_incast_strict_health
+/// ctest leans on the exit code of a violation.
 inline void dump_timeseries(const std::string& doc, const std::string& path) {
   if (path.empty()) return;
-  if (Status v = telemetry::validate_timeseries_json(doc); !v.ok()) {
-    std::fprintf(stderr, "timeseries export failed schema validation: %s\n",
-                 v.to_string().c_str());
-    std::exit(1);
-  }
-  if (write_text_file(path, doc, "timeseries"))
-    std::printf("\ntimeseries written to %s (schema-valid)\n", path.c_str());
+  require_valid(telemetry::validate_timeseries_json(doc), "timeseries export");
+  write_text_file(path, doc, "timeseries");
+  std::printf("\ntimeseries written to %s (schema-valid)\n", path.c_str());
+}
+
+/// Validate + write a flight-recorder document (a trip or a gate failure);
+/// validate_flight_recorder_json gates every flight write.
+inline void dump_flight(const std::string& flight, const std::string& path) {
+  if (flight.empty() || path.empty()) return;
+  require_valid(telemetry::validate_flight_recorder_json(flight),
+                "flight recorder");
+  write_text_file(path, flight, "flight recorder");
+  std::printf("flight recorder written to %s (schema-valid)\n", path.c_str());
 }
 
 /// Write the capture's trace / profile documents to any requested paths.
-/// The trace is validated against the trace_event schema first and the
-/// process aborts on a violation — an exported-but-broken trace is a bug,
-/// and golden.fig5_latency leans on this exit code.
+/// The trace is validated against the trace_event schema first;
+/// golden.fig5_latency leans on the exit code of a violation.
 inline void dump_capture(const telemetry::TraceCapture& cap,
                          const std::string& trace_path,
                          const std::string& profile_path) {
   if (!trace_path.empty()) {
     const std::string trace = cap.trace_event_json();
-    if (Status v = telemetry::validate_trace_event_json(trace); !v.ok()) {
-      std::fprintf(stderr, "trace export failed schema validation: %s\n",
-                   v.to_string().c_str());
-      std::exit(1);
-    }
-    if (write_text_file(trace_path, trace, "trace"))
-      std::printf("\ntrace written to %s (%zu spans, %zu runs, "
-                  "schema-valid)\n",
-                  trace_path.c_str(), cap.spans().size(), cap.runs());
+    require_valid(telemetry::validate_trace_event_json(trace), "trace export");
+    write_text_file(trace_path, trace, "trace");
+    std::printf("\ntrace written to %s (%zu spans, %zu runs, "
+                "schema-valid)\n",
+                trace_path.c_str(), cap.spans().size(), cap.runs());
   }
-  if (!profile_path.empty() &&
-      write_text_file(profile_path, cap.profile_json(), "profile"))
+  if (!profile_path.empty()) {
+    write_text_file(profile_path, cap.profile_json(), "profile");
     std::printf("profile written to %s\n", profile_path.c_str());
+  }
 }
 
 /// Write the aggregate registry to `path` if one was requested.
 inline void dump_metrics(const telemetry::Registry& reg,
                          const std::string& path) {
   if (path.empty()) return;
-  if (reg.write_json_file(path.c_str()).ok())
-    std::printf("\nmetrics written to %s\n", path.c_str());
-  else
-    std::fprintf(stderr, "failed to write metrics to %s\n", path.c_str());
+  write_text_file(path, reg.to_json(), "metrics");
+  std::printf("\nmetrics written to %s\n", path.c_str());
 }
 
 inline void banner(const char* title, const char* paper_ref) {

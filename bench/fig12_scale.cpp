@@ -152,9 +152,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(b.report.events),
               a.metrics.size(), b.metrics.size());
 
-  if (!args.metrics_json.empty() &&
-      bench::write_text_file(args.metrics_json, a.metrics, "metrics"))
+  if (!args.metrics_json.empty()) {
+    bench::write_text_file(args.metrics_json, a.metrics, "metrics");
     std::printf("\nmetrics written to %s\n", args.metrics_json.c_str());
+  }
 
   if (health.sample)
     bench::dump_timeseries(
@@ -190,12 +191,9 @@ int main(int argc, char** argv) {
                                                   b.report.watchdog_checks));
     }
     // Trip or gate failure: leave the post-mortem on disk.
-    if (rc != 0 && !a.report.flight.empty()) {
-      const std::string path = args.flight_json.empty() ? "fig12_flight.json"
-                                                        : args.flight_json;
-      if (bench::write_text_file(path, a.report.flight, "flight recorder"))
-        std::printf("flight recorder written to %s\n", path.c_str());
-    }
+    const std::string flight_path =
+        args.flight_json.empty() ? "fig12_flight.json" : args.flight_json;
+    if (rc != 0) bench::dump_flight(a.report.flight, flight_path);
   }
   const double rss_mb = bench::peak_rss_mb();
   std::fprintf(stderr, "peak RSS (VmHWM): %.1f MB\n", rss_mb);

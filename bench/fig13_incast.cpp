@@ -111,8 +111,9 @@ IncastResult run_incast(cc::CcMode mode, const Setup& su, const Obs& obs) {
   }
   if (obs.watch) {
     reg.watchdog().enable();  // cadence/thresholds: health.hpp constants
-    // A flight-recorder dump without trace events is a black box.
-    if (!reg.trace().enabled()) reg.trace().enable();
+    // A flight-recorder dump without trace events is a black box; the
+    // recorder's ring holds its newest kFlightTraceEvents.
+    reg.trace().enable(telemetry::kFlightTraceEvents);
   }
   topo.attach_health();  // trunk queue-depth probes + stuck-queue watches
 
@@ -281,19 +282,6 @@ void print_trips(const IncastResult& r, const char* tag) {
                  trip.value);
 }
 
-/// Validate + write a flight-recorder document (trip or gate failure).
-bool dump_flight(const std::string& flight, const std::string& path) {
-  if (flight.empty() || path.empty()) return false;
-  if (Status v = telemetry::validate_flight_recorder_json(flight); !v.ok()) {
-    std::fprintf(stderr, "flight recorder failed schema validation: %s\n",
-                 v.to_string().c_str());
-    std::exit(1);
-  }
-  if (!bench::write_text_file(path, flight, "flight recorder")) return false;
-  std::printf("flight recorder written to %s (schema-valid)\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -327,7 +315,7 @@ int main(int argc, char** argv) {
     obs.inject_stall = true;
     const IncastResult r = run_incast(cc::CcMode::kDcqcn, su, obs);
     print_trips(r, "dcqcn+stall");
-    dump_flight(r.flight, flight_path);
+    bench::dump_flight(r.flight, flight_path);
     if (r.trips.empty()) {
       std::fprintf(stderr,
                    "FAIL: injected stall did not trip the watchdog "
@@ -386,10 +374,10 @@ int main(int argc, char** argv) {
   const IncastResult& dcqcn = runs[1].a;
   const IncastResult& timely = runs[2].a;
 
-  if (!args.metrics_json.empty() &&
-      bench::write_text_file(args.metrics_json, dcqcn.metrics,
-                             "dcqcn metrics"))
+  if (!args.metrics_json.empty()) {
+    bench::write_text_file(args.metrics_json, dcqcn.metrics, "dcqcn metrics");
     std::printf("\ndcqcn metrics written to %s\n", args.metrics_json.c_str());
+  }
 
   if (obs.sample)
     bench::dump_timeseries(
@@ -429,8 +417,8 @@ int main(int argc, char** argv) {
       if (!args.metrics_json.empty()) {
         const std::string p = bench::suffixed_path(
             args.metrics_json, "ablate.ecn" + std::to_string(thresh));
-        if (bench::write_text_file(p, r.metrics, "ablation metrics"))
-          dumped.push_back(p);
+        bench::write_text_file(p, r.metrics, "ablation metrics");
+        dumped.push_back(p);
       }
     }
     ta.print();
@@ -450,8 +438,8 @@ int main(int argc, char** argv) {
       if (!args.metrics_json.empty()) {
         const std::string p =
             bench::suffixed_path(args.metrics_json, "ablate." + tag);
-        if (bench::write_text_file(p, r.metrics, "ablation metrics"))
-          dumped.push_back(p);
+        bench::write_text_file(p, r.metrics, "ablation metrics");
+        dumped.push_back(p);
       }
     }
     tb.print();
@@ -500,8 +488,9 @@ int main(int argc, char** argv) {
     }
     // Trip or gate failure: leave the post-mortem on disk.
     if (rc != 0)
-      dump_flight(!tripped_flight.empty() ? tripped_flight : dcqcn.flight,
-                  flight_path);
+      bench::dump_flight(
+          !tripped_flight.empty() ? tripped_flight : dcqcn.flight,
+          flight_path);
   }
 
   std::printf("\n%s\n", rc == 0 ? "all gates PASSED" : "GATES FAILED");

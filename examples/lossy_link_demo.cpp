@@ -12,6 +12,7 @@
 #include <string>
 
 #include "simnet/topology.hpp"
+#include "telemetry/json_lite.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -19,15 +20,17 @@ using namespace dgiwarp;
 
 namespace {
 
+// A requested dump that cannot be written fails the run (exit 1).
 void dump_metrics(sim::Topology& topo, int argc, char** argv) {
   std::string path;
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], "--metrics-json") == 0) path = argv[i + 1];
   if (path.empty()) return;
-  if (topo.sim().telemetry().write_json_file(path).ok())
-    std::printf("\nmetrics written to %s\n", path.c_str());
-  else
+  if (!telemetry::write_file(path, topo.sim().telemetry().to_json()).ok()) {
     std::fprintf(stderr, "failed to write metrics to %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("\nmetrics written to %s\n", path.c_str());
 }
 
 }  // namespace

@@ -37,9 +37,11 @@ ClusterHarness::ClusterHarness(ClusterConfig cfg)
   }
   if (cfg_.health.watch) {
     reg.watchdog().enable();
-    // A flight-recorder dump without trace events is a black box; the ring
-    // is bounded, so arming it at scale stays cheap.
-    if (!reg.trace().enabled()) reg.trace().enable();
+    // A flight-recorder dump without trace events is a black box. Armed
+    // for the recorder alone, the ring holds its newest kFlightTraceEvents,
+    // which keeps it cheap at scale; a --trace-json run keeps its own ring.
+    if (!reg.trace().enabled())
+      reg.trace().enable(telemetry::kFlightTraceEvents);
   }
   topo_.attach_health();  // no-op unless sampler/watchdog armed above
 }

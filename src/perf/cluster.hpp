@@ -43,7 +43,8 @@ struct ClusterConfig {
   /// `watch` arms the Watchdog before any traffic: stuck-queue rules on
   /// every trunk LAG member (Topology::attach_health) plus a per-tenant
   /// mem-leak rule on each server's MemLedger, and enables the trace ring
-  /// so a flight-recorder dump has events to show. `sample` enables the
+  /// (kFlightTraceEvents, unless `trace` armed it already) so a
+  /// flight-recorder dump has events to show. `sample` enables the
   /// Sampler at a 1 ms cadence with trunk queue-depth probes, fleet
   /// counters, and per-tenant memory series for the first four tenants
   /// (bounded so a 1000-host fleet does not swamp the export). Both change

@@ -1,118 +1,24 @@
 #include "telemetry/flight.hpp"
 
-#include <vector>
-
 #include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dgiwarp::telemetry {
 
-namespace {
-constexpr std::size_t kMaxTraceEvents = 256;  // newest trace-ring events
-constexpr std::size_t kMaxPoints = 64;        // newest points per series
-}  // namespace
-
 std::string flight_recorder_json(const Registry& reg, std::string_view reason) {
-  std::string out;
-  out.reserve(8192);
-  out += "{\n  \"schema\": \"";
+  std::string out = "{\n  \"schema\": \"";
   out += kFlightSchema;
   out += "\",\n  \"reason\": \"";
   append_escaped(out, reason);
-  out += "\",\n  \"virtual_time_ns\": ";
-  append_u64(out, static_cast<u64>(reg.now()));
-
-  const Watchdog& wd = reg.watchdog();
-  out += ",\n  \"watchdog\": {\"enabled\": ";
-  out += wd.enabled() ? "true" : "false";
-  out += ", \"checks\": ";
-  append_u64(out, wd.checks());
-  out += ", \"trip_count\": ";
-  append_u64(out, wd.trip_count());
-  out += ", \"trips\": ";
-  out += wd.trips_json();
-  out += "}";
-
-  // Newest kMaxTraceEvents trace-ring events.
-  const std::vector<TraceEvent> events = reg.trace().snapshot();
-  const std::size_t skip =
-      events.size() > kMaxTraceEvents ? events.size() - kMaxTraceEvents : 0;
-  out += ",\n  \"trace\": {\"recorded\": ";
-  append_u64(out, reg.trace().recorded());
-  out += ", \"tail\": [";
-  bool first = true;
-  for (std::size_t i = skip; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += "{\"t\": ";
-    append_u64(out, static_cast<u64>(e.t));
-    out += ", \"kind\": \"";
-    out += trace_kind_name(e.kind);
-    out += "\", \"a\": ";
-    append_u64(out, e.a);
-    out += ", \"b\": ";
-    append_u64(out, e.b);
-    out += '}';
+  out += "\",\n  \"trips\": ";
+  out += reg.watchdog().trips_json();
+  if (reg.sampler().enabled()) {
+    out += ",\n  \"series\": ";
+    out += reg.sampler().run_json();
   }
-  out += first ? "]}" : "\n  ]}";
-
-  // Tail of every sampled series (empty object when sampling is off).
-  out += ",\n  \"series\": {";
-  first = true;
-  for (const auto& [name, ts] : reg.sampler().series()) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\": [";
-    const std::vector<SeriesPoint> pts = ts.snapshot();
-    const std::size_t pskip =
-        pts.size() > kMaxPoints ? pts.size() - kMaxPoints : 0;
-    bool pfirst = true;
-    for (std::size_t i = pskip; i < pts.size(); ++i) {
-      out += pfirst ? "[" : ",[";
-      pfirst = false;
-      append_u64(out, static_cast<u64>(pts[i].t));
-      out += ',';
-      append_double(out, pts[i].v);
-      out += ']';
-    }
-    out += ']';
-  }
-  out += first ? "}" : "\n  }";
-
-  // Registry state: counters and gauges in full (they are small). Values
-  // go through the same json_lite writer as Registry::to_json, so they
-  // diff cleanly against a --metrics-json dump of the same run.
-  out += ",\n  \"counters\": {";
-  first = true;
-  for (const auto& [name, c] : reg.counters()) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\": ";
-    append_u64(out, c.value());
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : reg.gauges()) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\": {\"value\": ";
-    append_double(out, g.value());
-    out += ", \"max\": ";
-    append_double(out, g.max());
-    out += '}';
-  }
-  out += first ? "}" : "\n  }";
-
-  out += "\n}\n";
+  out += ",\n  \"metrics\": ";
+  out += reg.to_json();
+  out += "}\n";
   return out;
 }
 
@@ -120,15 +26,6 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason) {
 // each check is made as its value goes by.
 Status validate_flight_recorder_json(std::string_view json) {
   JsonParser p{json};
-  // An object whose array member `name` is required and checked per element.
-  auto section = [&p](const char* name, const char* missing, auto&& element) {
-    bool saw = false;
-    const bool ok = p.object([&](const std::string& key) {
-      if (key != name) return p.skip_value();
-      return saw = p.array(element);
-    });
-    return ok && (saw || p.fail(missing));
-  };
   auto trip = [&p] {
     bool saw_rule = false;
     const bool ok = p.object([&](const std::string& key) {
@@ -139,21 +36,35 @@ Status validate_flight_recorder_json(std::string_view json) {
   };
   double prev_t = -1.0;
   auto trace_event = [&] {
-    bool saw_t = false, saw_kind = false;
+    bool saw_t = false;
     double t = 0.0;
     const bool ok = p.object([&](const std::string& key) {
-      if (key == "t") return saw_t = p.parse_number(&t);
-      if (key == "kind") return saw_kind = p.parse_string(nullptr);
-      return p.skip_value();
+      if (key != "t") return p.skip_value();
+      return saw_t = p.parse_number(&t);
     });
     if (!ok) return false;
-    if (!saw_t || !saw_kind) return p.fail("trace event missing t/kind");
-    if (t < prev_t) return p.fail("trace tail not time-ordered");
+    if (!saw_t) return p.fail("trace event missing t");
+    if (t < prev_t) return p.fail("trace events not time-ordered");
     prev_t = t;
     return true;
   };
-  bool saw_schema = false, saw_reason = false, saw_watchdog = false,
-       saw_trace = false, saw_counters = false;
+  auto trace = [&] {
+    return p.object([&](const std::string& key) {
+      if (key != "events") return p.skip_value();
+      return p.array(trace_event);
+    });
+  };
+  auto metrics = [&] {
+    bool saw_counters = false;
+    const bool ok = p.object([&](const std::string& key) {
+      if (key == "counters") return saw_counters = p.skip_value();
+      if (key == "trace") return trace();
+      return p.skip_value();
+    });
+    return ok && (saw_counters || p.fail("metrics missing counters"));
+  };
+  bool saw_schema = false, saw_reason = false, saw_trips = false,
+       saw_metrics = false;
   const bool ok = p.document([&](const std::string& key) {
     if (key == "schema") return saw_schema = p.parse_schema(kFlightSchema);
     if (key == "reason") {
@@ -162,18 +73,15 @@ Status validate_flight_recorder_json(std::string_view json) {
       return p.parse_string(&reason) &&
              (!reason.empty() || p.fail("empty reason"));
     }
-    if (key == "watchdog")
-      return saw_watchdog = section("trips", "watchdog missing trips", trip);
-    if (key == "trace")
-      return saw_trace = section("tail", "trace missing tail", trace_event);
-    if (key == "counters") return saw_counters = p.skip_value();
+    if (key == "trips") return saw_trips = p.array(trip);
+    if (key == "series") return parse_timeseries_run(p);
+    if (key == "metrics") return saw_metrics = metrics();
     return p.skip_value();
   });
   return p.status(ok && (saw_schema || p.fail("missing schema")) &&
                       (saw_reason || p.fail("missing reason")) &&
-                      (saw_watchdog || p.fail("missing watchdog")) &&
-                      (saw_trace || p.fail("missing trace")) &&
-                      (saw_counters || p.fail("missing counters")),
+                      (saw_trips || p.fail("missing trips")) &&
+                      (saw_metrics || p.fail("missing metrics")),
                   "flight");
 }
 

@@ -2,17 +2,27 @@
 //
 // When a watchdog trips or a bench self-gate fails, end-of-run aggregates
 // are already too coarse — what you want is the state *around* the
-// violation: the last-N trace events, the tail of every sampled series,
-// the watchdog's trip list, and the registry's counters/gauges at the
-// moment of death. flight_recorder_json captures exactly that from a live
-// Registry into a "dgiwarp.flight.v1" document; benches write it next to
-// their other artifacts when `--strict-health` fails so the violating run
-// can be diagnosed without re-running.
+// violation. flight_recorder_json captures it from a live Registry into a
+// "dgiwarp.flight.v2" document that embeds the run's other documents
+// instead of serializing their values a second time:
 //
-// The dump is bounded by construction (ring tails, capped trip list) and
-// deterministic (map-ordered keys, %.17g doubles) like every other export.
+//   trips    Watchdog::trips_json(): every kept trip, in time order;
+//   series   Sampler::run_json(): present only while the sampler is enabled
+//            (an unsampled fragment has interval_ns 0 and would not validate);
+//   metrics  Registry::to_json(), byte for byte what a --metrics-json dump
+//            of the same registry holds: counters, gauges, histograms, the
+//            trace ring and the profiler. It comes last, so its closing
+//            newline also ends the flight document.
+//
+// Benches write the dump next to their other artifacts when a trip or a
+// gate fails, so the violating run can be diagnosed without re-running.
+// It is bounded by the rings it embeds: the trace ring's capacity (the
+// benches arm the ring at kFlightTraceEvents for the recorder), the
+// Sampler's kSeriesCapacity points per series and kMaxWatchdogTrips trips.
+// It is deterministic like every other export.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -22,14 +32,17 @@ namespace dgiwarp::telemetry {
 
 class Registry;
 
-inline constexpr const char* kFlightSchema = "dgiwarp.flight.v1";
+inline constexpr const char* kFlightSchema = "dgiwarp.flight.v2";
 
-/// Keeps the newest 256 trace-ring events and the newest 64 points of each
-/// sampled series.
+/// Trace-ring capacity a bench arms for the flight recorder alone: the
+/// ring keeps the newest events, oldest first.
+inline constexpr std::size_t kFlightTraceEvents = 256;
+
 std::string flight_recorder_json(const Registry& reg, std::string_view reason);
 
-/// Structural validation: schema tag, reason, watchdog block with a trips
-/// array, trace tail with non-decreasing timestamps, counters object.
+/// Structural validation: schema tag, non-empty reason, a rule on every
+/// trip, metrics with counters and time-ordered trace events, and the
+/// series fragment (when present) under the timeseries run check.
 Status validate_flight_recorder_json(std::string_view json);
 
 }  // namespace dgiwarp::telemetry

@@ -19,16 +19,22 @@ const char* watchdog_rule_name(WatchdogRule r) {
 void Watchdog::enable() {
   enabled_ = true;
   next_due_ = 0;
-  checks_ = 0;
-  trip_count_ = 0;
   rules_.clear();
   trips_.clear();
   if (reg_) {
     // Materialize the counter family up front so an enabled-but-clean run
     // exports `trips: 0` instead of silently omitting the key.
-    reg_->counter("telemetry.watchdog.checks");
-    reg_->counter("telemetry.watchdog.trips");
+    check_counter_ = &reg_->counter("telemetry.watchdog.checks");
+    trip_counter_ = &reg_->counter("telemetry.watchdog.trips");
   }
+}
+
+u64 Watchdog::trip_count() const {
+  return trip_counter_ ? trip_counter_->value() : 0;
+}
+
+u64 Watchdog::checks() const {
+  return check_counter_ ? check_counter_->value() : 0;
 }
 
 void Watchdog::watch_queue(const std::string& target,
@@ -83,8 +89,7 @@ void Watchdog::watch_ledger(const std::string& target,
 }
 
 void Watchdog::check_at(TimeNs t) {
-  ++checks_;
-  if (reg_) reg_->counter("telemetry.watchdog.checks").inc();
+  if (check_counter_) check_counter_->inc();
   for (Rule& r : rules_) check_rule(r, t);
 }
 
@@ -169,11 +174,10 @@ void Watchdog::check_rule(Rule& r, TimeNs t) {
 
 void Watchdog::trip(Rule& r, TimeNs t, double value) {
   r.latched = true;
-  ++trip_count_;
   if (trips_.size() < kMaxWatchdogTrips)
     trips_.push_back(WatchdogTrip{t, r.kind, r.target, value});
+  if (trip_counter_) trip_counter_->inc();
   if (reg_) {
-    reg_->counter("telemetry.watchdog.trips").inc();
     reg_->counter(std::string("telemetry.watchdog.") +
                   watchdog_rule_name(r.kind))
         .inc();

@@ -18,7 +18,9 @@
 // A rule trips at most once (latched). Trips emit a TraceKind::kWatchdogTrip
 // instant, bump the `telemetry.watchdog.*` counter family, and are kept for
 // the flight recorder (flight.hpp) and the benches' `--strict-health` gate,
-// which turns any trip into a nonzero exit.
+// which turns any trip into a nonzero exit. The registry counters
+// `telemetry.watchdog.checks` and `.trips` are the one count of checks and
+// trips: checks() and trip_count() read them.
 #pragma once
 
 #include <functional>
@@ -29,6 +31,7 @@
 
 namespace dgiwarp::telemetry {
 
+class Counter;
 class Registry;
 
 /// Watchdog cadence and rule thresholds.
@@ -66,7 +69,9 @@ struct WatchdogTrip {
 };
 
 /// Disabled by default; owned by Registry. enable() clears rules and trips,
-/// so a watchdog is configured enable-then-watch before the run it guards.
+/// so a watchdog is configured enable-then-watch before the run it guards,
+/// and creates the `telemetry.watchdog.checks` and `.trips` counters, so a
+/// run without a watchdog has no `telemetry.watchdog.*` key.
 class Watchdog {
  public:
   void enable();
@@ -96,8 +101,10 @@ class Watchdog {
 
   bool tripped() const { return !trips_.empty(); }
   const std::vector<WatchdogTrip>& trips() const { return trips_; }
-  u64 trip_count() const { return trip_count_; }
-  u64 checks() const { return checks_; }
+  /// The registry's `telemetry.watchdog.trips` and `.checks` counters (0
+  /// before enable()).
+  u64 trip_count() const;
+  u64 checks() const;
 
   /// JSON array of trips (deterministic), embedded by the flight recorder.
   std::string trips_json() const;
@@ -127,8 +134,8 @@ class Watchdog {
   bool enabled_ = false;
   Registry* reg_ = nullptr;
   TimeNs next_due_ = 0;
-  u64 checks_ = 0;
-  u64 trip_count_ = 0;
+  Counter* check_counter_ = nullptr;  // fetched once, in enable()
+  Counter* trip_counter_ = nullptr;
   std::vector<Rule> rules_;
   std::vector<WatchdogTrip> trips_;
 };

@@ -1,9 +1,5 @@
 #include "telemetry/profiler.hpp"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-
 #include "telemetry/json_lite.hpp"
 
 namespace dgiwarp::telemetry {
@@ -102,32 +98,6 @@ void CostProfiler::merge_from(const CostProfiler& other) {
   }
 }
 
-namespace {
-
-struct Row {
-  std::size_t index;
-  u8 layer, activity, size_class;
-  CostProfiler::Bucket b;
-};
-
-void append_row_json(std::string& out, const Row& r) {
-  out += "{\"layer\":\"";
-  out += cost_layer_name(static_cast<CostLayer>(r.layer));
-  out += "\",\"activity\":\"";
-  out += cost_activity_name(static_cast<CostActivity>(r.activity));
-  out += "\",\"size\":\"";
-  out += size_class_name(r.size_class);
-  out += "\",\"count\":";
-  append_u64(out, r.b.count);
-  out += ",\"total_ns\":";
-  append_u64(out, r.b.total_ns);
-  out += ",\"total_bytes\":";
-  append_u64(out, r.b.total_bytes);
-  out += '}';
-}
-
-}  // namespace
-
 std::string CostProfiler::to_json() const {
   std::string out = "[";
   bool first = true;
@@ -135,53 +105,25 @@ std::string CostProfiler::to_json() const {
   for (u8 l = 0; l < kCostLayerCount; ++l)
     for (u8 a = 0; a < kCostActivityCount; ++a)
       for (u8 c = 0; c < kSizeClassCount; ++c, ++i) {
-        if (buckets_[i].count == 0) continue;
-        if (!first) out += ",";
+        const Bucket& b = buckets_[i];
+        if (b.count == 0) continue;
+        if (!first) out += ',';
         first = false;
-        append_row_json(out, Row{i, l, a, c, buckets_[i]});
+        out += "{\"layer\":\"";
+        out += cost_layer_name(static_cast<CostLayer>(l));
+        out += "\",\"activity\":\"";
+        out += cost_activity_name(static_cast<CostActivity>(a));
+        out += "\",\"size\":\"";
+        out += size_class_name(c);
+        out += "\",\"count\":";
+        append_u64(out, b.count);
+        out += ",\"total_ns\":";
+        append_u64(out, b.total_ns);
+        out += ",\"total_bytes\":";
+        append_u64(out, b.total_bytes);
+        out += '}';
       }
   out += "]";
-  return out;
-}
-
-std::string CostProfiler::table(std::size_t max_rows) const {
-  std::vector<Row> rows;
-  std::size_t i = 0;
-  for (u8 l = 0; l < kCostLayerCount; ++l)
-    for (u8 a = 0; a < kCostActivityCount; ++a)
-      for (u8 c = 0; c < kSizeClassCount; ++c, ++i)
-        if (buckets_[i].count != 0)
-          rows.push_back(Row{i, l, a, c, buckets_[i]});
-  std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
-    if (x.b.total_ns != y.b.total_ns) return x.b.total_ns > y.b.total_ns;
-    return x.index < y.index;
-  });
-  if (max_rows != 0 && rows.size() > max_rows) rows.resize(max_rows);
-
-  const u64 grand = total_ns();
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%-7s %-11s %-9s %10s %12s %9s %6s\n",
-                "layer", "activity", "size", "count", "total_us", "avg_ns",
-                "share");
-  out += buf;
-  for (const Row& r : rows) {
-    const double us = static_cast<double>(r.b.total_ns) / 1000.0;
-    const double avg =
-        r.b.count ? static_cast<double>(r.b.total_ns) /
-                        static_cast<double>(r.b.count)
-                  : 0.0;
-    const double share =
-        grand ? 100.0 * static_cast<double>(r.b.total_ns) /
-                    static_cast<double>(grand)
-              : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  "%-7s %-11s %-9s %10" PRIu64 " %12.1f %9.0f %5.1f%%\n",
-                  cost_layer_name(static_cast<CostLayer>(r.layer)),
-                  cost_activity_name(static_cast<CostActivity>(r.activity)),
-                  size_class_name(r.size_class), r.b.count, us, avg, share);
-    out += buf;
-  }
   return out;
 }
 

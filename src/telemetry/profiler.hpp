@@ -14,7 +14,6 @@
 #include <array>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -101,10 +100,6 @@ class CostProfiler {
   /// Deterministic JSON: non-empty buckets in fixed (layer, activity,
   /// size-class) index order, integer fields only — same seed, same bytes.
   std::string to_json() const;
-
-  /// Human-readable attribution table, largest total first (ties broken by
-  /// index order, so the layout is deterministic too).
-  std::string table(std::size_t max_rows = 0) const;
 
  private:
   static std::size_t index_of(const CostSite& s) {

@@ -50,12 +50,6 @@ void Registry::merge_from(const Registry& other) {
     Histogram& mine = histograms_[name];
     for (double x : h.samples().values()) mine.add(x);
   }
-  if (trace_.enabled()) {
-    for (const TraceEvent& e : other.trace_.snapshot()) trace_.ring_.push(e);
-  }
-  // Profiler buckets add like counters. Spans are NOT merged here: their
-  // timestamps are per-Simulation virtual times, so cross-run aggregation
-  // needs the offset bookkeeping TraceCapture (trace_export.hpp) does.
   profiler_.merge_from(other.profiler_);
   if (other.now_ > now_) now_ = other.now_;
 }
@@ -148,10 +142,6 @@ std::string Registry::to_json() const {
   out += "}";
   out += "\n}\n";
   return out;
-}
-
-Status Registry::write_json_file(const std::string& path) const {
-  return write_file(path, to_json());
 }
 
 }  // namespace dgiwarp::telemetry

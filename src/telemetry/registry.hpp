@@ -23,7 +23,6 @@
 #include <string>
 
 #include "common/stats.hpp"
-#include "common/status.hpp"
 #include "common/types.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/profiler.hpp"
@@ -130,9 +129,6 @@ class Registry {
   u64 counter_value(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
   bool has(const std::string& name) const;
-  /// Read-only iteration over the stored maps (flight recorder, tests).
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
@@ -177,16 +173,18 @@ class Registry {
     if (watchdog_.enabled()) watchdog_.on_advance(t);
   }
 
-  /// Fold another registry into this one (counters add, gauges keep the
-  /// overall max / latest value, histogram samples append, trace events
-  /// append when tracing is enabled here). Used by the bench harness to
-  /// aggregate the per-measurement Simulations behind one --metrics-json.
+  /// Fold another registry into this one: counters add, gauges keep the
+  /// overall max / latest value, histogram samples append, profiler buckets
+  /// add. Used by the bench harness to aggregate the per-measurement
+  /// Simulations behind one --metrics-json. Trace events and spans are not
+  /// merged: each run's clock restarts at 0, so a cross-run timeline needs
+  /// the time offsets TraceCapture::absorb (trace_export.hpp) applies.
   void merge_from(const Registry& other);
 
-  /// Deterministic JSON export: keys sorted (map iteration), integers
-  /// exact, doubles via "%.17g". Same seed -> byte-identical document.
+  /// The metrics document (--metrics-json; the flight recorder embeds it
+  /// verbatim). Keys sorted (map iteration), integers exact, doubles via
+  /// "%.17g". Same seed -> byte-identical document.
   std::string to_json() const;
-  Status write_json_file(const std::string& path) const;
 
  private:
   std::map<std::string, Counter> counters_;

@@ -113,10 +113,6 @@ std::string Sampler::run_json() const {
   return out;
 }
 
-std::string Sampler::to_json() const {
-  return timeseries_document({{"run", run_json()}});
-}
-
 std::string timeseries_document(
     const std::vector<std::pair<std::string, std::string>>& runs) {
   std::string out = "{\n  \"schema\": \"";
@@ -138,8 +134,7 @@ std::string timeseries_document(
 
 // Schema validation: the shared reader walks every object and array, and
 // each check is made as its value goes by.
-Status validate_timeseries_json(std::string_view json) {
-  JsonParser p{json};
+bool parse_timeseries_run(JsonParser& p) {
   auto points = [&p] {
     double prev_t = -1.0;
     return p.array([&] {
@@ -160,8 +155,8 @@ Status validate_timeseries_json(std::string_view json) {
         saw_kind = true;
         std::string kind;
         if (!p.parse_string(&kind)) return false;
-        return kind == "probe" || kind == "counter" || kind == "gauge" ||
-               kind == "rate" || p.fail("unknown series kind '" + kind + "'");
+        return kind == "probe" || kind == "counter" || kind == "rate" ||
+               p.fail("unknown series kind '" + kind + "'");
       }
       if (key == "points") return saw_points = points();
       if (key == "recorded" || key == "dropped") return p.parse_number(nullptr);
@@ -170,21 +165,24 @@ Status validate_timeseries_json(std::string_view json) {
     return ok && (saw_kind || p.fail("series missing kind")) &&
            (saw_points || p.fail("series missing points"));
   };
-  auto run = [&](const std::string&) {
-    bool saw_interval = false, saw_series = false;
-    const bool ok = p.object([&](const std::string& key) {
-      if (key == "interval_ns") {
-        saw_interval = true;
-        double v = 0.0;
-        return p.parse_number(&v) &&
-               (v > 0.0 || p.fail("interval_ns must be positive"));
-      }
-      if (key == "series") return saw_series = p.object(series_entry);
-      return p.skip_value();
-    });
-    return ok && (saw_interval || p.fail("run missing interval_ns")) &&
-           (saw_series || p.fail("run missing series"));
-  };
+  bool saw_interval = false, saw_series = false;
+  const bool ok = p.object([&](const std::string& key) {
+    if (key == "interval_ns") {
+      saw_interval = true;
+      double v = 0.0;
+      return p.parse_number(&v) &&
+             (v > 0.0 || p.fail("interval_ns must be positive"));
+    }
+    if (key == "series") return saw_series = p.object(series_entry);
+    return p.skip_value();
+  });
+  return ok && (saw_interval || p.fail("run missing interval_ns")) &&
+         (saw_series || p.fail("run missing series"));
+}
+
+Status validate_timeseries_json(std::string_view json) {
+  JsonParser p{json};
+  auto run = [&p](const std::string&) { return parse_timeseries_run(p); };
   bool saw_schema = false, saw_runs = false;
   const bool ok = p.document([&](const std::string& key) {
     if (key == "schema") return saw_schema = p.parse_schema(kTimeseriesSchema);

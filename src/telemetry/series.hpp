@@ -19,7 +19,8 @@
 // which is what makes two same-seed runs export byte-identical documents.
 //
 // Export is `--timeseries-json`: schema "dgiwarp.timeseries.v1", one or
-// more named runs (timeseries_document) each holding this sampler's series.
+// more named runs (timeseries_document) each holding one sampler's
+// run_json fragment; the flight recorder embeds the same fragment.
 // validate_timeseries_json structurally checks a document the way
 // validate_trace_event_json checks Perfetto exports.
 #pragma once
@@ -38,6 +39,7 @@
 namespace dgiwarp::telemetry {
 
 class Registry;
+struct JsonParser;
 
 inline constexpr const char* kTimeseriesSchema = "dgiwarp.timeseries.v1";
 
@@ -63,7 +65,7 @@ class TimeSeries {
   std::size_t size() const { return ring_.size(); }
   u64 recorded() const { return ring_.recorded(); }
   u64 dropped() const { return ring_.dropped(); }
-  /// Latest point (t=0/v=0 when empty) — what the flight recorder reports.
+  /// Latest point (t=0/v=0 when empty).
   SeriesPoint last() const { return ring_.last(); }
 
  private:
@@ -104,15 +106,11 @@ class Sampler {
     }
   }
 
-  std::size_t samples() const { return samples_; }
   const TimeSeries* find(const std::string& name) const;
-  const std::map<std::string, TimeSeries>& series() const { return series_; }
 
   /// One run's fragment: {"interval_ns":..,"samples":..,"series":{..}}.
   /// Deterministic: map-ordered keys, u64 timestamps, %.17g values.
   std::string run_json() const;
-  /// Complete schema document with this sampler as the single run "run".
-  std::string to_json() const;
 
  private:
   friend class Registry;
@@ -141,12 +139,18 @@ class Sampler {
 
 /// Assemble several run fragments (Sampler::run_json) into one schema
 /// document — how fig13 exports off/dcqcn/timely trajectories side by side.
+/// The one timeseries writer.
 std::string timeseries_document(
     const std::vector<std::pair<std::string, std::string>>& runs);
 
-/// Structural validation of a timeseries document: schema tag, runs map,
-/// per-run interval/samples/series shape, per-series kind + strictly
-/// increasing point timestamps.
+/// Structural validation of a timeseries document: schema tag, then
+/// parse_timeseries_run on every entry of the runs map.
 Status validate_timeseries_json(std::string_view json);
+
+/// The per-run check, on the run fragment at the parser's cursor: positive
+/// interval_ns, a series map, and per series a known kind (probe, counter,
+/// rate) and strictly increasing point timestamps. validate_timeseries_json
+/// and validate_flight_recorder_json both call it.
+bool parse_timeseries_run(JsonParser& p);
 
 }  // namespace dgiwarp::telemetry

@@ -249,10 +249,6 @@ std::string TraceCapture::profile_json() const {
   return out;
 }
 
-Status TraceCapture::write_trace(const std::string& path) const {
-  return write_file(path, trace_event_json());
-}
-
 // trace_event schema validation: the shared reader walks the document, and
 // each event is checked as it goes by (required fields, global ts order,
 // matched B/E pairs per (pid, tid) track).

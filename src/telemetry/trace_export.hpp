@@ -54,8 +54,6 @@ class TraceCapture {
   /// Profiler buckets + per-phase span totals as one JSON document.
   std::string profile_json() const;
 
-  Status write_trace(const std::string& path) const;
-
  private:
   std::vector<Span> spans_;
   std::vector<TraceEvent> events_;

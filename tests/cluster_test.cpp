@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "perf/cluster.hpp"
+#include "telemetry/flight.hpp"
 
 namespace dgiwarp {
 namespace {
@@ -94,6 +95,27 @@ TEST(Cluster, SameConfigProducesIdenticalMetrics) {
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
   EXPECT_FALSE(a.second.empty());
+}
+
+// fig12's --strict-health path: a watched run arms the trace ring for the
+// flight recorder alone, at kFlightTraceEvents, and its snapshot is a valid
+// flight document that holds the run's metrics document.
+TEST(Cluster, WatchedRunFlightHoldsItsMetrics) {
+  perf::ClusterConfig cfg;
+  cfg.pairs = 2;
+  cfg.calls_per_pair = 2;
+  cfg.topo.leaves = 2;
+  cfg.health.watch = true;
+  perf::ClusterHarness cluster(cfg);
+  const perf::ClusterReport rep = cluster.run_sip();
+
+  EXPECT_EQ(rep.watchdog_trips, 0u);
+  EXPECT_GT(rep.watchdog_checks, 0u);
+  EXPECT_EQ(cluster.topology().sim().telemetry().trace().capacity(),
+            telemetry::kFlightTraceEvents);
+  const Status v = telemetry::validate_flight_recorder_json(rep.flight);
+  EXPECT_TRUE(v.ok()) << v.to_string();
+  EXPECT_NE(rep.flight.find(cluster.metrics_json()), std::string::npos);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "simnet/topology.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/flight.hpp"
+#include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/series.hpp"
 
@@ -189,6 +190,9 @@ TEST(WatchdogRules, StuckQueueTripsAndLatchesOnce) {
   EXPECT_EQ(reg.counter_value("telemetry.watchdog.trips"), 1u);
   EXPECT_EQ(reg.counter_value("telemetry.watchdog.stuck_queue"), 1u);
   EXPECT_GT(reg.counter_value("telemetry.watchdog.checks"), 0u);
+  // The registry counters are the one count: the accessors read them.
+  EXPECT_EQ(wd.trip_count(), 1u);
+  EXPECT_EQ(wd.checks(), reg.counter_value("telemetry.watchdog.checks"));
   // The trip left a trace instant for the flight recorder / Perfetto lane.
   bool saw_instant = false;
   for (const auto& ev : reg.trace().snapshot())
@@ -350,11 +354,47 @@ TEST(FlightRecorder, DocumentValidatesAndCarriesTheStory) {
   EXPECT_NE(doc.find("\"some.counter\""), std::string::npos);
   EXPECT_NE(doc.find("\"watchdog_trip\""), std::string::npos);
 
-  // Rejections: non-JSON, wrong schema, empty reason.
+  // Rejections: non-JSON, wrong schema.
   EXPECT_FALSE(telemetry::validate_flight_recorder_json("nope").ok());
   std::string bad = doc;
-  bad.replace(bad.find("flight.v1"), 9, "flight.v2");
+  bad.replace(bad.find("flight.v2"), 9, "flight.v9");
   EXPECT_FALSE(telemetry::validate_flight_recorder_json(bad).ok());
+}
+
+// The flight document embeds the run's metrics document instead of writing
+// its values a second time: the `metrics` member is Registry::to_json(),
+// byte for byte what a --metrics-json dump of the same registry holds.
+TEST(FlightRecorder, EmbedsTheMetricsDocument) {
+  sim::Simulation sim;
+  auto& reg = sim.telemetry();
+  reg.trace().enable();
+  reg.watchdog().enable();
+  reg.watchdog().watch_queue("trunk", [] { return 3.0; });
+  reg.sampler().enable(1 * kMillisecond);
+  reg.sampler().add_probe("depth", [] { return 3.0; });
+  sim.at(30 * kMillisecond, [] {});
+  sim.run();
+  ASSERT_TRUE(reg.watchdog().tripped());
+
+  const std::string doc = telemetry::flight_recorder_json(reg, "unit test");
+  const std::string metrics = reg.to_json();
+  telemetry::JsonParser p{doc};
+  std::size_t at = std::string::npos;
+  ASSERT_TRUE(p.document([&](const std::string& key) {
+    if (key == "metrics") {
+      p.ws();
+      at = p.i;
+    }
+    return p.skip_value();
+  })) << p.err;
+  ASSERT_NE(at, std::string::npos) << doc;
+  EXPECT_EQ(doc.substr(at, metrics.size()), metrics);
+  // The trips and the series are the watchdog's and the sampler's own
+  // writers' output too.
+  EXPECT_NE(doc.find("\"trips\": " + reg.watchdog().trips_json()),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"series\": " + reg.sampler().run_json()),
+            std::string::npos);
 }
 
 // A trip target is caller-supplied text: control characters in it must
@@ -369,6 +409,8 @@ TEST(FlightRecorder, TripTargetsEscapeControlCharacters) {
 
   const std::string doc = telemetry::flight_recorder_json(reg, "unit test");
   EXPECT_NE(doc.find(R"("target": "trunk\tA\nB")"), std::string::npos) << doc;
+  // The sampler is off, so the document has no series member.
+  EXPECT_EQ(doc.find(R"("series")"), std::string::npos) << doc;
   EXPECT_TRUE(telemetry::validate_flight_recorder_json(doc).ok())
       << telemetry::validate_flight_recorder_json(doc).to_string();
 }

@@ -27,12 +27,12 @@ constexpr const char* kSeries =
     R"("dropped": 0, "points": [[0,1.5],[100,2]]}}}}})";
 
 constexpr const char* kFlight =
-    R"({"schema": "dgiwarp.flight.v1", "reason": "r", "virtual_time_ns": 5, )"
-    R"("watchdog": {"enabled": true, "checks": 1, "trips": [{"t": 1, )"
-    R"("rule": "stuck_queue", "target": "q"}]}, "trace": {"recorded": 2, )"
-    R"("tail": [{"t": 1, "kind": "link_drop", "a": 0}, {"t": 1, )"
-    R"("kind": "cc_cnp"}]}, "series": {"s": [[0,1]]}, "counters": {"c": 1}, )"
-    R"("gauges": {}})";
+    R"({"schema": "dgiwarp.flight.v2", "reason": "r", "trips": [{"t": 1, )"
+    R"("rule": "stuck_queue", "target": "q"}], "series": {"interval_ns": 100, )"
+    R"("series": {"s": {"kind": "probe", "points": [[0,1]]}}}, )"
+    R"("metrics": {"virtual_time_ns": 5, "counters": {"c": 1}, )"
+    R"("trace": {"recorded": 2, "events": [{"t": 1, "kind": "link_drop", )"
+    R"("a": 0}, {"t": 1, "kind": "cc_cnp"}]}, "gauges": {}}})";
 
 using Validator = Status (*)(std::string_view);
 
@@ -106,6 +106,7 @@ const Case kCases[] = {
     {kS, kSeries, R"({"kind")", R"({kind)", R"(expected '"')"},
     {kS, kSeries, R"("kind": "probe")", R"("kind": 1)", R"(expected '"')"},
     {kS, kSeries, R"("probe")", R"("histogram")", "unknown series kind"},
+    {kS, kSeries, R"("probe")", R"("gauge")", "unknown series kind"},
     {kS, kSeries, R"("recorded": 2)", R"("recorded": "2")", "expected number"},
     {kS, kSeries, R"("dropped": 0)", R"("dropped": x)", "expected number"},
     {kS, kSeries, R"("points": [[)", R"("points": {[)", "expected '['"},
@@ -135,13 +136,11 @@ const Case kCases[] = {
     {kF, kFlight, "", "nope", "expected '{'"},
     {kF, kFlight, R"({"schema")", R"({schema)", R"(expected '"')"},
     {kF, kFlight, R"("schema":)", R"("schema")", "expected ':'"},
-    {kF, kFlight, R"("schema": "dgiwarp.flight.v1")", R"("schema": 1)",
+    {kF, kFlight, R"("schema": "dgiwarp.flight.v2")", R"("schema": 1)",
      R"(expected '"')"},
-    {kF, kFlight, "flight.v1", "flight.v2", "wrong schema"},
+    {kF, kFlight, "flight.v2", "flight.v1", "wrong schema"},
     {kF, kFlight, R"("reason": "r")", R"("reason": 1)", R"(expected '"')"},
     {kF, kFlight, R"("reason": "r")", R"("reason": "")", "empty reason"},
-    {kF, kFlight, R"("watchdog": {)", R"("watchdog": [)", "expected '{'"},
-    {kF, kFlight, R"({"enabled")", R"({enabled)", R"(expected '"')"},
     {kF, kFlight, R"("trips": [)", R"("trips": {)", "expected '['"},
     {kF, kFlight, R"([{"t": 1, "rule")", R"([1, {"t": 1, "rule")",
      "expected '{'"},
@@ -152,38 +151,47 @@ const Case kCases[] = {
     {kF, kFlight, R"("target": "q"}])", R"("target": "q"])", "expected '}'"},
     {kF, kFlight, R"("rule")", R"("rulz")", "trip missing rule"},
     {kF, kFlight, R"("target": "q"}])", R"("target": "q"}})", "expected ']'"},
-    {kF, kFlight, R"("checks": 1)", R"("checks": x)", "expected number"},
-    {kF, kFlight, R"("q"}]})", R"("q"}]])", "expected '}'"},
-    {kF, kFlight, R"("trips")", R"("tripz")", "watchdog missing trips"},
-    {kF, kFlight, R"("trace": {)", R"("trace": [)", "expected '{'"},
-    {kF, kFlight, R"({"recorded")", R"({recorded)", R"(expected '"')"},
-    {kF, kFlight, R"("tail": [)", R"("tail": {)", "expected '['"},
-    {kF, kFlight, R"("tail": [{)", R"("tail": [1, {)", "expected '{'"},
-    {kF, kFlight, R"({"t": 1, "kind")", R"({t: 1, "kind")", R"(expected '"')"},
-    {kF, kFlight, R"({"t": 1, "kind")", R"({"t": "1", "kind")",
-     "expected number"},
-    {kF, kFlight, R"("kind": "link_drop")", R"("kind": 3)", R"(expected '"')"},
-    {kF, kFlight, R"("a": 0)", R"("a": x)", "expected number"},
-    {kF, kFlight, R"("cc_cnp"})", R"("cc_cnp"])", "expected '}'"},
-    {kF, kFlight, R"("kind": "cc_cnp")", R"("kynd": "cc_cnp")",
-     "trace event missing t/kind"},
-    {kF, kFlight, R"({"t": 1, "kind": "cc_cnp")", R"({"t": 0, "kind": "cc_cnp")",
-     "trace tail not time-ordered"},
-    {kF, kFlight, R"("cc_cnp"}]})", R"("cc_cnp"}}})", "expected ']'"},
-    {kF, kFlight, R"("recorded": 2)", R"("recorded": x)", "expected number"},
-    {kF, kFlight, R"("cc_cnp"}]})", R"("cc_cnp"}]])", "expected '}'"},
-    {kF, kFlight, R"("tail")", R"("tailz")", "trace missing tail"},
-    {kF, kFlight, R"("counters": {"c": 1})", R"("counters": {"c": })",
-     "expected number"},
+    // The series member goes through the timeseries run check, whose every
+    // rejection the timeseries rows above pin.
+    {kF, kFlight, R"("series": {"interval_ns")", R"("series": ["interval_ns")",
+     "expected '{'"},
+    {kF, kFlight, R"("interval_ns": 100)", R"("interval_ns": 0)",
+     "interval_ns must be positive"},
+    {kF, kFlight, R"("interval_ns")", R"("interval_us")",
+     "run missing interval_ns"},
+    {kF, kFlight, R"("metrics": {)", R"("metrics": [)", "expected '{'"},
+    {kF, kFlight, R"({"virtual_time_ns")", R"({virtual_time_ns)",
+     R"(expected '"')"},
     {kF, kFlight, R"("virtual_time_ns": 5)", R"("virtual_time_ns": x)",
      "expected number"},
-    {kF, kFlight, R"("gauges": {}})", R"("gauges": {}])", "expected '}'"},
-    {kF, kFlight, R"("gauges": {}})", R"("gauges": {}}})", "trailing garbage"},
+    {kF, kFlight, R"("counters": {"c": 1})", R"("counters": {"c": })",
+     "expected number"},
+    {kF, kFlight, R"("trace": {)", R"("trace": [)", "expected '{'"},
+    {kF, kFlight, R"({"recorded")", R"({recorded)", R"(expected '"')"},
+    {kF, kFlight, R"("recorded": 2)", R"("recorded": x)", "expected number"},
+    {kF, kFlight, R"("events": [)", R"("events": {)", "expected '['"},
+    {kF, kFlight, R"("events": [{)", R"("events": [1, {)", "expected '{'"},
+    {kF, kFlight, R"({"t": 1, "kind": "link_drop")",
+     R"({t: 1, "kind": "link_drop")", R"(expected '"')"},
+    {kF, kFlight, R"({"t": 1, "kind": "link_drop")",
+     R"({"t": "1", "kind": "link_drop")", "expected number"},
+    {kF, kFlight, R"("a": 0)", R"("a": x)", "expected number"},
+    {kF, kFlight, R"("cc_cnp"})", R"("cc_cnp"])", "expected '}'"},
+    {kF, kFlight, R"({"t": 1, "kind": "cc_cnp")", R"({"kind": "cc_cnp")",
+     "trace event missing t"},
+    {kF, kFlight, R"({"t": 1, "kind": "cc_cnp")", R"({"t": 0, "kind": "cc_cnp")",
+     "trace events not time-ordered"},
+    {kF, kFlight, R"("cc_cnp"}]})", R"("cc_cnp"}}})", "expected ']'"},
+    {kF, kFlight, R"("cc_cnp"}]})", R"("cc_cnp"}]])", "expected '}'"},
+    {kF, kFlight, R"("gauges": {}}})", R"("gauges": {}]})", "expected '}'"},
+    {kF, kFlight, R"("gauges": {}}})", R"("gauges": {}}])", "expected '}'"},
+    {kF, kFlight, R"("gauges": {}}})", R"("gauges": {}}}})",
+     "trailing garbage"},
+    {kF, kFlight, R"("counters")", R"("countrs")", "metrics missing counters"},
     {kF, kFlight, R"("schema")", R"("schemz")", "missing schema"},
     {kF, kFlight, R"("reason")", R"("reazon")", "missing reason"},
-    {kF, kFlight, R"("watchdog")", R"("watchdoc")", "missing watchdog"},
-    {kF, kFlight, R"("trace")", R"("trac")", "missing trace"},
-    {kF, kFlight, R"("counters")", R"("countrs")", "missing counters"},
+    {kF, kFlight, R"("trips")", R"("tripz")", "missing trips"},
+    {kF, kFlight, R"("metrics")", R"("metricz")", "missing metrics"},
 };
 
 TEST(JsonValidators, RejectEveryMalformedDocument) {
