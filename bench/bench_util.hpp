@@ -1,10 +1,13 @@
 // Shared helpers for the figure-regeneration benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -17,21 +20,6 @@
 #include "telemetry/trace_export.hpp"
 
 namespace dgiwarp::bench {
-
-/// Parse `<flag> <path>` from argv ("" if absent).
-inline std::string arg_path(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return {};
-}
-
-/// True if the bare flag is present anywhere in argv.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
 
 /// The flag surface shared by the figure benches, parsed once. Individual
 /// benches ignore fields they have no use for; what matters is that the
@@ -47,17 +35,47 @@ struct BenchArgs {
   bool strict_health = false;   // --strict-health: watchdog trips fail run
   bool inject_stall = false;    // --inject-stall: black-hole one sender
 
+  /// One pass over argv. A path flag given last, without its path, or an
+  /// argument that is none of the flags above prints a usage line naming
+  /// it on stderr and exits 2: a requested export never goes missing
+  /// silently.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
-    a.metrics_json = arg_path(argc, argv, "--metrics-json");
-    a.trace_json = arg_path(argc, argv, "--trace-json");
-    a.profile_json = arg_path(argc, argv, "--profile-json");
-    a.timeseries_json = arg_path(argc, argv, "--timeseries-json");
-    a.flight_json = arg_path(argc, argv, "--flight-json");
-    a.smoke = has_flag(argc, argv, "--smoke");
-    a.ablate = has_flag(argc, argv, "--ablate");
-    a.strict_health = has_flag(argc, argv, "--strict-health");
-    a.inject_stall = has_flag(argc, argv, "--inject-stall");
+    const std::pair<const char*, std::string*> paths[] = {
+        {"--metrics-json", &a.metrics_json},
+        {"--trace-json", &a.trace_json},
+        {"--profile-json", &a.profile_json},
+        {"--timeseries-json", &a.timeseries_json},
+        {"--flight-json", &a.flight_json}};
+    const std::pair<const char*, bool*> switches[] = {
+        {"--smoke", &a.smoke},
+        {"--ablate", &a.ablate},
+        {"--strict-health", &a.strict_health},
+        {"--inject-stall", &a.inject_stall}};
+    const auto fail = [&](const char* arg, const char* why) {
+      std::fprintf(stderr, "%s: %s %s\nusage: %s", argv[0], arg, why,
+                   argv[0]);
+      for (const auto& p : paths) std::fprintf(stderr, " [%s <path>]", p.first);
+      for (const auto& s : switches) std::fprintf(stderr, " [%s]", s.first);
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    };
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      const auto named = [arg](const auto& f) {
+        return std::strcmp(f.first, arg) == 0;
+      };
+      if (const auto p = std::ranges::find_if(paths, named);
+          p != std::end(paths)) {
+        if (i + 1 == argc) fail(arg, "needs a <path>");
+        *p->second = argv[++i];
+      } else if (const auto s = std::ranges::find_if(switches, named);
+                 s != std::end(switches)) {
+        *s->second = true;
+      } else {
+        fail(arg, "is not a flag of this bench");
+      }
+    }
     return a;
   }
 };

@@ -75,10 +75,10 @@ std::vector<FaultCase> cases() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Fault campaign — RD/RC reliability under adversarial faults",
                 "extends Figures 7-8 beyond fixed-rate loss: bursts, "
                 "reordering, duplication and link flaps; invariant-checked");
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry aggregate;
 
   const std::size_t kMsg = 16 * KiB;

@@ -75,11 +75,10 @@ RunOutcome run_once(telemetry::TraceCapture* trace,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 12 — node-array scale: 1000 hosts, 10000 SIP calls",
                 "extends the paper's 10000-call single-server memory "
                 "experiment (Fig. 11) to a 1000-node leaf-spine fabric");
-
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
 
   // --trace-json: capture spans/trace/profiler. Both runs are captured with
   // identical config — tracing (like health sampling/watching) changes

@@ -285,11 +285,10 @@ void print_trips(const IncastResult& r, const char* tag) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 13 — 8:1 incast at the trunk, cc off/dcqcn/timely",
                 "beyond the paper: congestive (not random) loss, tamed by "
                 "the ECN + DCQCN/Timely subsystem");
-
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   Setup su;
   // The workload is round-bursty (2 ms between synchronized bursts), so
   // DCQCN's datacenter-default clocks are rescaled to the round cadence:

@@ -84,12 +84,11 @@ void breakdown_panel(std::size_t sz, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 5 — verbs latency",
                 "UD latency ~27-28us under 128B vs RC ~33us; UD S/R +18.1% "
                 "and WriteRec +24.4% up to 2KB; RC slightly ahead 16-64KB; "
                 "UD ahead again for large messages");
-
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
   telemetry::TraceCapture capture;
   perf::Options opts;

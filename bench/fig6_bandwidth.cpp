@@ -11,12 +11,11 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 6 — unidirectional bandwidth",
                 "UD WriteRec +256% over RC Write at 512KB; UD S/R +33.4% "
                 "over RC S/R at 256KB; UD curves peak ~240-250 MB/s, RC S/R "
                 "~180 MB/s, RC Write ~70 MB/s");
-
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
   perf::Options opts;
   if (!args.metrics_json.empty()) opts.metrics = &metrics;

@@ -9,10 +9,10 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 7 — UD send/recv bandwidth under packet loss",
                 "multi-packet messages collapse under loss (all-or-nothing "
                 "delivery); 5% loss breaks everything above the wire MTU");
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
 
   const double rates[] = {0.001, 0.005, 0.01, 0.05};

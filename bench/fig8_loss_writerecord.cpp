@@ -11,11 +11,11 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 8 — UD Write-Record bandwidth under packet loss",
                 "partial placement keeps goodput high for multi-segment "
                 "messages at low loss; dip at 64KB (first multi-datagram "
                 "size); 5% loss still breaks large messages");
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
 
   const double rates[] = {0.001, 0.005, 0.01, 0.05};

@@ -66,6 +66,7 @@ double run_http(telemetry::Registry* agg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::banner("Figure 9 — VLC streaming initial buffering time",
                 "UD buffering ~74.1% lower than the RC/HTTP mode; the UD "
                 "send/recv and Write-Record bars are nearly identical "
@@ -74,7 +75,6 @@ int main(int argc, char** argv) {
   // --metrics-json: each run owns a private Topology (its own registry), so
   // the dump aggregates all three runs into one document, the way the
   // harness-driven figures do through perf::Options::metrics.
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry agg;
   telemetry::Registry* aggp = args.metrics_json.empty() ? nullptr : &agg;
 

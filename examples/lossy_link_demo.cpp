@@ -20,11 +20,37 @@ using namespace dgiwarp;
 
 namespace {
 
+// [loss%] [--metrics-json <path>], parsed in one pass. A flag given last
+// without its path, or any other argument, prints a usage line naming it
+// on stderr and exits 2.
+struct Args {
+  double loss = 2.0 / 100.0;
+  std::string metrics_json;
+};
+
+Args parse_args(int argc, char** argv) {
+  Args a;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    const bool metrics = std::strcmp(arg, "--metrics-json") == 0;
+    if (metrics && i + 1 < argc) {
+      a.metrics_json = argv[++i];
+    } else if (i == 1 && arg[0] != '-') {
+      a.loss = std::atof(arg) / 100.0;
+    } else {
+      std::fprintf(stderr,
+                   "%s: %s %s\nusage: %s [loss%%] [--metrics-json <path>]\n",
+                   argv[0], arg,
+                   metrics ? "needs a <path>" : "is not an argument here",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
+  return a;
+}
+
 // A requested dump that cannot be written fails the run (exit 1).
-void dump_metrics(sim::Topology& topo, int argc, char** argv) {
-  std::string path;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--metrics-json") == 0) path = argv[i + 1];
+void dump_metrics(sim::Topology& topo, const std::string& path) {
   if (path.empty()) return;
   if (!telemetry::write_file(path, topo.sim().telemetry().to_json()).ok()) {
     std::fprintf(stderr, "failed to write metrics to %s\n", path.c_str());
@@ -36,9 +62,8 @@ void dump_metrics(sim::Topology& topo, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double loss = argc > 1 && argv[1][0] != '-'
-                          ? std::atof(argv[1]) / 100.0
-                          : 2.0 / 100.0;
+  const Args args = parse_args(argc, argv);
+  const double loss = args.loss;
 
   sim::Topology topo;
   // Structured event tracing (drops, placements, expiries) is off by
@@ -82,7 +107,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     topo.sim().telemetry().counter_value(
                         "verbs.ud.segments_rx")));
-    dump_metrics(topo, argc, argv);
+    dump_metrics(topo, args.metrics_json);
     return 0;
   }
 
@@ -99,6 +124,6 @@ int main(int argc, char** argv) {
               rec->validity.complete(static_cast<u32>(kMsg))
                   ? "the full message (nothing was lost)"
                   : "NOTHING (all-or-nothing delivery)");
-  dump_metrics(topo, argc, argv);
+  dump_metrics(topo, args.metrics_json);
   return 0;
 }

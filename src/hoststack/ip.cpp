@@ -1,5 +1,6 @@
 #include "hoststack/ip.hpp"
 
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -20,14 +21,18 @@ struct IpHeader {
   u32 offset = 0;
   u32 total = 0;
 
-  void serialize(Bytes& out) const {
-    WireWriter w(out);
-    w.u8be(proto);
-    w.u8be(flags);
-    w.u16be(ident);
-    w.u32be(offset);
-    w.u32be(total);
-    w.u64be(0);  // reserved padding to 20 B
+  /// The wire form; the last 8 B are reserved padding to 20 B.
+  std::array<u8, kIpHeaderBytes> wire() const {
+    std::array<u8, kIpHeaderBytes> b{};
+    b[0] = proto;
+    b[1] = flags;
+    b[2] = static_cast<u8>(ident >> 8);
+    b[3] = static_cast<u8>(ident);
+    for (int i = 0; i < 4; ++i) {
+      b[4 + i] = static_cast<u8>(offset >> (24 - 8 * i));
+      b[8 + i] = static_cast<u8>(total >> (24 - 8 * i));
+    }
+    return b;
   }
   static Result<IpHeader> parse(WireReader& r) {
     IpHeader h;
@@ -79,23 +84,35 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
     h.offset = static_cast<u32>(off);
     h.total = static_cast<u32>(total);
     h.flags = (off + n < total) ? kFlagMoreFragments : 0;
+    const auto header = h.wire();
 
     sim::Frame f;
     f.dst = dst_ip;
     f.proto = sim::kProtoIpv4;
     f.span = ctx_.active_span;  // lifecycle span rides the frame
-    f.payload.reserve(kIpHeaderBytes + n);
-    h.serialize(f.payload);
-    append(f.payload, ConstByteSpan{payload}.subspan(off, n));
+    if (n == total) {
+      // One fragment: the datagram becomes the frame, its header going
+      // in front into the spare capacity of datagram_buffer().
+      payload.insert(payload.begin(), header.begin(), header.end());
+      f.payload = std::move(payload);
+    } else {
+      f.payload.reserve(kIpHeaderBytes + n);
+      append(f.payload, header);
+      append(f.payload, ConstByteSpan{payload}.subspan(off, n));
+    }
 
     // Per-fragment kernel transmit cost; the frame enters the wire when the
-    // CPU has finished preparing it.
+    // CPU has finished preparing it. Kernel-lane ready times never
+    // decrease, so the frames leave tx_queue_ in the order they entered.
     const TimeNs ready = ctx_.cpu.charge_kernel(
         ctx_.costs.ip_frag_tx,
         {telemetry::CostLayer::kIp, telemetry::CostActivity::kSegment, n});
     frags_tx_.inc();
-    ctx_.sim.at(ready, [this, fr = std::move(f)]() mutable {
-      ctx_.nic.send(std::move(fr));
+    tx_queue_.push_back(std::move(f));
+    ctx_.sim.at(ready, [this] {
+      sim::Frame next = std::move(tx_queue_.front());
+      tx_queue_.pop_front();
+      ctx_.nic.send(std::move(next));
     });
     off += n;
   } while (off < total);
@@ -122,10 +139,13 @@ void IpLayer::on_frame(sim::Frame f) {
   const bool single_fragment =
       h.offset == 0 && (h.flags & kFlagMoreFragments) == 0;
   if (single_fragment) {
+    // The frame's buffer becomes the datagram: strip the header in place.
     dgrams_rx_.inc();
     SpanScope scope(ctx_, f.span);
     EcnScope ecn_scope(ctx_, f.ecn);
-    deliver(f.src, h.proto, to_bytes(body), f.corrupted);
+    f.payload.erase(f.payload.begin(),
+                    f.payload.begin() + kIpHeaderBytes);
+    deliver(f.src, h.proto, std::move(f.payload), f.corrupted);
     return;
   }
 

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/byte_ranges.hpp"
+#include "common/lazy_deque.hpp"
 #include "common/memledger.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -79,6 +80,15 @@ class EcnScope {
   bool prev_;
 };
 
+/// An empty buffer for a transport to build a datagram of `bytes` in. It
+/// also holds the IP header that IpLayer::send puts in front of a datagram
+/// that fits one fragment, so that send does not reallocate it.
+inline Bytes datagram_buffer(std::size_t bytes) {
+  Bytes b;
+  b.reserve(kIpHeaderBytes + bytes);
+  return b;
+}
+
 /// IP protocol numbers used by the stack.
 inline constexpr u8 kIpProtoTcp = 6;
 inline constexpr u8 kIpProtoUdp = 17;
@@ -115,7 +125,9 @@ class IpLayer {
   void register_protocol(u8 proto, ProtocolHandler handler);
 
   /// Send one IP datagram (payload <= 65515 B). Fragments to the wire MTU.
-  /// Charges per-fragment transmit cost to this host's CPU.
+  /// Charges per-fragment transmit cost to this host's CPU. A datagram
+  /// that fits one fragment becomes the frame's payload, with the header
+  /// inserted in front: built in datagram_buffer(), it allocates nothing.
   Status send(u8 proto, u32 dst_ip, Bytes payload);
 
   /// Entry point for frames delivered by the NIC.
@@ -149,6 +161,9 @@ class IpLayer {
   void deliver(u32 src_ip, u8 proto, Bytes datagram, bool tainted);
 
   HostCtx& ctx_;
+  // Fragments waiting for the kernel lane to finish preparing them, oldest
+  // first; each transmit event takes the front one.
+  LazyDeque<sim::Frame> tx_queue_;
   std::unordered_map<u8, ProtocolHandler> handlers_;
   std::map<FragKey, Partial> partials_;
   TimeNs reassembly_timeout_ = 30 * kMillisecond;

@@ -177,7 +177,7 @@ void TcpSocket::close() {
 
 void TcpSocket::abort() {
   if (state_ == State::kClosed) return;
-  Bytes dgram;
+  Bytes dgram = datagram_buffer(kTcpHeaderBytes);
   SegmentView::serialize(dgram, local_.port, remote_.port, snd_nxt_, rcv_nxt_,
                          kFlagRst | kFlagAck, 0, {});
   layer_.ctx().cpu.charge_kernel(layer_.ctx().costs.tcp_ctl_tx,
@@ -535,8 +535,7 @@ void TcpSocket::send_segment(u64 seq, ConstByteSpan payload, u8 flags,
        payload.size()});
   const u32 wnd = static_cast<u32>(
       rcv_buf_limit_ > ooo_bytes_ ? rcv_buf_limit_ - ooo_bytes_ : 0);
-  Bytes dgram;
-  dgram.reserve(kTcpHeaderBytes + payload.size());
+  Bytes dgram = datagram_buffer(kTcpHeaderBytes + payload.size());
   SegmentView::serialize(dgram, local_.port, remote_.port, seq, rcv_nxt_,
                          flags, wnd, payload);
   ++seg_tx_;
@@ -573,7 +572,7 @@ void TcpSocket::send_ack() {
   // Pure ACKs are transport control: they must not carry the span of the
   // data delivery they happen to run inside.
   SpanScope scope(c, 0);
-  Bytes dgram;
+  Bytes dgram = datagram_buffer(kTcpHeaderBytes);
   const u32 wnd = static_cast<u32>(
       rcv_buf_limit_ > ooo_bytes_ ? rcv_buf_limit_ - ooo_bytes_ : 0);
   SegmentView::serialize(dgram, local_.port, remote_.port, snd_nxt_, rcv_nxt_,
@@ -765,7 +764,7 @@ void TcpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
     ctx_.cpu.charge_kernel(ctx_.costs.tcp_ctl_tx,
                            {telemetry::CostLayer::kTcp,
                             telemetry::CostActivity::kControl, 0});
-    Bytes rst;
+    Bytes rst = datagram_buffer(kTcpHeaderBytes);
     TcpSocket::SegmentView::serialize(rst, seg.dst_port, seg.src_port,
                                       seg.ack, seg.seq + seg.payload.size(),
                                       kFlagRst | kFlagAck, 0, {});

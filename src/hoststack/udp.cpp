@@ -62,8 +62,7 @@ Status UdpSocket::send_to(Endpoint dst, ConstByteSpan data) {
       {telemetry::CostLayer::kUdp, telemetry::CostActivity::kCopy,
        data.size()});
 
-  Bytes dgram;
-  dgram.reserve(kUdpHeaderBytes + data.size());
+  Bytes dgram = datagram_buffer(kUdpHeaderBytes + data.size());
   UdpHeader h;
   h.src_port = port_;
   h.dst_port = dst.port;
@@ -145,15 +144,13 @@ void UdpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
 
   // The length field must agree with what IP actually delivered: shorter is
   // tolerated (trailing padding is cut, per real UDP), longer is a lie.
-  ConstByteSpan body = r.rest();
   if (h.length < kUdpHeaderBytes ||
-      std::size_t{h.length} - kUdpHeaderBytes > body.size()) {
+      std::size_t{h.length} - kUdpHeaderBytes > r.remaining()) {
     parse_rejects_.inc();
     DGI_DEBUG("udp", "length field %u disagrees with %zu B datagram; dropped",
               h.length, dgram.size());
     return;
   }
-  body = body.first(std::size_t{h.length} - kUdpHeaderBytes);
 
   auto it = sockets_.find(h.dst_port);
   if (it == sockets_.end()) {
@@ -161,7 +158,11 @@ void UdpLayer::on_datagram(u32 src_ip, Bytes dgram, bool tainted) {
     return;
   }
 
-  Bytes payload = to_bytes(body);
+  // The datagram's buffer becomes the payload: strip the header in place
+  // and cut any trailing padding.
+  Bytes payload = std::move(dgram);
+  payload.erase(payload.begin(), payload.begin() + kUdpHeaderBytes);
+  payload.resize(std::size_t{h.length} - kUdpHeaderBytes);
 
   // Kernel rx: socket demux + wakeup + kernel->user copy of the (fully
   // reassembled) datagram. Note: this copy happens only once the whole

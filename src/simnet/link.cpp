@@ -126,30 +126,41 @@ void Link::transmit(Frame f) {
                        f.wire_bytes());
   }
 
-  TimeNs arrive = tx_done + params_.propagation;
-  if (faults_.jitter > 0) arrive += frng.range(0, faults_.jitter - 1);
+  TimeNs arrival = tx_done + params_.propagation;
+  if (faults_.jitter > 0) arrival += frng.range(0, faults_.jitter - 1);
   if (faults_.reorder_rate > 0.0 && frng.chance(faults_.reorder_rate))
-    arrive += faults_.reorder_delay;
+    arrival += faults_.reorder_delay;
 
   // Frame duplication (e.g. L2 flooding / retransmitting middleboxes): a
   // second identical copy arrives `dup_delay` after the original.
   if (faults_.dup_rate > 0.0 && frng.chance(faults_.dup_rate)) {
     ++stats_.frames_duplicated;
-    sim_.at(arrive + faults_.dup_delay, [this, fr = f]() mutable {
-      ++stats_.frames_delivered;
-      bytes_delivered_.inc(fr.payload.size());
-      if (rx_) rx_(std::move(fr));
-    });
+    sim_.at(arrival + faults_.dup_delay,
+            [this, slot = park(f)] { arrive(slot, true); });
   }
 
-  sim_.at(arrive, [this, fr = std::move(f)]() mutable {
-    ++stats_.frames_delivered;
-    bytes_delivered_.inc(fr.payload.size());
-    if (fr.span)
-      sim_.telemetry().spans().stage(fr.span, telemetry::Stage::kWireRx,
-                                     fr.id);
-    if (rx_) rx_(std::move(fr));
-  });
+  sim_.at(arrival, [this, slot = park(std::move(f))] { arrive(slot, false); });
+}
+
+u32 Link::park(Frame f) {
+  if (free_wire_.empty()) {
+    wire_.push_back(std::move(f));
+    return static_cast<u32>(wire_.size() - 1);
+  }
+  const u32 slot = free_wire_.back();
+  free_wire_.pop_back();
+  wire_[slot] = std::move(f);
+  return slot;
+}
+
+void Link::arrive(u32 slot, bool copy) {
+  Frame f = std::move(wire_[slot]);
+  free_wire_.push_back(slot);
+  ++stats_.frames_delivered;
+  bytes_delivered_.inc(f.payload.size());
+  if (f.span && !copy)
+    sim_.telemetry().spans().stage(f.span, telemetry::Stage::kWireRx, f.id);
+  if (rx_) rx_(std::move(f));
 }
 
 }  // namespace dgiwarp::sim

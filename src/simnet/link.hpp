@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "simnet/faults.hpp"
@@ -84,6 +85,12 @@ class Link {
   /// was installed (Faults::isolated), else from the fabric-wide stream.
   Rng& fault_rng() { return faults_.rng ? *faults_.rng : rng_; }
 
+  /// Park `f` in a free slot of wire_ until its arrival event.
+  u32 park(Frame f);
+  /// The arrival event of the frame in `slot`: unpark it and hand it to the
+  /// receiver. A duplicated `copy` does not mark the span's kWireRx stage.
+  void arrive(u32 slot, bool copy);
+
   /// Bind the congestion counters into the registry the first time either
   /// CC feature is configured. Deliberately not done in the constructor:
   /// registry keys exist iff some link opted into marking/bounding, keeping
@@ -101,6 +108,11 @@ class Link {
   telemetry::Counter& bytes_delivered_;
   telemetry::Counter& frames_queued_;  // frames that waited for the wire
   mutable std::deque<TimeNs> departures_;  // tx_done of queued frames
+  // Frames between transmit() and their arrival, each in a slot that its
+  // arrival event names, so the event captures 16 B and allocates nothing.
+  // Not a FIFO: jitter, reorder and duplication change the arrival order.
+  std::vector<Frame> wire_;
+  std::vector<u32> free_wire_;
   std::size_t max_depth_ = 0;
   std::size_t ecn_threshold_ = 0;   // 0 = no marking
   std::size_t queue_capacity_ = 0;  // 0 = unbounded

@@ -7,6 +7,7 @@
 // replaced by the calibrated cost model in hoststack/cost_model.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -66,8 +67,8 @@ class Simulation {
   /// passes `deadline`. Returns true iff `done()` became true.
   bool run_while_pending(const std::function<bool()>& done, TimeNs deadline);
 
-  bool idle() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
+  bool idle() const { return pending_ == 0; }
+  std::size_t pending() const { return pending_; }
   u64 events_executed() const { return executed_; }
 
   /// This simulation's metrics/trace registry. Scoped to the Simulation so
@@ -84,19 +85,32 @@ class Simulation {
   static constexpr std::size_t kDefaultMaxEvents = 500'000'000;
 
  private:
-  /// Heap entry: the event's order key and the slot its task waits in.
-  /// Trivially copyable, so sifting the heap never touches a closure.
+  /// Queue entry: the event's order key and the slot its task waits in.
+  /// Trivially copyable, so moving it between buckets never touches a
+  /// closure.
   struct Key {
     TimeNs time;
     u64 seq;
     std::size_t slot;
   };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+
+  /// Times are non-negative, so 64 buckets cover them.
+  static constexpr int kBuckets = 64;
+  /// Storage, in keys, that a bucket keeps when a redistribution empties
+  /// it, and the consumed prefix of bucket 0 that is dropped when bucket 0
+  /// does not drain.
+  static constexpr std::size_t kKeepKeys = 4096;
+
+  /// Bucket of a key at time `t` >= base_: 0 when t == base_, else one
+  /// more than the highest bit in which t and base_ differ.
+  int bucket_of(TimeNs t) const;
+  /// Append `k` to its bucket.
+  void file(const Key& k);
+  /// Take the least key; pending_ must be non-zero.
+  Key pop();
+  /// Time of the next key to pop. Reads the cached bucket minimum and
+  /// never redistributes, so peeking leaves base_ where it was.
+  TimeNs next_time() const;
 
   void advance_clock(TimeNs t) {
     now_ = t;
@@ -106,10 +120,18 @@ class Simulation {
   TimeNs now_ = 0;
   u64 next_seq_ = 0;
   u64 executed_ = 0;
-  // Pending events: a binary heap of keys under Later (front() is the
-  // next to run) over a slot store of tasks. step() moves a task out of
-  // its slot and recycles the slot through free_slots_.
-  std::vector<Key> heap_;
+  // Pending events: a radix heap of keys over a slot store of tasks.
+  // Bucket 0 holds the keys at base_, the time of the last pop, and is
+  // consumed first in, first out from head_; bucket_min_ caches each
+  // other bucket's least time; bit b of occupied_ is set iff bucket b
+  // holds a key. step() moves a task out of its slot and recycles the
+  // slot through free_slots_.
+  std::array<std::vector<Key>, kBuckets> buckets_;
+  std::array<TimeNs, kBuckets> bucket_min_{};
+  std::size_t head_ = 0;
+  u64 occupied_ = 0;
+  TimeNs base_ = 0;
+  std::size_t pending_ = 0;
   std::vector<Task> slots_;
   std::vector<std::size_t> free_slots_;
   telemetry::Registry telemetry_;

@@ -55,8 +55,11 @@ void Switch::on_ingress(std::size_t port, Frame f) {
   if (it == fdb_.end() || it->second == port) return;
   ++forwarded_;
   Link& out = egress_link(it->second, f);
-  sim_.after(kForwardingLatency, [&out, f = std::move(f)]() mutable {
-    out.transmit(std::move(f));
+  forwarding_.push_back(Forwarding{&out, std::move(f)});
+  sim_.after(kForwardingLatency, [this] {
+    Forwarding next = std::move(forwarding_.front());
+    forwarding_.pop_front();
+    next.out->transmit(std::move(next.frame));
   });
 }
 

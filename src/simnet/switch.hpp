@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/lazy_deque.hpp"
 #include "simnet/link.hpp"
 #include "simnet/nic.hpp"
 
@@ -69,10 +70,19 @@ class Switch {
   /// so a flow's frames share one cable and stay ordered.
   Link& egress_link(std::size_t port, const Frame& f);
 
+  struct Forwarding {
+    Link* out;
+    Frame frame;
+  };
+
   Simulation& sim_;
   Rng& rng_;
   std::string name_;
   std::vector<Port> ports_;
+  // Frames inside kForwardingLatency, oldest first. Each waits the same
+  // fixed delay, so they leave in the order they came and each forwarding
+  // event takes the front one.
+  LazyDeque<Forwarding> forwarding_;
   std::unordered_map<LinkAddr, std::size_t> fdb_;
   telemetry::Metric forwarded_;
 };

@@ -48,12 +48,6 @@ class BoundedRing {
     return out;
   }
 
-  /// Newest element (a default T when empty).
-  T last() const {
-    if (items_.empty()) return T{};
-    return items_[(head_ + items_.size() - 1) % items_.size()];
-  }
-
   std::size_t capacity() const { return cap_; }
   std::size_t size() const { return items_.size(); }
   u64 recorded() const { return recorded_; }

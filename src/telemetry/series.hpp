@@ -65,8 +65,6 @@ class TimeSeries {
   std::size_t size() const { return ring_.size(); }
   u64 recorded() const { return ring_.recorded(); }
   u64 dropped() const { return ring_.dropped(); }
-  /// Latest point (t=0/v=0 when empty).
-  SeriesPoint last() const { return ring_.last(); }
 
  private:
   const char* kind_ = "probe";

@@ -80,7 +80,6 @@ TEST(Sampler, RingDropsOldestBeyondCapacity) {
   ASSERT_EQ(pts.size(), 4u);
   EXPECT_EQ(pts.front().v, 6.0);  // oldest surviving
   EXPECT_EQ(pts.back().v, 9.0);
-  EXPECT_EQ(ts.last().v, 9.0);
 }
 
 TEST(SamplerDeathTest, NonPositiveIntervalAborts) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "hoststack/host.hpp"
@@ -48,6 +49,56 @@ TEST(Udp, MaxSizeDatagramFragmentsAndReassembles) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second.size(), host::kMaxUdpPayload);
   EXPECT_EQ(got->second, msg);
+}
+
+TEST(Udp, DatagramsAtTheOneFragmentEdgeRoundtrip) {
+  // 1,472 B + 8 B of UDP header fill one 1,480 B IP fragment: IP puts its
+  // header in front of the datagram's own buffer. One byte more takes two
+  // fragments and reassembly.
+  Net n;
+  auto* sa = *n.a.udp().open(0);
+  auto* sb = *n.b.udp().open(700);
+  u64 fragments = 0;
+  const std::pair<std::size_t, u64> cases[] = {{1'472, 1}, {1'473, 2}};
+  for (const auto& [size, frags] : cases) {
+    Bytes msg = make_pattern(size, static_cast<u32>(size));
+    ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
+    n.topo.sim().run();
+    fragments += frags;
+    EXPECT_EQ(n.count("hoststack.ip.fragments_tx"), fragments) << size;
+    auto got = sb->recv();
+    ASSERT_TRUE(got.has_value()) << size;
+    EXPECT_EQ(got->second, msg) << size;
+  }
+}
+
+TEST(Udp, BodyBeyondTheLengthFieldIsCut) {
+  // A hand-built single-fragment IP frame whose UDP length field covers
+  // 100 of the 150 B that follow the UDP header.
+  Net n;
+  auto* sb = *n.b.udp().open(700);
+  const Bytes body = make_pattern(150, 4);
+  sim::Frame f;
+  f.src = n.a.addr();
+  f.proto = sim::kProtoIpv4;
+  WireWriter w(f.payload);
+  w.u8be(host::kIpProtoUdp);
+  w.u8be(0);   // no more fragments
+  w.u16be(9);  // ident
+  w.u32be(0);  // offset
+  w.u32be(static_cast<u32>(host::kUdpHeaderBytes + body.size()));
+  w.u64be(0);
+  w.u16be(5'000);  // source port
+  w.u16be(700);
+  w.u16be(static_cast<u16>(host::kUdpHeaderBytes + 100));
+  w.u16be(0);
+  w.bytes(body);
+  n.b.ip().on_frame(std::move(f));
+  n.topo.sim().run();
+  auto got = sb->recv();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->second, Bytes(body.begin(), body.begin() + 100));
+  EXPECT_EQ(got->first.port, 5'000);
 }
 
 TEST(Udp, OversizeDatagramRejected) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "hoststack/host.hpp"
 #include "simnet/cpu.hpp"
@@ -132,6 +135,62 @@ TEST(Simulation, ManyEventsRunInStableTimeSeqOrder) {
   EXPECT_EQ(due.size(), kTotal);
   EXPECT_EQ(ran, expected);
   EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulation, PeekingLeavesLaterEventsAtNowFirst) {
+  // run_until and run_while_pending look at the next event's time without
+  // taking it. An event scheduled at now() after such a look still runs
+  // before the far event, at now().
+  Simulation sim;
+  std::vector<std::pair<int, TimeNs>> ran;
+  sim.at(kSecond, [&] { ran.emplace_back(3, sim.now()); });
+  EXPECT_EQ(sim.run_until(sim.now() + kMicrosecond), 0u);
+  EXPECT_FALSE(sim.run_while_pending([] { return false; }, 2 * kMicrosecond));
+  EXPECT_EQ(sim.now(), 2 * kMicrosecond);
+  sim.at(sim.now(), [&] { ran.emplace_back(1, sim.now()); });
+  sim.after(1, [&] { ran.emplace_back(2, sim.now()); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<std::pair<int, TimeNs>>{
+                     {1, 2 * kMicrosecond},
+                     {2, 2 * kMicrosecond + 1},
+                     {3, kSecond}}));
+}
+
+TEST(Simulation, TimesDifferingInOneBitRunInTimeOrder) {
+  for (const int bit : {0, 62}) {
+    const TimeNs early = (TimeNs{1} << 40) | 6;  // bits 0 and 62 clear
+    const TimeNs late = early | (TimeNs{1} << bit);
+    Simulation sim;
+    std::vector<TimeNs> ran;
+    const auto record = [&] { ran.push_back(sim.now()); };
+    sim.at(late, record);
+    sim.at(early, record);
+    sim.at(late, record);
+    sim.at(early, record);
+    sim.run();
+    EXPECT_EQ(ran, (std::vector<TimeNs>{early, early, late, late})) << bit;
+  }
+}
+
+TEST(Simulation, EventsAtNowQueueBehindEarlierOnesAtThatTime) {
+  // The three events at 1000 are taken from the queue together when the
+  // clock first moves there. The first schedules two more at now(); they
+  // run after the other two, in the order they were scheduled.
+  Simulation sim;
+  std::vector<int> order;
+  const auto note = [&](int id) {
+    return [&order, id] { order.push_back(id); };
+  };
+  sim.at(1'001, note(5));
+  sim.at(1'000, [&] {
+    order.push_back(0);
+    sim.at(sim.now(), note(3));
+    sim.after(0, note(4));
+  });
+  sim.at(1'000, note(1));
+  sim.at(1'000, note(2));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Simulation, RunTaskReleasesItsCaptures) {
@@ -434,6 +493,54 @@ TEST(Link, DuplicationFaultDeliversASecondCopy) {
   EXPECT_EQ(arrivals[1] - arrivals[0], 100);  // the copy lags by dup_delay
   EXPECT_EQ(link.stats().frames_duplicated, 1u);
   EXPECT_EQ(link.stats().frames_delivered, 2u);
+}
+
+TEST(Link, JitteredReorderedAndDuplicatedFramesKeepTheirPayloads) {
+  sim::Simulation s;
+  Rng rng(5);
+  sim::Link link(s, rng, sim::LinkParams{}, "l");
+  sim::Faults f;
+  f.jitter = 3 * kMicrosecond;
+  f.reorder_rate = 0.2;
+  f.reorder_delay = 10 * kMicrosecond;
+  f.dup_rate = 0.3;
+  f.dup_delay = 700;
+  link.set_faults(std::move(f));
+  const auto payload = [](u64 id) {
+    return make_pattern(64 + id % 97, static_cast<u32>(id));
+  };
+  std::map<u64, int> copies;
+  std::vector<u64> ids;
+  std::vector<TimeNs> times;
+  link.set_receiver([&](sim::Frame fr) {
+    EXPECT_EQ(fr.payload, payload(fr.id)) << fr.id;
+    ++copies[fr.id];
+    ids.push_back(fr.id);
+    times.push_back(s.now());
+  });
+  // Bursts of ten with half a burst's time between them: new frames take
+  // the slots of arrived ones while others are still on the wire.
+  for (u64 id = 1; id <= 200; ++id) {
+    sim::Frame fr;
+    fr.id = id;
+    fr.payload = payload(id);
+    link.transmit(std::move(fr));
+    if (id % 10 == 0) s.run_until(s.now() + 2 * kMicrosecond);
+  }
+  s.run();
+  const u64 dups = link.stats().frames_duplicated;
+  EXPECT_GT(dups, 0u);
+  EXPECT_EQ(link.stats().frames_delivered, 200u + dups);
+  ASSERT_EQ(copies.size(), 200u);
+  int total = 0;
+  for (const auto& [id, n] : copies) {
+    EXPECT_GE(n, 1) << id;
+    EXPECT_LE(n, 2) << id;
+    total += n;
+  }
+  EXPECT_EQ(static_cast<u64>(total), 200u + dups);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  EXPECT_FALSE(std::is_sorted(ids.begin(), ids.end()));  // reordered
 }
 
 TEST(Switch, LearnsAndForwards) {
