@@ -8,7 +8,8 @@
 using namespace dgiwarp;
 using perf::Mode;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Ablation — DDP CRC32 on the UD path",
                 "the mandated CRC is a per-byte cost; the paper accepts it "
                 "in exchange for disabling the (redundant) UDP checksum");

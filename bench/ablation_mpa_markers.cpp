@@ -9,7 +9,8 @@
 using namespace dgiwarp;
 using perf::Mode;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Ablation — MPA marker cost on the RC path",
                 "markers are part of the UD advantage; removing them "
                 "narrows but does not close the gap");

@@ -9,7 +9,8 @@
 using namespace dgiwarp;
 using perf::Mode;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Ablation — UD datagram budget (MTU-sized vs 64KB) under "
                 "loss",
                 "64KB datagrams win on clean links; MTU-sized datagrams "

@@ -9,7 +9,8 @@
 using namespace dgiwarp;
 using perf::Mode;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Ablation — reliable datagrams (RD) vs UD vs RC under loss",
                 "RD recovers every message at a modest throughput cost; "
                 "raw UD drops messages; RC recovers via TCP but with "

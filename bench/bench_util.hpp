@@ -21,57 +21,83 @@
 
 namespace dgiwarp::bench {
 
-/// The flag surface shared by the figure benches, parsed once. Individual
-/// benches ignore fields they have no use for; what matters is that the
-/// *parsing* lives here instead of being copy-pasted per bench.
-struct BenchArgs {
-  std::string metrics_json;     // --metrics-json <path>
-  std::string trace_json;       // --trace-json <path>
-  std::string profile_json;     // --profile-json <path>
-  std::string timeseries_json;  // --timeseries-json <path>
-  std::string flight_json;      // --flight-json <path>
-  bool smoke = false;           // --smoke: reduced workload
-  bool ablate = false;          // --ablate: parameter sweeps
-  bool strict_health = false;   // --strict-health: watchdog trips fail run
-  bool inject_stall = false;    // --inject-stall: black-hole one sender
+/// The flags a bench can take. Each bench passes parse() the set it reads.
+enum Flag : unsigned {
+  kNoFlags = 0,
+  kMetricsJson = 1u << 0,     // --metrics-json <path>
+  kTraceJson = 1u << 1,       // --trace-json <path>
+  kProfileJson = 1u << 2,     // --profile-json <path>
+  kTimeseriesJson = 1u << 3,  // --timeseries-json <path>
+  kFlightJson = 1u << 4,      // --flight-json <path>
+  kSmoke = 1u << 5,           // --smoke: reduced workload
+  kAblate = 1u << 6,          // --ablate: parameter sweeps
+  kStrictHealth = 1u << 7,    // --strict-health: watchdog trips fail run
+  kInjectStall = 1u << 8,     // --inject-stall: black-hole one sender
+};
 
-  /// One pass over argv. A path flag given last, without its path, or an
-  /// argument that is none of the flags above prints a usage line naming
-  /// it on stderr and exits 2: a requested export never goes missing
-  /// silently.
-  static BenchArgs parse(int argc, char** argv) {
+/// One flag in BenchArgs::parse's tables: its name, its bit, and the field
+/// it sets.
+template <class T>
+struct FlagSlot {
+  const char* name;
+  Flag flag;
+  T* out;
+};
+
+/// The flag surface shared by the figure benches, parsed once.
+struct BenchArgs {
+  std::string metrics_json;
+  std::string trace_json;
+  std::string profile_json;
+  std::string timeseries_json;
+  std::string flight_json;
+  bool smoke = false;
+  bool ablate = false;
+  bool strict_health = false;
+  bool inject_stall = false;
+
+  /// One pass over argv, accepting only the flags in `accepted`. A path
+  /// flag given last, without its path, or any other argument prints a
+  /// usage line naming it on stderr and exits 2: a requested export never
+  /// goes missing silently.
+  static BenchArgs parse(int argc, char** argv, unsigned accepted) {
     BenchArgs a;
-    const std::pair<const char*, std::string*> paths[] = {
-        {"--metrics-json", &a.metrics_json},
-        {"--trace-json", &a.trace_json},
-        {"--profile-json", &a.profile_json},
-        {"--timeseries-json", &a.timeseries_json},
-        {"--flight-json", &a.flight_json}};
-    const std::pair<const char*, bool*> switches[] = {
-        {"--smoke", &a.smoke},
-        {"--ablate", &a.ablate},
-        {"--strict-health", &a.strict_health},
-        {"--inject-stall", &a.inject_stall}};
+    const FlagSlot<std::string> paths[] = {
+        {"--metrics-json", kMetricsJson, &a.metrics_json},
+        {"--trace-json", kTraceJson, &a.trace_json},
+        {"--profile-json", kProfileJson, &a.profile_json},
+        {"--timeseries-json", kTimeseriesJson, &a.timeseries_json},
+        {"--flight-json", kFlightJson, &a.flight_json}};
+    const FlagSlot<bool> switches[] = {
+        {"--smoke", kSmoke, &a.smoke},
+        {"--ablate", kAblate, &a.ablate},
+        {"--strict-health", kStrictHealth, &a.strict_health},
+        {"--inject-stall", kInjectStall, &a.inject_stall}};
+    const auto takes = [accepted](const auto& f) {
+      return (accepted & f.flag) != 0;
+    };
     const auto fail = [&](const char* arg, const char* why) {
       std::fprintf(stderr, "%s: %s %s\nusage: %s", argv[0], arg, why,
                    argv[0]);
-      for (const auto& p : paths) std::fprintf(stderr, " [%s <path>]", p.first);
-      for (const auto& s : switches) std::fprintf(stderr, " [%s]", s.first);
+      for (const auto& p : paths)
+        if (takes(p)) std::fprintf(stderr, " [%s <path>]", p.name);
+      for (const auto& s : switches)
+        if (takes(s)) std::fprintf(stderr, " [%s]", s.name);
       std::fprintf(stderr, "\n");
       std::exit(2);
     };
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
-      const auto named = [arg](const auto& f) {
-        return std::strcmp(f.first, arg) == 0;
+      const auto named = [&](const auto& f) {
+        return takes(f) && std::strcmp(f.name, arg) == 0;
       };
       if (const auto p = std::ranges::find_if(paths, named);
           p != std::end(paths)) {
         if (i + 1 == argc) fail(arg, "needs a <path>");
-        *p->second = argv[++i];
+        *p->out = argv[++i];
       } else if (const auto s = std::ranges::find_if(switches, named);
                  s != std::end(switches)) {
-        *s->second = true;
+        *s->out = true;
       } else {
         fail(arg, "is not a flag of this bench");
       }

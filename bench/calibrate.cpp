@@ -3,12 +3,14 @@
 // Useful when adjusting CostModel constants.
 #include <cstdio>
 
+#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "perf/harness.hpp"
 
 using namespace dgiwarp;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   using perf::Mode;
   auto lat = [](Mode m, std::size_t sz) {
     return perf::measure_latency(m, sz, 20).half_rtt_us;

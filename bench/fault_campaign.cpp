@@ -75,7 +75,8 @@ std::vector<FaultCase> cases() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv, bench::kMetricsJson);
   bench::banner("Fault campaign — RD/RC reliability under adversarial faults",
                 "extends Figures 7-8 beyond fixed-rate loss: bursts, "
                 "reordering, duplication and link flaps; invariant-checked");

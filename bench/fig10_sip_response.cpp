@@ -35,7 +35,8 @@ double measure(sip::Transport t) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Figure 10 — SIP response time (INVITE -> 200 OK)",
                 "UD responds ~43.1% faster than RC (paper: ~0.35ms vs "
                 "~0.6ms including SIPp app processing)");

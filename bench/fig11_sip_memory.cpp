@@ -54,7 +54,8 @@ MemResult measure(sip::Transport t, std::size_t calls) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Figure 11 — SIP server memory usage, UD vs RC",
                 "~24.1% whole-application improvement at 10000 calls; "
                 "socket-state-only prediction ~28.1%");

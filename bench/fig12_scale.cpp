@@ -42,7 +42,6 @@ perf::ClusterConfig scale_config() {
   cfg.pairs = 500;
   cfg.calls_per_pair = 20;
   cfg.transport = sip::Transport::kUd;
-  cfg.deadline = 240 * kSecond;
   return cfg;
 }
 
@@ -75,7 +74,10 @@ RunOutcome run_once(telemetry::TraceCapture* trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv,
+      bench::kMetricsJson | bench::kTraceJson | bench::kTimeseriesJson |
+          bench::kFlightJson | bench::kStrictHealth);
   bench::banner("Figure 12 — node-array scale: 1000 hosts, 10000 SIP calls",
                 "extends the paper's 10000-call single-server memory "
                 "experiment (Fig. 11) to a 1000-node leaf-spine fabric");

@@ -285,7 +285,11 @@ void print_trips(const IncastResult& r, const char* tag) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv,
+      bench::kMetricsJson | bench::kTimeseriesJson | bench::kFlightJson |
+          bench::kSmoke | bench::kAblate | bench::kStrictHealth |
+          bench::kInjectStall);
   bench::banner("Figure 13 — 8:1 incast at the trunk, cc off/dcqcn/timely",
                 "beyond the paper: congestive (not random) loss, tamed by "
                 "the ECN + DCQCN/Timely subsystem");

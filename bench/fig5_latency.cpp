@@ -84,7 +84,9 @@ void breakdown_panel(std::size_t sz, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv,
+      bench::kMetricsJson | bench::kTraceJson | bench::kProfileJson);
   bench::banner("Figure 5 — verbs latency",
                 "UD latency ~27-28us under 128B vs RC ~33us; UD S/R +18.1% "
                 "and WriteRec +24.4% up to 2KB; RC slightly ahead 16-64KB; "

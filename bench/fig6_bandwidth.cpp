@@ -11,7 +11,8 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv, bench::kMetricsJson);
   bench::banner("Figure 6 — unidirectional bandwidth",
                 "UD WriteRec +256% over RC Write at 512KB; UD S/R +33.4% "
                 "over RC S/R at 256KB; UD curves peak ~240-250 MB/s, RC S/R "

@@ -9,7 +9,8 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv, bench::kMetricsJson);
   bench::banner("Figure 7 — UD send/recv bandwidth under packet loss",
                 "multi-packet messages collapse under loss (all-or-nothing "
                 "delivery); 5% loss breaks everything above the wire MTU");

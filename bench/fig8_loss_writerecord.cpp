@@ -11,7 +11,8 @@ using namespace dgiwarp;
 using perf::Mode;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv, bench::kMetricsJson);
   bench::banner("Figure 8 — UD Write-Record bandwidth under packet loss",
                 "partial placement keeps goodput high for multi-segment "
                 "messages at low loss; dip at 64KB (first multi-datagram "

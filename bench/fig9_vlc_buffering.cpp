@@ -27,11 +27,10 @@ struct Rig {
 
 // VLC 1.x-era network-caching defaults: UDP access ~300 ms of media,
 // HTTP access ~1200 ms.
-constexpr double kBitrate = 8e6;
 constexpr std::size_t kUdpCacheBytes =
-    static_cast<std::size_t>(kBitrate / 8.0 * 0.3);
+    static_cast<std::size_t>(media::kBitrateBps / 8.0 * 0.3);
 constexpr std::size_t kHttpCacheBytes =
-    static_cast<std::size_t>(kBitrate / 8.0 * 1.2);
+    static_cast<std::size_t>(media::kBitrateBps / 8.0 * 1.2);
 
 double run_udp(isock::XferMode mode, telemetry::Registry* agg) {
   isock::ISockConfig cfg;
@@ -39,7 +38,6 @@ double run_udp(isock::XferMode mode, telemetry::Registry* agg) {
   Rig r(cfg);
   media::StreamParams p;
   p.burst_start = false;
-  p.bitrate_bps = kBitrate;
   media::MediaServer server(r.io_s, p);
   if (!server.serve_udp(7000, 4 * MiB).ok()) return -1;
   media::MediaClient client(r.io_c);
@@ -53,7 +51,6 @@ double run_http(telemetry::Registry* agg) {
   Rig r;
   media::StreamParams p;
   p.burst_start = false;
-  p.bitrate_bps = kBitrate;
   media::MediaServer server(r.io_s, p);
   if (!server.serve_http(8080, 4 * MiB).ok()) return -1;
   media::MediaClient client(r.io_c);
@@ -66,7 +63,8 @@ double run_http(telemetry::Registry* agg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(
+      argc, argv, bench::kMetricsJson);
   bench::banner("Figure 9 — VLC streaming initial buffering time",
                 "UD buffering ~74.1% lower than the RC/HTTP mode; the UD "
                 "send/recv and Write-Record bars are nearly identical "

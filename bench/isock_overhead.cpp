@@ -34,7 +34,8 @@ double run(bool use_iwarp, isock::XferMode mode) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchArgs::parse(argc, argv, bench::kNoFlags);
   bench::banner("Socket-interface overhead vs native UDP (paper §VI.B.2)",
                 "pre-buffering through the iWARP socket interface costs "
                 "~2% over the native UDP stack");

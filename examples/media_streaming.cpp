@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
 
   media::StreamParams params;
   params.burst_start = false;  // live stream at the encoding bitrate
-  params.bitrate_bps = 8e6;
   media::MediaServer server(io_s, params);
   media::MediaClient client(io_c);
 

@@ -43,7 +43,7 @@ void MediaServer::stream_udp_frames(int fd, Endpoint client,
                                     std::size_t total_bytes) {
   auto& sim = io_.device().host().sim();
   const double rate =
-      params_.burst_start ? params_.burst_rate_bps : params_.bitrate_bps;
+      params_.burst_start ? params_.burst_rate_bps : kBitrateBps;
   const TimeNs frame_interval = static_cast<TimeNs>(
       static_cast<double>(kFrameBytes) * 8.0 / rate * 1e9);
 
@@ -86,7 +86,7 @@ Status MediaServer::serve_http(u16 port, std::size_t total_bytes) {
 void MediaServer::stream_http_body(int fd, std::size_t total_bytes) {
   auto& sim = io_.device().host().sim();
   const TimeNs frame_interval = static_cast<TimeNs>(
-      static_cast<double>(kFrameBytes) * 8.0 / params_.bitrate_bps * 1e9);
+      static_cast<double>(kFrameBytes) * 8.0 / kBitrateBps * 1e9);
 
   if (params_.burst_start) {
     // Send as fast as the socket accepts; retry on backpressure.

@@ -28,9 +28,11 @@ namespace dgiwarp::media {
 
 using host::Endpoint;
 
+/// Encoded media rate of a live stream.
+inline constexpr double kBitrateBps = 8e6;
+
 struct StreamParams {
-  double bitrate_bps = 8e6;        // encoded media rate
-  bool burst_start = true;         // send at burst_rate (else at bitrate)
+  bool burst_start = true;         // send at burst_rate (else at kBitrateBps)
   /// "As fast as possible" for a source-paced UDP stream still has a finite
   /// rate; an infinite burst would simply overrun the receiver's datagram
   /// queues. 600 Mb/s is close to the software stack's small-frame capacity.

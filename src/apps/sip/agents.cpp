@@ -31,8 +31,8 @@ std::optional<SipMessage> extract_sip_message(std::string& buf) {
 // ---------------------------------------------------------------------------
 
 SipServer::SipServer(isock::ISockStack& io, Transport transport,
-                     SipConfig cfg)
-    : io_(io), transport_(transport), cfg_(cfg) {}
+                     const SipConfig&)
+    : io_(io), transport_(transport) {}
 
 Status SipServer::start() {
   if (transport_ == Transport::kUd) {
@@ -41,7 +41,8 @@ Status SipServer::start() {
     auto fd = io_.socket(isock::SockType::kDatagram, 256, 2048);
     if (!fd.ok()) return fd.status();
     main_fd_ = *fd;
-    if (Status st = io_.bind(main_fd_, cfg_.server_port); !st.ok()) return st;
+    if (Status st = io_.bind(main_fd_, SipConfig::server_port); !st.ok())
+      return st;
     io_.set_datagram_handler(
         main_fd_, [this](host::Endpoint src, ConstByteSpan data) {
           on_main_datagram(src, data);
@@ -52,7 +53,8 @@ Status SipServer::start() {
   auto fd = io_.socket(isock::SockType::kStream);
   if (!fd.ok()) return fd.status();
   main_fd_ = *fd;
-  if (Status st = io_.bind(main_fd_, cfg_.server_port); !st.ok()) return st;
+  if (Status st = io_.bind(main_fd_, SipConfig::server_port); !st.ok())
+    return st;
   return io_.listen(main_fd_, [this](int conn) { on_stream_accept(conn); });
 }
 
@@ -210,7 +212,7 @@ Status SipClient::send_request(ClientCall& call, Method m) {
   // transaction-forming requests.
   if (transport_ == Transport::kUd &&
       (m == Method::kInvite || m == Method::kBye))
-    arm_retransmit(call.record.call_id, m, cfg_.t1);
+    arm_retransmit(call.record.call_id, m, kT1);
   const int fd = call.fd;
   if (transport_ == Transport::kUd) {
     const host::Endpoint dst =

@@ -20,6 +20,8 @@ namespace dgiwarp::sip {
 
 enum class Transport { kUd, kRc };
 
+/// SIP timer T1 (request retransmission over unreliable transports).
+inline constexpr TimeNs kT1 = 100 * kMillisecond;
 /// INVITE retransmissions (doubling from T1) before a UD call is abandoned.
 inline constexpr int kMaxRetransmits = 6;
 /// App-level cost of building or parsing one SIP message (SIPp-scale text
@@ -31,16 +33,18 @@ inline constexpr TimeNs kAppProcess = 90 * kMicrosecond;
 inline constexpr TimeNs kRcConnOverhead = 300 * kMicrosecond;
 
 struct SipConfig {
-  u16 server_port = 5060;
-  /// SIP timer T1 (request retransmission over unreliable transports).
-  TimeNs t1 = 100 * kMillisecond;
+  /// The server's SIP port; fixed, read through the config.
+  static constexpr u16 server_port = 5060;
   /// Gap between successive new calls during mass setup (SIPp call rate).
   TimeNs setup_interval = 200 * kMicrosecond;
 };
 
 class SipServer {
  public:
-  SipServer(isock::ISockStack& io, Transport transport, SipConfig cfg = {});
+  /// The server reads no setting of SipConfig; it takes one so that both
+  /// agents can be built from the same config.
+  SipServer(isock::ISockStack& io, Transport transport,
+            const SipConfig& = {});
 
   Status start();
 
@@ -63,7 +67,6 @@ class SipServer {
 
   isock::ISockStack& io_;
   Transport transport_;
-  SipConfig cfg_;
   int main_fd_ = -1;
   std::map<std::string, std::unique_ptr<ServedCall>> calls_;
   std::map<int, std::string> stream_buffers_;  // per-connection rx text

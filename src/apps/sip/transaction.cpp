@@ -2,17 +2,6 @@
 
 namespace dgiwarp::sip {
 
-const char* call_state_name(CallState s) {
-  switch (s) {
-    case CallState::kIdle: return "IDLE";
-    case CallState::kInviteSent: return "INVITE_SENT";
-    case CallState::kEstablished: return "ESTABLISHED";
-    case CallState::kByeSent: return "BYE_SENT";
-    case CallState::kTerminated: return "TERMINATED";
-  }
-  return "?";
-}
-
 UasAction uas_on_request(CallRecord& call, Method method) {
   UasAction act;
   switch (method) {

@@ -22,8 +22,6 @@ enum class CallState {
   kTerminated,
 };
 
-const char* call_state_name(CallState s);
-
 /// Per-call application bookkeeping (dialog identifiers, route set, SDP,
 /// timers) — the "additional book keeping to keep track of the states of
 /// the calls" the paper attributes its measured-vs-theoretical gap to.

@@ -15,6 +15,10 @@ constexpr u8 kFlagAck = 0x02;
 constexpr u8 kFlagFin = 0x04;
 constexpr u8 kFlagRst = 0x08;
 
+// Linux's minimum RTO. The effective RTT under load includes receiver-CPU
+// queueing delay, and an RTO below that triggers a spurious-retransmit
+// collapse.
+constexpr TimeNs kMinRto = 200 * kMillisecond;
 constexpr TimeNs kMaxRto = 2 * kSecond;
 
 // Consecutive RTOs with no forward progress before the connection is
@@ -107,7 +111,7 @@ TcpSocket::TcpSocket(TcpLayer& layer, Endpoint local, Endpoint remote)
           layer.ctx().sim.telemetry().counter("hoststack.tcp.bytes_delivered")) {
   cwnd_ = 10.0 * kTcpMss;  // IW10
   ssthresh_ = 1e12;
-  rto_ = std::max<TimeNs>(layer_.min_rto(), 200 * kMicrosecond);
+  rto_ = kMinRto;
   iss_ = layer_.ctx().rng.next_u64() & 0x00FFFFFF;
   snd_una_ = snd_nxt_ = iss_;
 
@@ -286,8 +290,7 @@ void TcpSocket::handle_ack(const SegmentView& seg) {
     } else {
       timer_generation_++;
       timer_armed_ = false;
-      rto_ = std::max<TimeNs>(layer_.min_rto(),
-                              srtt_ > 0 ? srtt_ + 4 * rttvar_ : rto_);
+      rto_ = std::max(kMinRto, rtt_.srtt > 0 ? rtt_.rto() : rto_);
     }
 
     // Teardown progress.
@@ -497,8 +500,6 @@ void TcpSocket::try_send() {
     const std::size_t can_send = static_cast<std::size_t>(
         std::min<u64>({stream_end - snd_nxt_, kTcpMss, wnd - flight}));
     if (can_send == 0) break;
-    // Nagle: hold a sub-MSS segment while earlier data is unacknowledged.
-    if (!nodelay_ && can_send < kTcpMss && flight > 0 && !fin_queued_) break;
     const std::size_t buf_off =
         snd_head_ +
         static_cast<std::size_t>(snd_nxt_ - data_base - acked_prefix);
@@ -643,16 +644,8 @@ void TcpSocket::retransmit_head() {
 }
 
 void TcpSocket::update_rtt(TimeNs sample) {
-  if (srtt_ == 0) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-  } else {
-    const TimeNs err = sample > srtt_ ? sample - srtt_ : srtt_ - sample;
-    rttvar_ = (3 * rttvar_ + err) / 4;
-    srtt_ = (7 * srtt_ + sample) / 8;
-  }
-  rto_ = std::max<TimeNs>(layer_.min_rto(), srtt_ + 4 * rttvar_);
-  rto_ = std::min(rto_, kMaxRto);
+  rtt_.update(sample);
+  rto_ = std::clamp(rtt_.rto(), kMinRto, kMaxRto);
 }
 
 std::size_t TcpSocket::flight_size() const {

@@ -6,7 +6,8 @@
 // congestion control and receiver flow control. It is deliberately a real
 // protocol implementation, not a shortcut through shared memory — the RC
 // baseline must pay genuine per-segment and ACK processing costs, and must
-// survive lossy links in tests.
+// survive lossy links in tests. There is no Nagle: RC is its only user,
+// and iWARP runs TCP with NODELAY so that MPA never holds an FPDU back.
 #pragma once
 
 #include <deque>
@@ -15,6 +16,7 @@
 #include <memory>
 
 #include "hoststack/ip.hpp"
+#include "hoststack/rtt.hpp"
 
 namespace dgiwarp::host {
 
@@ -67,11 +69,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::size_t send(ConstByteSpan data);
 
   std::size_t send_buffer_space() const;
-
-  /// TCP_NODELAY: when false (default), Nagle's algorithm holds sub-MSS
-  /// segments while data is in flight. iWARP sets nodelay (sub-MSS FPDUs
-  /// like RDMA-Write notifications must not wait an RTT).
-  void set_nodelay(bool v) { nodelay_ = v; }
 
   /// Graceful close: FIN is sent after buffered data drains.
   void close();
@@ -136,7 +133,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   u64 snd_nxt_ = 0;   // next sequence to send
   bool fin_queued_ = false;
   bool fin_sent_ = false;
-  bool nodelay_ = false;
 
   // Receive side.
   struct OooSeg {
@@ -164,9 +160,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   double ssthresh_ = 0.0;
   u64 peer_wnd_ = 65'535;
   int dup_acks_ = 0;
-  TimeNs srtt_ = 0;
-  TimeNs rttvar_ = 0;
-  TimeNs rto_ = 200 * kMicrosecond;
+  RttEstimator rtt_;
+  TimeNs rto_ = 0;
   u64 rtt_seq_ = 0;       // sequence whose ACK provides the next RTT sample
   TimeNs rtt_sent_at_ = 0;
   bool rtt_pending_ = false;
@@ -211,13 +206,6 @@ class TcpLayer {
 
   std::size_t connection_count() const { return conns_.size(); }
 
-  /// Minimum retransmission timeout. Defaults to Linux's 200 ms — do not
-  /// lower it casually: the effective RTT under load includes receiver-CPU
-  /// queueing delay, and an RTO below that triggers a spurious-retransmit
-  /// collapse. Loss-injection tests may lower it to shorten recovery.
-  void set_min_rto(TimeNs t) { min_rto_ = t; }
-  TimeNs min_rto() const { return min_rto_; }
-
   /// Segment checksum validation (on by default; the checksum itself is
   /// always generated). Tests that want corrupted bytes to reach the MPA
   /// CRC — the paper's ablation — turn this off.
@@ -244,7 +232,6 @@ class TcpLayer {
   std::map<ConnKey, TcpSocket::Ptr> conns_;
   std::map<u16, AcceptHandler> listeners_;
   u16 next_ephemeral_ = 49'152;
-  TimeNs min_rto_ = 200 * kMillisecond;  // Linux default
   bool validate_checksum_ = true;
   telemetry::Counter& checksum_drops_;
   telemetry::Counter& parse_rejects_;

@@ -39,9 +39,7 @@ UdpSocket::UdpSocket(UdpLayer& layer, u16 port)
            static_cast<i64>(layer.ctx().costs.udp_sock_bytes +
                             layer.ctx().costs.udp_buf_bytes)),
       tx_count_(
-          layer.ctx().sim.telemetry().counter("hoststack.udp.datagrams_tx")),
-      rx_dropped_full_(
-          layer.ctx().sim.telemetry().counter("hoststack.udp.rx_dropped_full")) {
+          layer.ctx().sim.telemetry().counter("hoststack.udp.datagrams_tx")) {
   rx_count_.bind(
       layer_.ctx().sim.telemetry().counter("hoststack.udp.datagrams_rx"));
 }
@@ -74,25 +72,9 @@ Status UdpSocket::send_to(Endpoint dst, ConstByteSpan data) {
   return layer_.ip().send(kIpProtoUdp, dst.ip, std::move(dgram));
 }
 
-std::optional<std::pair<Endpoint, Bytes>> UdpSocket::recv() {
-  if (rx_queue_.empty()) return std::nullopt;
-  auto front = std::move(rx_queue_.front());
-  rx_queue_.pop_front();
-  return front;
-}
-
 void UdpSocket::deliver(Endpoint src, Bytes data, bool tainted) {
   ++rx_count_;
-  if (handler_) {
-    handler_(src, std::move(data), tainted);
-    return;
-  }
-  if (rx_queue_.size() >= rx_queue_limit_) {
-    rx_dropped_full_.inc();
-    DGI_DEBUG("udp", "rx queue overflow on port %u; datagram dropped", port_);
-    return;
-  }
-  rx_queue_.emplace_back(src, std::move(data));
+  if (handler_) handler_(src, std::move(data), tainted);
 }
 
 UdpLayer::UdpLayer(HostCtx& ctx, IpLayer& ip)

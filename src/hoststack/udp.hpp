@@ -5,10 +5,8 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
-#include "common/lazy_deque.hpp"
 #include "hoststack/ip.hpp"
 
 namespace dgiwarp::host {
@@ -26,11 +24,9 @@ class UdpSocket {
 
   u16 local_port() const { return port_; }
 
-  /// Push-mode delivery. If no handler is set, datagrams queue for recv().
+  /// The socket's only delivery path: without a handler, what arrives is
+  /// counted and dropped.
   void set_handler(DatagramHandler h) { handler_ = std::move(h); }
-
-  /// Pull-mode delivery (native-socket style used by the isock passthrough).
-  std::optional<std::pair<Endpoint, Bytes>> recv();
 
   /// Send one datagram (payload <= 65507 B). Charges the kernel sendto path.
   Status send_to(Endpoint dst, ConstByteSpan data);
@@ -46,13 +42,10 @@ class UdpSocket {
   UdpLayer& layer_;
   u16 port_;
   DatagramHandler handler_;
-  LazyDeque<std::pair<Endpoint, Bytes>> rx_queue_;
-  std::size_t rx_queue_limit_ = 256;  // datagrams; overflow drops (like SO_RCVBUF)
   MemCharge mem_;
   // hoststack.udp.*; the Metric feeds datagrams_received().
   telemetry::Counter& tx_count_;
   telemetry::Metric rx_count_;
-  telemetry::Counter& rx_dropped_full_;
 };
 
 class UdpLayer {

@@ -19,6 +19,9 @@ constexpr u8 kStreamData = 0x10;
 constexpr u8 kStreamCredit = 0x11;
 
 constexpr std::size_t kSocketCqCapacity = 1 << 14;
+// Datagrams a socket without a handler holds for recvfrom(); beyond it
+// they are dropped (isock.pool.rx_dropped_no_slot).
+constexpr std::size_t kRxQueueLimit = 1024;
 
 }  // namespace
 
@@ -85,14 +88,6 @@ Status ISockStack::bind(int fd, u16 port) {
   return Status::Ok();
 }
 
-u16 ISockStack::local_port(int fd) const {
-  const Sock* s = find(fd);
-  if (!s) return 0;
-  if (s->native) return s->native->local_port();
-  if (s->ud) return s->ud->local_port();
-  return s->listen_port;
-}
-
 u32 ISockStack::pool_stag(int fd) const {
   const Sock* s = find(fd);
   return s && s->ud ? s->pool_mr.stag : 0;
@@ -103,7 +98,11 @@ Status ISockStack::setup_datagram(int fd, Sock& s, u16 port) {
     auto sock = dev_.host().udp().open(port);
     if (!sock.ok()) return sock.status();
     s.native = *sock;
-    // Stash the fd->deliver path through the socket handler.
+    // Closing the socket closes `native` first, so the handler never
+    // outlives `s`. No pool copy: the datagram's buffer is handed on.
+    s.native->set_handler([this, sp = &s](Endpoint src, Bytes data, bool) {
+      hand_off(*sp, src, ConstByteSpan{data}, &data);
+    });
     return Status::Ok();
   }
 
@@ -199,8 +198,6 @@ void ISockStack::pump_recv_cq(Sock& s) {
 }
 
 void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
-  dgrams_rx_->inc();
-  bytes_rx_->inc(data.size());
   // Buffered copy: the interface copies from the registered pool into an
   // application-visible buffer (paper §VI.B.1 — this copy is why WR and
   // S/R perform almost identically through the socket interface).
@@ -209,18 +206,25 @@ void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
                           static_cast<double>(data.size())),
       {telemetry::CostLayer::kIsock, telemetry::CostActivity::kCopy,
        data.size()});
+  hand_off(s, src, data);
+}
+
+void ISockStack::hand_off(Sock& s, Endpoint src, ConstByteSpan data,
+                          Bytes* owned) {
+  dgrams_rx_->inc();
+  bytes_rx_->inc(data.size());
   if (s.on_datagram) {
     s.on_datagram(src, data);
     return;
   }
-  if (s.rx_queue.size() >= s.rx_queue_limit) {
+  if (s.rx_queue.size() >= kRxQueueLimit) {
     rx_dropped_no_slot_->inc();
     dev_.host().sim().telemetry().trace().record(
         telemetry::TraceKind::kIsockDropNoSlot, static_cast<u64>(src.port),
         data.size());
     return;
   }
-  s.rx_queue.emplace_back(src, to_bytes(data));
+  s.rx_queue.emplace_back(src, owned ? std::move(*owned) : to_bytes(data));
 }
 
 void ISockStack::handle_control(Sock& s, Endpoint src, ConstByteSpan data) {
@@ -343,9 +347,6 @@ Status ISockStack::sendto(int fd, Endpoint dst, ConstByteSpan data) {
 std::optional<std::pair<Endpoint, Bytes>> ISockStack::recvfrom(int fd) {
   Sock* s = find(fd);
   if (!s) return std::nullopt;
-  if (s->native) {
-    return s->native->recv();
-  }
   if (s->ud) pump_recv_cq(*s);
   if (s->rx_queue.empty()) return std::nullopt;
   auto front = std::move(s->rx_queue.front());
@@ -357,15 +358,6 @@ void ISockStack::set_datagram_handler(int fd, DatagramHandler h) {
   Sock* s = find(fd);
   if (!s) return;
   s->on_datagram = std::move(h);
-  if (s->native) {
-    Sock* sp = s;
-    s->native->set_handler([this, sp](Endpoint src, Bytes data, bool) {
-      dgrams_rx_->inc();
-      bytes_rx_->inc(data.size());
-      if (sp->on_datagram) sp->on_datagram(src, ConstByteSpan{data});
-    });
-    return;
-  }
   if (s->ud) pump_recv_cq(*s);  // drain anything already queued
 }
 

@@ -76,8 +76,6 @@ class ISockStack {
   /// usable immediately; stream sockets may then listen().
   Status bind(int fd, u16 port);
 
-  u16 local_port(int fd) const;
-
   // --- datagram operations -------------------------------------------------
   Status sendto(int fd, Endpoint dst, ConstByteSpan data);
   /// Pull-mode receive; empty when no datagram is queued.
@@ -157,8 +155,7 @@ class ISockStack {
     DatagramHandler on_datagram;
     StreamDataHandler on_stream;
     AcceptHandler on_accept;
-    LazyDeque<std::pair<Endpoint, Bytes>> rx_queue;
-    std::size_t rx_queue_limit = 1024;
+    LazyDeque<std::pair<Endpoint, Bytes>> rx_queue;  // for recvfrom()
   };
 
   Sock* find(int fd);
@@ -168,6 +165,11 @@ class ISockStack {
   void post_pool_recvs(Sock& s);
   void post_stream_recvs(Sock& s);
   void deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data);
+  /// Counts one received datagram and hands it to the socket's handler, or
+  /// queues it for recvfrom(), moving `owned` (the datagram's own buffer,
+  /// when the caller can give it up) instead of copying `data`.
+  void hand_off(Sock& s, Endpoint src, ConstByteSpan data,
+                Bytes* owned = nullptr);
   void handle_control(Sock& s, Endpoint src, ConstByteSpan data);
   void send_advert(Sock& s, Endpoint dst, u32 remote_qpn);
   Status send_write_record(Sock& s, PeerState& peer, Endpoint dst,

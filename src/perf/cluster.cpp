@@ -8,6 +8,8 @@ namespace dgiwarp::perf {
 namespace {
 constexpr TimeNs kSampleInterval = 1 * kMillisecond;
 constexpr std::size_t kSampledTenants = 4;  // tenants with a memory series
+// Virtual time each of the establish and teardown waits may take.
+constexpr TimeNs kDeadline = 240 * kSecond;
 }  // namespace
 
 struct ClusterHarness::Tenant {
@@ -135,7 +137,7 @@ ClusterReport ClusterHarness::run_sip() {
   for (auto& t : tenants_) {
     t->sip_client = std::make_unique<sip::SipClient>(
         *t->client_io, cfg_.transport,
-        t->server_node->host().endpoint(sip::SipConfig{}.server_port));
+        t->server_node->host().endpoint(sip::SipConfig::server_port));
     t->sip_client->start_calls(cfg_.calls_per_pair);
   }
 
@@ -144,7 +146,7 @@ ClusterReport ClusterHarness::run_sip() {
       if (t->sip_client->established() < t->sip_client->calls()) return false;
     return true;
   };
-  chunked_wait(all_up, dial_start + cfg_.deadline);
+  chunked_wait(all_up, dial_start + kDeadline);
 
   ClusterReport rep;
   rep.nodes = topo_.hosts();
@@ -168,7 +170,7 @@ ClusterReport ClusterHarness::run_sip() {
       if (t->sip_client->terminated() < t->sip_client->calls()) return false;
     return true;
   };
-  chunked_wait(all_down, sim.now() + cfg_.deadline);
+  chunked_wait(all_down, sim.now() + kDeadline);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     rep.tenants[i].terminated = tenants_[i]->sip_client->terminated();
     rep.terminated += rep.tenants[i].terminated;

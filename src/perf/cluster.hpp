@@ -32,7 +32,6 @@ struct ClusterConfig {
   std::size_t pairs = 4;           // tenants (server+client each)
   std::size_t calls_per_pair = 8;  // concurrent SIP calls per tenant
   sip::Transport transport = sip::Transport::kUd;
-  TimeNs deadline = 120 * kSecond;
   /// --trace-json support (parity with perf::Options::trace): when set, the
   /// harness enables spans + profiler + trace ring before any traffic and
   /// folds the run into this capture at the end of run_sip().

@@ -135,7 +135,7 @@ Status ReliableDatagram::send_to(Endpoint dst, ConstByteSpan payload) {
   // Capture the ambient lifecycle span: it must survive window queueing and
   // retransmission, both of which outlive the caller's SpanScope.
   const u64 span = ctx_.active_span;
-  if (tx.unacked.size() >= config_.window) {
+  if (tx.unacked.size() >= kWindow) {
     tx.queued.push_back(QueuedDgram{seq, std::move(wire), span});
     return Status::Ok();
   }
@@ -284,16 +284,8 @@ void ReliableDatagram::on_timeout(Endpoint dst, u64 seq, u64 gen) {
 
 void ReliableDatagram::update_rtt(PeerTx& tx, TimeNs sample) {
   if (!config_.adaptive_rto) return;
-  if (tx.srtt == 0) {
-    tx.srtt = sample;
-    tx.rttvar = sample / 2;
-  } else {
-    const TimeNs err =
-        sample > tx.srtt ? sample - tx.srtt : tx.srtt - sample;
-    tx.rttvar = (3 * tx.rttvar + err) / 4;
-    tx.srtt = (7 * tx.srtt + sample) / 8;
-  }
-  tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, kMinRto, config_.max_rto);
+  tx.rtt.update(sample);
+  tx.rto = std::clamp(tx.rtt.rto(), kMinRto, config_.max_rto);
 }
 
 void ReliableDatagram::ack_one(Endpoint src, PeerTx& tx, u64 seq,
@@ -333,7 +325,7 @@ void ReliableDatagram::on_ack(Endpoint src, u64 seq, u64 cum,
   // sequences are being acknowledged means the first hole was lost.
   if (!retire_through(src, tx, cum) && cum == tx.last_cum_ack &&
       seq != cum + 1 && tx.unacked.contains(cum + 1)) {
-    if (++tx.dup_acks >= config_.dup_ack_threshold) {
+    if (++tx.dup_acks >= kDupAckThreshold) {
       tx.dup_acks = 0;
       fast_retransmit(src, tx, cum + 1);
     }
@@ -426,7 +418,7 @@ void ReliableDatagram::send_gap_skip(Endpoint dst, PeerTx& tx) {
 }
 
 void ReliableDatagram::pump_queue(Endpoint dst, PeerTx& tx) {
-  while (!tx.queued.empty() && tx.unacked.size() < config_.window) {
+  while (!tx.queued.empty() && tx.unacked.size() < kWindow) {
     QueuedDgram q = std::move(tx.queued.front());
     tx.queued.pop_front();
     tx.unacked.emplace(q.seq,
@@ -526,7 +518,7 @@ void ReliableDatagram::on_data(Endpoint src, u64 seq, ConstByteSpan body,
   if (seq != rx.next_expected) {
     // Hole: buffer, bounded. A refused datagram is NOT acked — the sender
     // keeps it and retransmits once the buffer has drained.
-    if (rx.ooo.size() >= config_.rx_ooo_limit) {
+    if (rx.ooo.size() >= kRxOooLimit) {
       ++stats_.rx_ooo_drops;
       return;
     }
@@ -607,12 +599,11 @@ void ReliableDatagram::skip_to(Endpoint src, PeerRx& rx, u64 base) {
 }
 
 void ReliableDatagram::arm_gap_timer(Endpoint src) {
-  if (config_.gap_timeout == 0) return;
   PeerRx& rx = rx_[src];
   if (rx.gap_armed) return;
   rx.gap_armed = true;
   const u64 cursor = rx.next_expected;
-  ctx_.sim.at(ctx_.sim.now() + config_.gap_timeout, [this, src, cursor] {
+  ctx_.sim.at(ctx_.sim.now() + kGapTimeout, [this, src, cursor] {
     auto it = rx_.find(src);
     if (it == rx_.end()) return;
     PeerRx& rx = it->second;

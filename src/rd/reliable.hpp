@@ -20,7 +20,7 @@
 //    a receiver-side gap timeout covers the case where even the GAP-SKIP
 //    is lost. Give-ups and holes are surfaced via rd.give_ups/rd.rx_gaps,
 //    the kRdGiveUp/kRdRxGap trace events and a warning, never silently.
-// Receiver memory is bounded: the reorder buffer is capped (rx_ooo_limit)
+// Receiver memory is bounded: the reorder buffer is capped (kRxOooLimit)
 // and accounted against the host MemLedger ("rd.rx_ooo"), and a sequence
 // more than kMaxSeqAhead past the receive frontier is refused outright.
 #pragma once
@@ -31,6 +31,7 @@
 #include <memory>
 
 #include "cc/cc.hpp"
+#include "hoststack/rtt.hpp"
 #include "hoststack/udp.hpp"
 #include "telemetry/registry.hpp"
 
@@ -47,15 +48,20 @@ inline constexpr TimeNs kMinRto = 100 * kMicrosecond;
 /// sequences past the receiver's next_expected is refused as wild
 /// (rd.wild_rejects). The send window is far smaller.
 inline constexpr u64 kMaxSeqAhead = 4096;
+/// Most unacked datagrams per peer; later sends queue behind them.
+inline constexpr std::size_t kWindow = 64;
+/// Duplicate cumulative ACKs that trigger a fast retransmit of the hole.
+inline constexpr int kDupAckThreshold = 3;
+/// Reorder-buffer cap per peer, in datagrams.
+inline constexpr std::size_t kRxOooLimit = 256;
+/// Receiver-side stall fallback: a hole still open this long after data
+/// parked behind it is skipped.
+inline constexpr TimeNs kGapTimeout = kSecond;
 
 struct RdConfig {
   bool adaptive_rto = true;    // SRTT/RTTVAR estimation + exponential backoff
   TimeNs max_rto = 50 * kMillisecond;   // adaptive-RTO / backoff ceiling
   int max_retries = 12;             // then the datagram is reported lost
-  std::size_t window = 64;          // max unacked datagrams per peer
-  int dup_ack_threshold = 3;        // dup cumulative ACKs -> fast retransmit
-  std::size_t rx_ooo_limit = 256;   // reorder buffer cap (datagrams)
-  TimeNs gap_timeout = kSecond;     // receiver-side stall fallback (0 = off)
   // Per-packet CRC32 over header+payload. A corrupted packet is silently
   // dropped (no ACK), so the normal RTO/fast-retransmit machinery recovers
   // it; without this, a damaged header could fake an ACK and retire data
@@ -166,9 +172,7 @@ class ReliableDatagram {
     u64 next_seq = 1;
     std::map<u64, Pending> unacked;
     std::deque<QueuedDgram> queued;  // waiting for window space
-    // RFC 6298-style estimator state (all 0 until the first sample).
-    TimeNs srtt = 0;
-    TimeNs rttvar = 0;
+    host::RttEstimator rtt;
     TimeNs rto = 0;  // current timeout; kInitialRto until the first sample
     // Dup-ACK accounting for fast retransmit.
     u64 last_cum_ack = 0;

@@ -94,7 +94,6 @@ void RcQueuePair::start_passive(
 
 void RcQueuePair::attach_socket(host::TcpSocket::Ptr sock) {
   sock_ = std::move(sock);
-  sock_->set_nodelay(true);  // iWARP requirement: FPDUs must not be delayed
   auto weak = weak_from_this();
   sock_->on_data([weak](ConstByteSpan data, bool tainted) {
     if (auto self = weak.lock()) self->on_tcp_data(data, tainted);

@@ -197,7 +197,7 @@ TEST(SipAgents, UdInviteAbandonedAfterTimerA) {
   auto sent = [&sim] {
     return sim.telemetry().counter_value("isock.dgram.tx");
   };
-  const TimeNs t1 = sip::SipConfig{}.t1;
+  const TimeNs t1 = sip::kT1;
   const TimeNs dial = sim.now();
   ASSERT_EQ(r.client.start_calls(1), 1u);
 
@@ -302,7 +302,6 @@ TEST(Media, PacedStreamRunsAtBitrate) {
   MediaRig r;
   media::StreamParams p;
   p.burst_start = false;
-  p.bitrate_bps = 8e6;
   media::MediaServer server(r.io_s, p);
   ASSERT_TRUE(server.serve_udp(7000, 2 * MiB).ok());
   media::MediaClient client(r.io_c);

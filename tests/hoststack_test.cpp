@@ -3,6 +3,8 @@
 // implementation (handshake, bulk transfer, loss recovery, teardown).
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -22,15 +24,32 @@ struct Net {
   host::Host b{topo, "b"};
 };
 
+// What a UDP socket's handler was given, taken oldest first.
+struct Inbox {
+  explicit Inbox(host::UdpSocket* s) {
+    s->set_handler([this](host::Endpoint src, Bytes d, bool) {
+      got.emplace_back(src, std::move(d));
+    });
+  }
+  std::optional<std::pair<host::Endpoint, Bytes>> recv() {
+    if (got.empty()) return std::nullopt;
+    auto front = std::move(got.front());
+    got.pop_front();
+    return front;
+  }
+  std::deque<std::pair<host::Endpoint, Bytes>> got;
+};
+
 TEST(Udp, SmallDatagramRoundtrip) {
   Net n;
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   for (std::size_t size : {100, 0}) {
     Bytes msg = make_pattern(size, 1);
     ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
     n.topo.sim().run();
-    auto got = sb->recv();
+    auto got = rx.recv();
     ASSERT_TRUE(got.has_value()) << size;
     EXPECT_EQ(got->second, msg);
     EXPECT_EQ(got->first.ip, n.a.addr());
@@ -42,10 +61,11 @@ TEST(Udp, MaxSizeDatagramFragmentsAndReassembles) {
   Net n;
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   Bytes msg = make_pattern(host::kMaxUdpPayload, 2);
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{msg}).ok());
   n.topo.sim().run();
-  auto got = sb->recv();
+  auto got = rx.recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second.size(), host::kMaxUdpPayload);
   EXPECT_EQ(got->second, msg);
@@ -58,6 +78,7 @@ TEST(Udp, DatagramsAtTheOneFragmentEdgeRoundtrip) {
   Net n;
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   u64 fragments = 0;
   const std::pair<std::size_t, u64> cases[] = {{1'472, 1}, {1'473, 2}};
   for (const auto& [size, frags] : cases) {
@@ -66,7 +87,7 @@ TEST(Udp, DatagramsAtTheOneFragmentEdgeRoundtrip) {
     n.topo.sim().run();
     fragments += frags;
     EXPECT_EQ(n.count("hoststack.ip.fragments_tx"), fragments) << size;
-    auto got = sb->recv();
+    auto got = rx.recv();
     ASSERT_TRUE(got.has_value()) << size;
     EXPECT_EQ(got->second, msg) << size;
   }
@@ -77,6 +98,7 @@ TEST(Udp, BodyBeyondTheLengthFieldIsCut) {
   // 100 of the 150 B that follow the UDP header.
   Net n;
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   const Bytes body = make_pattern(150, 4);
   sim::Frame f;
   f.src = n.a.addr();
@@ -95,7 +117,7 @@ TEST(Udp, BodyBeyondTheLengthFieldIsCut) {
   w.bytes(body);
   n.b.ip().on_frame(std::move(f));
   n.topo.sim().run();
-  auto got = sb->recv();
+  auto got = rx.recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, Bytes(body.begin(), body.begin() + 100));
   EXPECT_EQ(got->first.port, 5'000);
@@ -119,16 +141,17 @@ TEST(Udp, FragmentLossDropsWholeDatagram) {
   }());
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   Bytes big = make_pattern(20'000, 3);  // 14 fragments
   Bytes small = make_pattern(200, 4);
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{big}).ok());
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{small}).ok());
   n.topo.sim().run();
   // The big datagram is gone (all-or-nothing); the small one arrived.
-  auto got = sb->recv();
+  auto got = rx.recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, small);
-  EXPECT_FALSE(sb->recv().has_value());
+  EXPECT_FALSE(rx.recv().has_value());
   EXPECT_GE(n.count("hoststack.ip.reassembly_expired"), 1u);
 }
 
@@ -141,13 +164,14 @@ TEST(Udp, DuplicatedFragmentsDoNotCorruptReassembly) {
   n.topo.host_uplink(0).set_faults(sim::Faults::duplicating(1.0));
   auto* sa = *n.a.udp().open(0);
   auto* sb = *n.b.udp().open(700);
+  Inbox rx(sb);
   Bytes big = make_pattern(20'000, 5);  // 14 fragments, every one duplicated
   ASSERT_TRUE(sa->send_to({n.b.addr(), 700}, ConstByteSpan{big}).ok());
   n.topo.sim().run();
-  auto got = sb->recv();
+  auto got = rx.recv();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->second, big);                // byte-exact, no holes
-  EXPECT_FALSE(sb->recv().has_value());       // and exactly once
+  EXPECT_FALSE(rx.recv().has_value());        // and exactly once
 }
 
 // Hand-built IP fragments, fed straight to a host's IP layer so that their
@@ -209,13 +233,14 @@ TEST(Udp, PortDemultiplexing) {
   Net n;
   auto* s1 = *n.b.udp().open(700);
   auto* s2 = *n.b.udp().open(701);
+  Inbox rx1(s1), rx2(s2);
   auto* sa = *n.a.udp().open(0);
   Bytes m1 = bytes_of("one"), m2 = bytes_of("two");
   (void)sa->send_to({n.b.addr(), 700}, ConstByteSpan{m1});
   (void)sa->send_to({n.b.addr(), 701}, ConstByteSpan{m2});
   n.topo.sim().run();
-  EXPECT_EQ(s1->recv()->second, m1);
-  EXPECT_EQ(s2->recv()->second, m2);
+  EXPECT_EQ(rx1.recv()->second, m1);
+  EXPECT_EQ(rx2.recv()->second, m2);
 }
 
 TEST(Udp, PortInUseAndEphemeralAllocation) {
@@ -226,19 +251,6 @@ TEST(Udp, PortInUseAndEphemeralAllocation) {
   auto e2 = *n.a.udp().open(0);
   EXPECT_NE(e1->local_port(), e2->local_port());
   EXPECT_GE(e1->local_port(), 49'152);
-}
-
-TEST(Udp, RxQueueOverflowDrops) {
-  Net n;
-  auto* sa = *n.a.udp().open(0);
-  auto* sb = *n.b.udp().open(700);
-  Bytes m(10, 0);
-  for (int i = 0; i < 300; ++i)
-    (void)sa->send_to({n.b.addr(), 700}, ConstByteSpan{m});
-  n.topo.sim().run();
-  std::size_t received = 0;
-  while (sb->recv().has_value()) ++received;
-  EXPECT_EQ(received, 256u);  // default pull-mode queue limit
 }
 
 struct TcpPair {
@@ -347,8 +359,6 @@ TEST(Tcp, BidirectionalTransfer) {
 
 TEST(Tcp, RecoversFromPacketLoss) {
   TcpPair p;
-  p.n.a.tcp().set_min_rto(5 * kMillisecond);
-  p.n.b.tcp().set_min_rto(5 * kMillisecond);
   p.connect();
   p.n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.02));
   const Bytes data = make_pattern(512 * KiB, 9);
@@ -376,8 +386,6 @@ TEST(Tcp, ReorderedAndDuplicatedSegmentsDeliverOnce) {
   // the application exactly once and in order, and once the last ACK lands
   // the send buffer must be empty again.
   TcpPair p;
-  p.n.a.tcp().set_min_rto(5 * kMillisecond);
-  p.n.b.tcp().set_min_rto(5 * kMillisecond);
   p.connect();
   sim::Faults faults = sim::Faults::bernoulli(0.01);
   faults.reorder_rate = 0.05;
@@ -433,21 +441,6 @@ TEST(Tcp, AbortSendsRst) {
   p.n.topo.sim().run_while_pending([&] { return server_saw_close; },
                                      kSecond);
   EXPECT_TRUE(server_saw_close);
-}
-
-TEST(Tcp, NagleCoalescesWithoutNodelay) {
-  TcpPair p;
-  p.connect();
-  // Default: Nagle on. Two small writes while unacked data is in flight
-  // should produce fewer segments than writes.
-  for (int i = 0; i < 10; ++i) {
-    Bytes tiny(10, static_cast<u8>(i));
-    (void)p.client->send(ConstByteSpan{tiny});
-  }
-  p.n.topo.sim().run_while_pending(
-      [&] { return p.server_rx.size() >= 100; }, kSecond);
-  EXPECT_EQ(p.server_rx.size(), 100u);
-  EXPECT_LT(p.client->segments_sent(), 12u);  // far fewer than 10 data segs
 }
 
 TEST(Tcp, SendBufferBackpressure) {

@@ -218,7 +218,6 @@ TEST(Integration, MediaOverReliableDatagramsSurvivesLoss) {
 
   media::StreamParams p;
   p.burst_start = false;
-  p.bitrate_bps = 8e6;
   media::MediaServer server(io_s, p);
   ASSERT_TRUE(server.serve_udp(7000, 2 * MiB).ok());
   media::MediaClient client(io_c);
@@ -236,13 +235,11 @@ TEST(Integration, SipCallsSurviveLossViaRetransmission) {
   // Client egress.
   topo.host_uplink(1).set_faults(sim::Faults::bernoulli(0.15));
 
-  sip::SipConfig scfg;
-  scfg.t1 = 20 * kMillisecond;  // keep the lossy test quick
-  sip::SipServer server(io_s, sip::Transport::kUd, scfg);
+  sip::SipServer server(io_s, sip::Transport::kUd);
   ASSERT_TRUE(server.start().ok());
   topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
   sip::SipClient client(io_c, sip::Transport::kUd,
-                        server_host.endpoint(5060), scfg);
+                        server_host.endpoint(5060));
   EXPECT_EQ(client.establish_calls(10, 30 * kSecond), 10u)
       << "SIP timer-A retransmission must recover lost INVITEs";
 }

@@ -187,21 +187,55 @@ TEST(ISock, DatagramHandlerPushDelivery) {
   EXPECT_EQ(bytes, 100u + 101 + 102 + 103 + 104);
 }
 
+// A datagram read through recvfrom() counts as received, on the iWARP
+// path and the native one alike.
 TEST(ISock, StatsTrackTraffic) {
-  Rig r;
+  for (const bool use_iwarp : {true, false}) {
+    ISockConfig cfg;
+    cfg.use_iwarp = use_iwarp;
+    Rig r(cfg);
+    auto sfd = *r.io_b.socket(SockType::kDatagram);
+    ASSERT_TRUE(r.io_b.bind(sfd, 9000).ok());
+    auto cfd = *r.io_a.socket(SockType::kDatagram);
+    ASSERT_TRUE(r.io_a.bind(cfd, 0).ok());
+    Bytes msg(256, 1);
+    ASSERT_TRUE(
+        r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
+    r.topo.sim().run_until(r.topo.sim().now() + 5 * kMillisecond);
+    ASSERT_TRUE(r.io_b.recvfrom(sfd).has_value()) << use_iwarp;
+    auto& reg = r.topo.sim().telemetry();
+    EXPECT_EQ(reg.counter("isock.dgram.tx").value(), 1u) << use_iwarp;
+    EXPECT_EQ(reg.counter("isock.bytes.tx").value(), 256u) << use_iwarp;
+    EXPECT_EQ(reg.counter("isock.dgram.rx").value(), 1u) << use_iwarp;
+    EXPECT_EQ(reg.counter("isock.bytes.rx").value(), 256u) << use_iwarp;
+  }
+}
+
+// A socket without a handler holds 1,024 datagrams for recvfrom(); the
+// rest are dropped, counted and traced. A native socket shares that queue.
+TEST(ISock, NativeRxQueueOverflowDrops) {
+  ISockConfig cfg;
+  cfg.use_iwarp = false;
+  Rig r(cfg);
+  r.topo.sim().telemetry().trace().enable();
   auto sfd = *r.io_b.socket(SockType::kDatagram);
   ASSERT_TRUE(r.io_b.bind(sfd, 9000).ok());
   auto cfd = *r.io_a.socket(SockType::kDatagram);
   ASSERT_TRUE(r.io_a.bind(cfd, 0).ok());
-  Bytes msg(256, 1);
-  ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{msg}).ok());
-  r.topo.sim().run_until(r.topo.sim().now() + 5 * kMillisecond);
-  (void)r.io_b.recvfrom(sfd);
-  auto& reg = r.topo.sim().telemetry();
-  EXPECT_EQ(reg.counter("isock.dgram.tx").value(), 1u);
-  EXPECT_EQ(reg.counter("isock.bytes.tx").value(), 256u);
-  EXPECT_EQ(reg.counter("isock.dgram.rx").value(), 1u);
-  EXPECT_EQ(reg.counter("isock.bytes.rx").value(), 256u);
+  const Bytes m(10, 0);
+  for (int i = 0; i < 1'100; ++i)
+    ASSERT_TRUE(r.io_a.sendto(cfd, r.b.endpoint(9000), ConstByteSpan{m}).ok());
+  r.topo.sim().run();
+  std::size_t received = 0;
+  while (r.io_b.recvfrom(sfd).has_value()) ++received;
+  EXPECT_EQ(received, 1'024u);
+  EXPECT_EQ(r.topo.sim().telemetry().counter_value(
+                "isock.pool.rx_dropped_no_slot"),
+            76u);
+  std::size_t traced = 0;
+  for (const auto& ev : r.topo.sim().telemetry().trace().snapshot())
+    if (ev.kind == telemetry::TraceKind::kIsockDropNoSlot) ++traced;
+  EXPECT_GT(traced, 0u);
 }
 
 TEST(ISock, CloseReleasesPort) {

@@ -8,7 +8,7 @@
 // campaign invariants:
 //   * eventual completion: every datagram delivered, zero give-ups;
 //   * exactly-once, in per-peer order;
-//   * bounded receiver memory: reorder-buffer peak respects rx_ooo_limit
+//   * bounded receiver memory: reorder-buffer peak respects kRxOooLimit
 //     and the MemLedger "rd.rx_ooo" category drains to zero.
 //
 // Layer 2 runs the same 5% Bernoulli loss through the full verbs stack
@@ -123,7 +123,7 @@ void run_rd_campaign_case(const FaultCase& fc) {
   EXPECT_EQ(rdb.rx_buffered(), 0u);
   EXPECT_EQ(b.ledger().category("rd.rx_ooo"), 0);
   EXPECT_LE(topo.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
-            static_cast<double>(cfg.rx_ooo_limit * kPayload));
+            static_cast<double>(rd::kRxOooLimit * kPayload));
 }
 
 TEST(RdFaultCampaign, OrderedSurvivesEveryFaultModel) {

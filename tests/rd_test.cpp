@@ -167,18 +167,21 @@ TEST(Rd, WildSequencesRejectedWithoutWedgingTheWindow) {
 TEST(Rd, HorizonIsMaxSeqAheadPastNextExpected) {
   RdNet n;
   n.cfg.crc = false;
-  n.cfg.gap_timeout = 0;  // only the forged GAP-SKIP moves the frontier
   n.init();
   std::vector<Bytes> got;
   n.rdb->on_datagram(
       [&](rd::Endpoint, Bytes d, bool) { got.push_back(std::move(d)); });
   const auto& st = n.rdb->stats();
   const u64 edge = 1 + rd::kMaxSeqAhead;  // next_expected is 1
+  // Each step runs 10 ms: the four end well before the gap timer armed by
+  // the parked datagram fires, so only the forged GAP-SKIP moves the
+  // frontier.
+  static_assert(4 * 10 * kMillisecond < rd::kGapTimeout);
   auto inject = [&](u8 type, u64 seq, std::size_t payload_len) {
     ASSERT_TRUE(n.sa->send_to({n.b.addr(), 100},
                               ConstByteSpan{forge(type, seq, payload_len)})
                     .ok());
-    n.topo.sim().run();
+    n.topo.sim().run_until(n.topo.sim().now() + 10 * kMillisecond);
   };
 
   inject(1, edge + 1, 32);  // DATA past the horizon: refused, not acked
@@ -207,16 +210,16 @@ TEST(Rd, HorizonIsMaxSeqAheadPastNextExpected) {
 
 TEST(Rd, WindowQueuesExcessAndDrains) {
   RdNet n;
-  n.cfg.window = 4;
   n.init();
   int deliveries = 0;
   n.rdb->on_datagram([&](rd::Endpoint, Bytes, bool) { ++deliveries; });
   Bytes msg(50, 1);
-  for (int i = 0; i < 20; ++i)
+  const int kSends = static_cast<int>(rd::kWindow) + 16;
+  for (int i = 0; i < kSends; ++i)
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
-  EXPECT_LE(n.rda->unacked(), 4u);  // window cap honoured
+  EXPECT_LE(n.rda->unacked(), rd::kWindow);  // window cap honoured
   n.topo.sim().run();
-  EXPECT_EQ(deliveries, 20);
+  EXPECT_EQ(deliveries, kSends);
 }
 
 TEST(Rd, OversizePayloadRejected) {
@@ -304,7 +307,8 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
 }
 
 // Same stall, but the GAP-SKIP itself is lost: the receiver-side gap
-// timeout is the fallback that unblocks delivery.
+// timeout (kGapTimeout of virtual time) is the fallback that unblocks
+// delivery.
 TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
   RdNet n;
   n.topo.host_uplink(0).set_faults([] {
@@ -314,7 +318,6 @@ TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
     return f;
   }());
   n.cfg.max_retries = 3;
-  n.cfg.gap_timeout = 5 * kMillisecond;
   n.init();
   n.topo.sim().telemetry().trace().enable();
   std::vector<u8> got;
@@ -355,37 +358,46 @@ TEST(Rd, DupAcksTriggerFastRetransmit) {
   EXPECT_EQ(n.rda->stats().give_ups, 0u);
 }
 
-// The ordered reorder buffer refuses datagrams beyond rx_ooo_limit (without
+// The ordered reorder buffer refuses datagrams beyond kRxOooLimit (without
 // acking them), so receiver memory stays bounded and the refused datagrams
 // are recovered by retransmission once the hole closes.
 TEST(Rd, OrderedReorderBufferIsBounded) {
   RdNet n;
+  // Seq 1 is lost until the buffer behind it is full. Read from a trace of
+  // this run: a's frames 1..64 carry seqs 1..64 (the window); from then on
+  // each ACK releases one new seq, and every third duplicate ACK also fast-
+  // retransmits seq 1, so seq 1 rides frame 67 and every fourth frame after
+  // it. Dropping its first 65 copies (frames 1, 67, ..., 319) leaves the
+  // 66th, frame 323, to arrive just after the buffer filled.
   n.topo.host_uplink(0).set_faults([] {
+    std::vector<u64> seq1_frames{1};
+    for (u64 frame = 67; frame < 323; frame += 4) seq1_frames.push_back(frame);
     sim::Faults f;
-    f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
+    f.loss = std::make_unique<sim::TargetedLoss>(std::move(seq1_frames));
     return f;
   }());
-  n.cfg.rx_ooo_limit = 8;
-  n.cfg.dup_ack_threshold = 1000;  // force timer-based recovery of seq 1
   n.init();
-  std::vector<u8> got;
-  n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) { got.push_back(d[0]); });
-  const int kN = 30;
-  for (int i = 1; i <= kN; ++i) {
-    Bytes msg(10, static_cast<u8>(i));
+  std::vector<u32> got;
+  n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) {
+    got.push_back(static_cast<u32>(d[0]) | (static_cast<u32>(d[1]) << 8));
+  });
+  const u32 kN = 300;
+  for (u32 i = 1; i <= kN; ++i) {
+    Bytes msg(10, 0);
+    msg[0] = static_cast<u8>(i & 0xFF);
+    msg[1] = static_cast<u8>(i >> 8);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
   n.topo.sim().run();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
-  for (int i = 1; i <= kN; ++i)
-    EXPECT_EQ(got[static_cast<std::size_t>(i - 1)], static_cast<u8>(i));
+  ASSERT_EQ(got.size(), std::size_t{kN});
+  for (u32 i = 1; i <= kN; ++i) EXPECT_EQ(got[i - 1], i);
   EXPECT_GT(n.rdb->stats().rx_ooo_drops, 0u);
   EXPECT_EQ(n.rda->stats().give_ups, 0u);
   EXPECT_EQ(n.rdb->rx_buffered(), 0u);
   EXPECT_EQ(n.b.ledger().category("rd.rx_ooo"), 0);
   // The reorder buffer peak respected the cap (10-byte payloads).
   EXPECT_LE(n.topo.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
-            8.0 * 10.0);
+            static_cast<double>(rd::kRxOooLimit) * 10.0);
 }
 
 // rd.rx_ooo_bytes is one gauge per Simulation: with two receivers each

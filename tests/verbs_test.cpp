@@ -716,8 +716,6 @@ TEST(RcQp, LargeMessagesUnderFaultsArriveByteExact) {
   // messages make FPDUs straddle TCP deliveries. Every byte of every Send
   // and RDMA Write must land exactly.
   Rig r;
-  r.a.tcp().set_min_rto(5 * kMillisecond);
-  r.b.tcp().set_min_rto(5 * kMillisecond);
   std::shared_ptr<verbs::RcQueuePair> server;
   ASSERT_TRUE(r.dev_b
                   .rc_listen(800, {&r.pd_b, r.cq_b.get(), r.cq_b.get()},
